@@ -2,8 +2,9 @@
 battery, emit deterministic JSON reports, replay failure witnesses.
 
 Exit codes: 0 success; 1 usage or spec-parse error (also: nothing to
-replay); 2 enumeration bound exceeded; 3 equivalence-assertion failure or
-stale witness; 4 expectation mismatch.
+replay, or a report that is not JSON); 2 enumeration bound exceeded; 3
+equivalence-assertion failure, polar-space axiom failure (SpaceError),
+stale or malformed witness; 4 expectation mismatch.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from polarium import props
 from polarium.catalog import SpecParseError, build_space, parse_space_spec
 from polarium.linalg import BoundExceeded
 from polarium.props import EquivalenceViolation, full_report, validate_witness
+from polarium.space import SpaceError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,8 +50,6 @@ def _build_parser() -> _Parser:
                        help="golden report; exit 4 if any verdict differs")
     check.add_argument("--out", metavar="FILE", help="write the JSON report here")
     check.add_argument("--format", choices=["json", "table"], default="json")
-    check.add_argument("--workers", type=int, default=1,
-                       help="spaces processed concurrently")
     check.add_argument("--max-points", type=int, default=2000)
     check.add_argument("--seed", type=int, default=0,
                        help="seed for the sampled perp-invariant self-check")
@@ -127,14 +126,7 @@ def cmd_check(args) -> int:
         print(f"polarium: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                futures = [pool.submit(_check_one, s, args.max_points, args.seed)
-                           for s in args.specs]
-                results = [f.result() for f in futures]
-        else:
-            results = [_check_one(s, args.max_points, args.seed)
-                       for s in args.specs]
+        results = [_check_one(s, args.max_points, args.seed) for s in args.specs]
     except SpecParseError as exc:
         print(f"polarium: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -143,6 +135,9 @@ def cmd_check(args) -> int:
         return EXIT_BOUND
     except EquivalenceViolation as exc:
         print(f"polarium: equivalence assertion failed: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
+    except SpaceError as exc:
+        print(f"polarium: space error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
 
     reports = [r.to_dict(include_millis=args.timings) for r in results]
@@ -165,8 +160,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        reports = json.load(fh)
+    try:
+        with open(args.report, "r", encoding="utf-8") as fh:
+            reports = json.load(fh)
+    except json.JSONDecodeError as exc:
+        print(f"polarium: {args.report} is not a JSON report: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if "/" not in args.witness_id:
         print('polarium: witness id must look like "W(3,2)/A"', file=sys.stderr)
         return EXIT_USAGE
@@ -181,8 +180,14 @@ def cmd_replay(args) -> int:
         print(f"polarium: {args.witness_id} verdict is {entry['verdict']!r}; "
               "nothing to replay", file=sys.stderr)
         return EXIT_USAGE
-    space = build_space(space_name)
-    if validate_witness(space, prop, entry["witness"]):
+    try:
+        space = build_space(space_name)
+        valid = validate_witness(space, prop, entry["witness"])
+    except (KeyError, ValueError, SpaceError) as exc:
+        print(f"polarium: {args.witness_id}: malformed witness or space: {exc!r}",
+              file=sys.stderr)
+        return EXIT_ASSERTION
+    if valid:
         print(f"{args.witness_id}: witness valid")
         return EXIT_OK
     print(f"polarium: {args.witness_id}: stale witness (nondeterminism or "

@@ -128,9 +128,10 @@ def payne_a_failure_witness(space: PolarSpace) -> dict:
         ell_y = [p for p in base.lines[ell] if p != y]
         h_y = [p for p in h.points if p != y]
         a, b = sorted(h_y)[:2]
-        return {
-            "a": space.points[space.index_of(base.points[a])],
-            "b": space.points[space.index_of(base.points[b])],
-            "generator": [space.points[space.index_of(base.points[p])] for p in ell_y],
+        generator = sorted(space.index_of(base.points[p]) for p in ell_y)
+        return {  # serialized as the checkers do: lists, sorted point sets
+            "a": list(base.points[a]),
+            "b": list(base.points[b]),
+            "generator": [list(space.points[p]) for p in generator],
         }
     raise SpaceError(f"{space.name}: no admissible (y, l, h) triple found")

@@ -1,11 +1,17 @@
 """The characterization predicates and their cross-equivalences.
 
-Each checker scans its quantifier range in canonical enumeration order and
-stops at the first counterexample, so failing verdicts carry the smallest
-witness.  Witnesses are serialized with canonical point labels, never
-indices, and every one can be replayed against a freshly built space.
-full_report runs the whole battery and asserts the theorem matrix: any
-violated biconditional raises EquivalenceViolation.
+Each property is one canonical block enumeration plus one predicate over a
+block: a non-collinear pair for A and regular pairs, a pair of distinct
+points for centric triads, an arising hyperplane for B' and C, a hyperbolic
+line for D and the whole space for the symplectic test.  The predicate
+returns the number of instances it checked in the block and its failing
+instances as serialized witnesses.  Each checker scans the blocks in
+canonical order and stops at the first failure, so failing verdicts carry
+the smallest witness.  Replay is the checker's own predicate on one
+instance: validate_witness parses the witness into its block, recomputes the
+block and looks for the witness among its failures.  Witnesses use canonical
+point labels, never indices.  full_report runs the whole battery and asserts
+the theorem matrix: any violated biconditional raises EquivalenceViolation.
 """
 
 from __future__ import annotations
@@ -15,15 +21,12 @@ import time
 
 import numpy as np
 
-from polarium import embed, hyperbolic, hyperplanes
-from polarium.space import PolarSpace, SpaceError, are_opposite
+from polarium import embed, hyperbolic, hyperplanes, linalg
+from polarium.space import PolarSpace
 
 HOLDS = "holds"
 FAILS = "fails"
 SKIPPED = "skipped"
-
-PROPERTY_ORDER = ["A", "B_prime", "B_triads", "C", "D", "regular_pairs", "symplectic"]
-
 
 class EquivalenceViolation(Exception):
     """A proven biconditional failed on an instance: a bug, not a verdict."""
@@ -61,19 +64,18 @@ def _label(space, i):
     return _jsonable(space.points[i])
 
 
+def _labels(space, idxs):
+    return [_label(space, int(i)) for i in idxs]
+
+
+def _pair_witness(space, a, b, **rest):
+    return {"a": _label(space, int(a)), "b": _label(space, int(b)), **rest}
+
+
 def _jsonable(label):
     if isinstance(label, tuple):
         return [_jsonable(x) for x in label]
     return label
-
-
-def _subgen_size(space: PolarSpace) -> int:
-    if space.is_form_backed:
-        q = space.field.q
-        return (q ** (space.rank - 1) - 1) // (q - 1)
-    if space.rank == 2:
-        return 1
-    raise ValueError(f"{space.name}: combinatorial spaces of rank > 2 unsupported")
 
 
 def _noncollinear_pairs(space: PolarSpace):
@@ -82,162 +84,135 @@ def _noncollinear_pairs(space: PolarSpace):
             yield a, int(b)
 
 
-def contains_subgenerator(space: PolarSpace, mask) -> bool:
-    r = space.rank - 1
-    if r == 1:
-        return bool(mask.any())
-    if r == 2 and len(space.lines):
-        return bool((~(space.lines_matrix & ~mask).any(axis=1)).any())
-    return space.max_singular_rank(mask, stop_at=r) >= r
+def _scan(blocks, predicate, t0) -> Verdict:
+    """Run the predicate over the blocks in order and stop at the first
+    failure; `checked` counts the instances of the blocks before it plus the
+    failing block's count up to the failure."""
+    checked = 0
+    for block in blocks:
+        count, failures = predicate(block)
+        first = next(failures, None)
+        if first is not None:
+            upto, witness = first
+            return Verdict(FAILS, witness, checked + upto, millis=_ms(t0))
+        checked += count
+    return Verdict(HOLDS, checked=checked, millis=_ms(t0))
 
 
 # ---------------------------------------------------------------------------
 # property (A)
 
+def _A_predicate(space: PolarSpace):
+    """Block: a non-collinear pair (a, b).  Checked: the generators M with
+    M cap {a,b}^perp a hyperplane of M.  Failing: those missing {a,b}^perpperp."""
+    gm = space.generators_matrix()
+    gf = gm.astype(np.float32)
+    size = int(space.subgenerators()[0][0].sum())
+
+    def predicate(pair):
+        a, b = pair
+        perp = space.coll[a] & space.coll[b]
+        dperp = space.coll[perp].all(axis=0)
+        cand = gf @ perp == size
+        bad = cand & ~(gf @ dperp > 0)
+        n = int(cand.sum())
+        return n, ((n, _pair_witness(space, a, b, generator=_labels(
+            space, np.flatnonzero(gm[g])))) for g in np.flatnonzero(bad))
+    return predicate
+
+
 def check_A(space: PolarSpace) -> Verdict:
     """For non-collinear a, b and generator M: if M cap {a,b}^perp is a
     hyperplane of M then M must meet the hyperbolic line {a,b}^perpperp."""
     t0 = time.perf_counter()
-    gm = space.generators_matrix().astype(np.int64)
-    size = _subgen_size(space)
-    checked = 0
-    for a, b in _noncollinear_pairs(space):
-        perp = space.coll[a] & space.coll[b]
-        dperp = space.coll[perp].all(axis=0)
-        counts = gm @ perp
-        cand = counts == size
-        checked += int(cand.sum())
-        if not cand.any():
-            continue
-        meets = (gm @ dperp) > 0
-        bad = cand & ~meets
-        if bad.any():
-            g = space.generators()[int(np.flatnonzero(bad)[0])]
-            witness = {"a": _label(space, a), "b": _label(space, b),
-                       "generator": [_label(space, p) for p in g.points]}
-            return Verdict(FAILS, witness, checked, millis=_ms(t0))
-    return Verdict(HOLDS, checked=checked, millis=_ms(t0))
-
-
-def validate_A_witness(space, witness) -> bool:
-    a = space.index_of(witness["a"])
-    b = space.index_of(witness["b"])
-    if space.collinear(a, b):
-        return False
-    members = tuple(sorted(space.index_of(p) for p in witness["generator"]))
-    if members not in {g.points for g in space.generators()}:
-        return False
-    perp = space.coll[a] & space.coll[b]
-    dperp = space.coll[perp].all(axis=0)
-    inside = list(members)
-    return (int(perp[inside].sum()) == _subgen_size(space)
-            and not dperp[inside].any())
+    return _scan(_noncollinear_pairs(space), _A_predicate(space), t0)
 
 
 # ---------------------------------------------------------------------------
 # regular pairs
 
+def _regular_pairs_predicate(space: PolarSpace):
+    """Block: a non-collinear pair (a, b).  Checked: the opposite pairs N, N'
+    of sub-generators inside {a,b}^perp (the generators of the trace), in
+    row-major order.  Failing: those with N^perp cap N'^perp != {a,b}^perpperp."""
+    sg, sp = space.subgenerators()
+
+    def predicate(pair):
+        a, b = pair
+        ks = np.flatnonzero(sp[:, a] & sp[:, b])  # S_k inside {a,b}^perp
+        dperp = space.coll[space.coll[a] & space.coll[b]].all(axis=0)
+        perps = sp[ks].astype(np.float32)
+        opp = np.triu(perps @ sg[ks].T.astype(np.float32) == 0, 1)
+        bad = opp & ((perps * ~dperp) @ perps.T > 0)
+        upto = np.cumsum(opp).reshape(opp.shape)
+
+        def witness(x, y):
+            kx, ky = ks[x], ks[y]
+            extra = np.flatnonzero(sp[kx] & sp[ky] & ~dperp)[0]
+            return _pair_witness(space, a, b, N=_labels(space, np.flatnonzero(sg[kx])),
+                                 N_prime=_labels(space, np.flatnonzero(sg[ky])),
+                                 extra_point=_label(space, int(extra)))
+        return int(opp.sum()), ((int(upto[x, y]), witness(x, y))
+                                for x, y in zip(*np.nonzero(bad)))
+    return predicate
+
+
 def check_regular_pairs(space: PolarSpace) -> Verdict:
     """Every pair of opposite points a, b must be regular: N^perp cap N'^perp
     = {a,b}^perpperp for all opposite generators N, N' of the trace."""
     t0 = time.perf_counter()
-    checked = 0
-    for a, b in _noncollinear_pairs(space):
-        perp = space.coll[a] & space.coll[b]
-        trace = [int(i) for i in np.flatnonzero(perp)]
-        dperp = space.coll[perp].all(axis=0)
-        induced = space.induced_subspace(trace, name=f"{space.name}|{a},{b}")
-        gens = induced.generators()
-        for g in gens:
-            if g.rank != space.rank - 1:
-                raise SpaceError(f"{space.name}: trace of ({a},{b}) has a generator "
-                                 f"of rank {g.rank}, expected {space.rank - 1}")
-        for gi, gj in itertools.combinations(gens, 2):
-            if not are_opposite(induced, gi, gj):
-                continue
-            checked += 1
-            n_pts = [trace[k] for k in gi.points]
-            n2_pts = [trace[k] for k in gj.points]
-            joint = space.perp_mask(n_pts) & space.perp_mask(n2_pts)
-            extra = joint & ~dperp
-            if extra.any():
-                p = int(np.flatnonzero(extra)[0])
-                witness = {"a": _label(space, a), "b": _label(space, b),
-                           "N": [_label(space, x) for x in n_pts],
-                           "N_prime": [_label(space, x) for x in n2_pts],
-                           "extra_point": _label(space, p)}
-                return Verdict(FAILS, witness, checked, millis=_ms(t0))
-    return Verdict(HOLDS, checked=checked, millis=_ms(t0))
-
-
-def validate_regular_pairs_witness(space, witness) -> bool:
-    a = space.index_of(witness["a"])
-    b = space.index_of(witness["b"])
-    if space.collinear(a, b):
-        return False
-    perp = space.coll[a] & space.coll[b]
-    dperp = space.coll[perp].all(axis=0)
-    n_pts = [space.index_of(p) for p in witness["N"]]
-    n2_pts = [space.index_of(p) for p in witness["N_prime"]]
-    if not (perp[n_pts].all() and perp[n2_pts].all()):
-        return False
-    extra = space.index_of(witness["extra_point"])
-    joint = space.perp_mask(n_pts) & space.perp_mask(n2_pts)
-    return bool(joint[extra]) and not bool(dperp[extra])
+    return _scan(_noncollinear_pairs(space), _regular_pairs_predicate(space), t0)
 
 
 # ---------------------------------------------------------------------------
 # centric triads (the implementation of property (B))
 
+def _triads_predicate(space: PolarSpace):
+    """Block: a pair a < b of distinct points.  Checked: every c > b.  Failing:
+    the c with no sub-generator in {a,b,c}^perp, i.e. no S_k^perp holding a, b
+    and c."""
+    sp = space.subgenerators()[1]
+    n = space.n_points
+
+    def predicate(pair):
+        a, b = pair
+        centric = sp[sp[:, a] & sp[:, b]].any(axis=0)
+        acentric = np.flatnonzero(~centric[b + 1:]) + b + 1
+        return n - b - 1, ((int(c) - b, _pair_witness(space, a, b, c=_label(space, int(c))))
+                           for c in acentric)
+    return predicate
+
+
 def check_centric_triads(space: PolarSpace) -> Verdict:
     """Every triple of distinct points must have a sub-generator in its
     common perp (a point when n = 2)."""
     t0 = time.perf_counter()
-    n = space.n_points
-    rank2 = space.rank == 2
-    lines_int = space.lines_matrix.astype(np.int64) if len(space.lines) else None
-    sizes = lines_int.sum(axis=1) if lines_int is not None else None
-    checked = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            pair_perp = space.coll[a] & space.coll[b]
-            triple = space.coll & pair_perp[None, :]
-            if rank2:
-                ok = triple.any(axis=1)
-            else:
-                hits = lines_int @ triple.T  # line k vs point c
-                ok = (hits == sizes[:, None]).any(axis=0)
-            tail = ok[b + 1:]
-            if tail.all():
-                checked += n - b - 1
-                continue
-            c = int(np.flatnonzero(~tail)[0]) + b + 1
-            checked += c - b
-            if not rank2 and contains_subgenerator(space, triple[c]):
-                raise AssertionError("fast path disagreed with generic rank search")
-            witness = {"a": _label(space, a), "b": _label(space, b),
-                       "c": _label(space, c)}
-            return Verdict(FAILS, witness, checked, millis=_ms(t0))
-    return Verdict(HOLDS, checked=checked, millis=_ms(t0))
-
-
-def validate_triad_witness(space, witness) -> bool:
-    idx = [space.index_of(witness[k]) for k in ("a", "b", "c")]
-    if len(set(idx)) != 3:
-        return False
-    mask = space.perp_mask(idx)
-    return not contains_subgenerator(space, mask)
+    pairs = itertools.combinations(range(space.n_points), 2)
+    return _scan(pairs, _triads_predicate(space), t0)
 
 
 # ---------------------------------------------------------------------------
 # properties (B') and (C) over arising hyperplanes
 
-def _pair_perp_matrix(space: PolarSpace):
-    pairs = list(_noncollinear_pairs(space))
-    mat = np.zeros((len(pairs), space.n_points), dtype=bool)
-    for k, (a, b) in enumerate(pairs):
-        mat[k] = space.coll[a] & space.coll[b]
-    return pairs, mat
+def _traces_inside(space: PolarSpace, h) -> tuple:
+    """The non-collinear pairs a < b, row-major, whose trace lies in h: no
+    point outside h is collinear with both."""
+    outside = space.coll[~h.mask].astype(np.float32)
+    return np.nonzero(np.triu((outside.T @ outside == 0) & ~space.coll))
+
+
+def _B_prime_predicate(space: PolarSpace):
+    """Block: an arising hyperplane h.  Checked: the non-collinear pairs whose
+    trace h contains.  Failing: all of them, when no generator lies in h."""
+    gm = space.generators_matrix()
+
+    def predicate(h):
+        pa, pb = _traces_inside(space, h)
+        n = len(pa)
+        no_gen = n > 0 and (gm & ~h.mask).any(axis=1).all()
+        return n, ((n, _pair_witness(space, a, b, functional=list(h.provenance[2])))
+                   for a, b in zip(pa, pb) if no_gen)
+    return predicate
 
 
 def check_B_prime(space: PolarSpace, e: embed.Embedding) -> Verdict:
@@ -245,36 +220,23 @@ def check_B_prime(space: PolarSpace, e: embed.Embedding) -> Verdict:
     must contain a generator (equivalently have rank n)."""
     t0 = time.perf_counter()
     arising = hyperplanes.arising_hyperplanes(e)
-    pairs, perps = _pair_perp_matrix(space)
-    gm = space.generators_matrix()
-    checked = 0
-    for h in arising:
-        mask = h.mask
-        contained = ~(perps & ~mask).any(axis=1)
-        checked += int(contained.sum())
-        if not contained.any():
-            continue
-        has_gen = not (gm & ~mask).any(axis=1).all()
-        if not has_gen:
-            a, b = pairs[int(np.flatnonzero(contained)[0])]
-            witness = {"functional": list(h.provenance[2]),
-                       "a": _label(space, a), "b": _label(space, b)}
-            return Verdict(FAILS, witness, checked, millis=_ms(t0))
-    return Verdict(HOLDS, checked=checked, millis=_ms(t0))
+    return _scan(arising, _B_prime_predicate(space), t0)
 
 
-def validate_B_prime_witness(space, witness, e) -> bool:
-    h = hyperplanes.hyperplane_from_functional(e, tuple(witness["functional"]))
-    a = space.index_of(witness["a"])
-    b = space.index_of(witness["b"])
-    if space.collinear(a, b):
-        return False
-    mask = h.mask
-    perp = space.coll[a] & space.coll[b]
-    if (perp & ~mask).any():
-        return False
-    gm = space.generators_matrix()
-    return bool((gm & ~mask).any(axis=1).all())
+def _C_predicate(space: PolarSpace):
+    """Block: an arising hyperplane h.  Checked: the non-collinear pairs whose
+    trace h contains.  Failing: those without a deepest point of h on their
+    hyperbolic line.  A deepest point p has h = p^perp, and p lies on
+    {a,b}^perpperp exactly when {a,b}^perp is inside p^perp = h, so every
+    contained pair fails when h has no deepest point and none fails otherwise."""
+    def predicate(h):
+        pa, pb = _traces_inside(space, h)
+        n = len(pa)
+        nonsingular = n > 0 and h.deepest_point() is None
+        return n, ((n, _pair_witness(space, a, b, functional=list(h.provenance[2]),
+                                     deepest_point=None))
+                   for a, b in zip(pa, pb) if nonsingular)
+    return predicate
 
 
 def check_C(space: PolarSpace, e: embed.Embedding) -> Verdict:
@@ -282,78 +244,49 @@ def check_C(space: PolarSpace, e: embed.Embedding) -> Verdict:
     deepest point on the hyperbolic line of the pair."""
     t0 = time.perf_counter()
     arising = hyperplanes.arising_hyperplanes(e)
-    pairs, perps = _pair_perp_matrix(space)
-    checked = 0
-    for h in arising:
-        mask = h.mask
-        contained = np.flatnonzero(~(perps & ~mask).any(axis=1))
-        checked += len(contained)
-        if not len(contained):
-            continue
-        deepest = h.deepest_point()
-        for k in contained:
-            a, b = pairs[int(k)]
-            if deepest is not None:
-                dperp = space.coll[perps[int(k)]].all(axis=0)
-                if dperp[deepest]:
-                    continue
-            witness = {"functional": list(h.provenance[2]),
-                       "a": _label(space, a), "b": _label(space, b),
-                       "deepest_point": None if deepest is None
-                       else _label(space, deepest)}
-            return Verdict(FAILS, witness, checked, millis=_ms(t0))
-    return Verdict(HOLDS, checked=checked, millis=_ms(t0))
-
-
-def validate_C_witness(space, witness, e) -> bool:
-    h = hyperplanes.hyperplane_from_functional(e, tuple(witness["functional"]))
-    a = space.index_of(witness["a"])
-    b = space.index_of(witness["b"])
-    if space.collinear(a, b):
-        return False
-    perp = space.coll[a] & space.coll[b]
-    if (perp & ~h.mask).any():
-        return False
-    deepest = h.deepest_point()
-    if deepest is None:
-        return witness["deepest_point"] is None
-    dperp = space.coll[perp].all(axis=0)
-    return not bool(dperp[deepest])
+    return _scan(arising, _C_predicate(space), t0)
 
 
 # ---------------------------------------------------------------------------
 # property (D)
 
+def _D_predicate(space: PolarSpace):
+    """Block: a hyperbolic line.  Checked: every point x.  Failing: the x whose
+    singular hyperplane x^perp misses the line."""
+    n = space.n_points
+
+    def predicate(h):
+        meets = space.coll[:, list(h.points)].any(axis=1)
+        return n, ((n, {"point": _label(space, int(x)), "pair": _labels(space, h.pair),
+                        "hyperbolic_line": _labels(space, h.points)})
+                   for x in np.flatnonzero(~meets))
+    return predicate
+
+
 def check_D(space: PolarSpace) -> Verdict:
     """Every singular hyperplane x^perp must meet every hyperbolic line."""
     t0 = time.perf_counter()
     hlines = hyperbolic.all_hyperbolic_lines(space)
-    checked = 0
-    for h in hlines:
-        members = list(h.points)
-        meets = space.coll[:, members].any(axis=1)
-        checked += space.n_points
-        if not meets.all():
-            x = int(np.flatnonzero(~meets)[0])
-            witness = {"point": _label(space, x),
-                       "pair": [_label(space, h.pair[0]), _label(space, h.pair[1])],
-                       "hyperbolic_line": [_label(space, p) for p in h.points]}
-            return Verdict(FAILS, witness, checked, millis=_ms(t0))
-    return Verdict(HOLDS, checked=checked, millis=_ms(t0))
-
-
-def validate_D_witness(space, witness) -> bool:
-    x = space.index_of(witness["point"])
-    a = space.index_of(witness["pair"][0])
-    b = space.index_of(witness["pair"][1])
-    h = hyperbolic.hyperbolic_line(space, a, b)
-    if [_label(space, p) for p in h.points] != witness["hyperbolic_line"]:
-        return False
-    return not space.coll[x, list(h.points)].any()
+    return _scan(hlines, _D_predicate(space), t0)
 
 
 # ---------------------------------------------------------------------------
 # symplectic verdict
+
+def _symplectic_predicate(space: PolarSpace):
+    """Block: the whole space, one instance.  Failing: a minimal embedding
+    that is not 2n-dimensional or not onto the target point set."""
+    def predicate(_):
+        e = embed.minimal_embedding(space)
+        q = space.field.q
+        target = (q ** e.dim - 1) // (q - 1)
+        image = len(e.image_points())
+        if e.dim == 2 * space.rank and image == target:
+            return 1, iter(())
+        return 1, iter([(1, {"dimension": e.dim, "required_dimension": 2 * space.rank,
+                             "image_points": image, "target_points": target})])
+    return predicate
+
 
 def is_symplectic(space: PolarSpace) -> Verdict:
     """Compute the minimal embedding: the space is symplectic iff the
@@ -362,21 +295,7 @@ def is_symplectic(space: PolarSpace) -> Verdict:
     if not space.is_form_backed:
         return Verdict(SKIPPED, reason="no embedding (combinatorial space)",
                        millis=_ms(t0))
-    e = embed.minimal_embedding(space)
-    q = space.field.q
-    target = (q ** e.dim - 1) // (q - 1)
-    dim_ok = e.dim == 2 * space.rank
-    onto = len(e.image_points()) == target
-    if dim_ok and onto:
-        return Verdict(HOLDS, checked=1, millis=_ms(t0))
-    witness = {"dimension": e.dim, "required_dimension": 2 * space.rank,
-               "image_points": len(e.image_points()), "target_points": target}
-    return Verdict(FAILS, witness, checked=1, millis=_ms(t0))
-
-
-def validate_symplectic_witness(space, witness) -> bool:
-    v = is_symplectic(space)
-    return v.status == FAILS and v.witness == witness
+    return _scan([space], _symplectic_predicate(space), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,24 +361,58 @@ def full_report(space: PolarSpace) -> PropertyReport:
     return PropertyReport(space, verdicts, equivalences)
 
 
+def _pair_block(space, witness):
+    a, b = space.index_of(witness["a"]), space.index_of(witness["b"])
+    return None if space.collinear(a, b) else (a, b)
+
+
+def _triad_block(space, witness):
+    a, b = space.index_of(witness["a"]), space.index_of(witness["b"])
+    return (a, b) if a < b else None
+
+
+def _arising_block(space, witness):
+    e = embed.natural_embedding(space)
+    phi = tuple(witness["functional"])
+    if phi not in linalg.dual_hyperplanes(e.field, e.dim):
+        return None
+    return hyperplanes.hyperplane_from_functional(e, phi)
+
+
+def _hyperbolic_block(space, witness):
+    a, b = (space.index_of(p) for p in witness["pair"])
+    return None if space.collinear(a, b) else hyperbolic.hyperbolic_line(space, a, b)
+
+
+# property -> (witness -> its block, or None if the scan has no such block;
+#              space -> the checker's predicate)
+_REPLAY = {
+    "A": (_pair_block, _A_predicate),
+    "regular_pairs": (_pair_block, _regular_pairs_predicate),
+    "B_triads": (_triad_block, _triads_predicate),
+    "B_prime": (_arising_block, _B_prime_predicate),
+    "C": (_arising_block, _C_predicate),
+    "D": (_hyperbolic_block, _D_predicate),
+    "symplectic": (lambda space, witness: space, _symplectic_predicate),
+}
+
+
 def validate_witness(space: PolarSpace, prop: str, witness: dict) -> bool:
-    """Replay a serialized failure witness against a freshly built space."""
-    if prop == "A":
-        return validate_A_witness(space, witness)
-    if prop == "regular_pairs":
-        return validate_regular_pairs_witness(space, witness)
-    if prop == "B_triads":
-        return validate_triad_witness(space, witness)
-    if prop in ("B_prime", "C"):
-        e = embed.natural_embedding(space)
-        if prop == "B_prime":
-            return validate_B_prime_witness(space, witness, e)
-        return validate_C_witness(space, witness, e)
-    if prop == "D":
-        return validate_D_witness(space, witness)
-    if prop == "symplectic":
-        return validate_symplectic_witness(space, witness)
-    raise ValueError(f"unknown property {prop!r}")
+    """Replay a serialized failure witness against a freshly built space.
+
+    Replay is the checker's own predicate on one instance: the witness is
+    parsed into its block, the block is recomputed, and the witness must equal
+    one of the block's serialized failures.  A witness whose block names a
+    non-point or lacks a key raises ValueError or KeyError.
+    """
+    if prop not in _REPLAY:
+        raise ValueError(f"unknown property {prop!r}")
+    parse, predicate = _REPLAY[prop]
+    block = parse(space, witness)
+    if block is None:
+        return False
+    _, failures = predicate(space)(block)
+    return any(w == witness for _, w in failures)
 
 
 def _ms(t0):

@@ -68,6 +68,7 @@ class PolarSpace:
         self._lines_matrix = None
         self._line_of_pair = None
         self._generators = None
+        self._subgenerators = None
         if validate:
             self.validate()
 
@@ -238,6 +239,43 @@ class PolarSpace:
             m[k, list(g.points)] = True
         return m
 
+    def subgenerators(self):
+        """(SG, SP): every rank-(n-1) singular subspace S_k, sorted by point
+        tuple, as a membership row SG[k] and a perp row SP[k] = S_k^perp.
+
+        A set X lies in some S_k^perp exactly when S_k is in X^perp, so this
+        one matrix answers "does X^perp contain a sub-generator?" at every
+        rank.  Rank 2 uses the points, rank 3 the lines; from rank 4 on, the
+        sub-generators are the largest intersections of two generators (each
+        lies in at least two generators, and distinct generators meet in
+        rank < n).
+        """
+        if self._subgenerators is None:
+            if self.rank < 2:
+                raise SpaceError(f"{self.name}: rank {self.rank} < 2 has no "
+                                 "sub-generators")
+            if self.rank == 2:
+                subs = [(i,) for i in range(self.n_points)]
+            elif self.rank == 3:
+                subs = sorted(self.lines)
+            else:
+                gm = self.generators_matrix()
+                meet = gm.astype(np.float32) @ gm.T.astype(np.float32)
+                np.fill_diagonal(meet, 0)
+                i, j = np.nonzero(np.triu(meet == meet.max(), 1))
+                subs = sorted({tuple(np.flatnonzero(gm[x] & gm[y]).tolist())
+                               for x, y in zip(i, j)})
+            if len({len(sub) for sub in subs}) != 1:
+                raise SpaceError(f"{self.name}: sub-generators of unequal size")
+            idx = np.array(subs)
+            sg = np.zeros((len(subs), self.n_points), dtype=bool)
+            sg[np.arange(len(subs))[:, None], idx] = True
+            sp = self.coll[idx[:, 0]]  # S^perp: collinear with every point of S
+            for col in idx.T[1:]:
+                sp = sp & self.coll[col]
+            self._subgenerators = (sg, sp)
+        return self._subgenerators
+
     def _as_singular(self, pts) -> SingularSubspace:
         pts = tuple(sorted(pts))
         if self.is_form_backed:
@@ -270,7 +308,7 @@ class PolarSpace:
                     changed = True
         return self._as_singular(tuple(current))
 
-    def max_singular_rank(self, mask, stop_at=None) -> int:
+    def max_singular_rank(self, mask) -> int:
         """Largest rank of a singular subspace inside a subspace point-mask."""
         members = np.flatnonzero(mask)
         if len(members) == 0:
@@ -281,13 +319,8 @@ class PolarSpace:
         restricted = 0
         for i in members:
             restricted |= 1 << int(i)
-        best = 0
-        for clique in _bron_kerbosch(self.adj_bits, restricted):
-            r = self._as_singular(clique).rank
-            best = max(best, r)
-            if stop_at is not None and best >= stop_at:
-                return best
-        return best
+        return max(self._as_singular(clique).rank
+                   for clique in _bron_kerbosch(self.adj_bits, restricted))
 
     # -- derived incidence queries ---------------------------------------------
 

@@ -14,8 +14,7 @@ from polarium import embed, hyperbolic, hyperplanes
 from polarium.catalog import CATALOG, build_space
 from polarium.cli import main as cli_main
 from polarium.derived import payne_a_failure_witness
-from polarium.props import (FAILS, HOLDS, SKIPPED, full_report, validate_witness,
-                            validate_A_witness)
+from polarium.props import FAILS, HOLDS, SKIPPED, full_report, validate_witness
 
 ALL_HOLD = {"A": HOLDS, "B_triads": HOLDS, "B_prime": HOLDS, "C": HOLDS,
             "D": HOLDS, "regular_pairs": HOLDS, "symplectic": HOLDS}
@@ -134,7 +133,7 @@ def test_criterion_7_payne():
                  if not p.collinear(a, b)), 200):
             assert len(p.perp([a, b])) == 7  # trace size q+2
         w = payne_a_failure_witness(p)
-        assert validate_A_witness(p, w)
+        assert validate_witness(p, "A", w)
         assert time.perf_counter() - t0 < 30.0
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from polarium.catalog import CATALOG, build_space
 from polarium.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "catalog.json"
@@ -75,11 +76,18 @@ def test_check_bound_exceeded(capsys):
     assert code == 2 and "bound" in err
 
 
-def test_check_workers(capsys, tmp_path):
-    f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-    run(capsys, "check", "W(3,2)", "Q(4,2)", "--out", str(f1))
-    run(capsys, "check", "W(3,2)", "Q(4,2)", "--workers", "2", "--out", str(f2))
-    assert f1.read_bytes() == f2.read_bytes()
+def test_check_matches_golden(capsys, tmp_path):
+    # the whole catalog, byte for byte against the shipped golden report
+    out_file = tmp_path / "catalog.json"
+    code, _, _ = run(capsys, "check", *CATALOG, "--out", str(out_file))
+    assert code == 0
+    assert out_file.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_check_space_error(capsys):
+    # an elliptic quadric of PG(3,2) is an ovoid: rank 1, no sub-generators
+    code, _, err = run(capsys, "check", "Q-(3,2)")
+    assert code == 3 and "rank 1" in err
 
 
 def test_expectation_match(capsys):
@@ -123,6 +131,44 @@ def test_replay_stale_witness(capsys, tmp_path):
     bad.write_text(json.dumps(reports))
     code, _, err = run(capsys, "replay", str(bad), "Q-(5,2)/A")
     assert code == 3 and "stale" in err
+
+
+def _tampered_report(tmp_path, space, prop, mutate):
+    reports = json.loads(GOLDEN.read_text())
+    rep = next(r for r in reports if r["space"] == space)
+    mutate(rep["properties"][prop]["witness"])
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(reports))
+    return str(path)
+
+
+def test_replay_witness_names_no_point(capsys, tmp_path):
+    report = _tampered_report(tmp_path, "Q-(5,2)", "A", lambda w: w.update(a=[9] * 6))
+    code, _, err = run(capsys, "replay", report, "Q-(5,2)/A")
+    assert code == 3 and "malformed" in err
+
+
+def test_replay_witness_missing_key(capsys, tmp_path):
+    report = _tampered_report(tmp_path, "Q-(5,2)", "A", lambda w: w.pop("b"))
+    code, _, err = run(capsys, "replay", report, "Q-(5,2)/A")
+    assert code == 3 and "malformed" in err
+
+
+def test_replay_space_error(capsys, tmp_path):
+    # a hand-made report on the rank-1 ovoid Q-(3,2): replay hits its SpaceError
+    labels = [list(p) for p in build_space("Q-(3,2)").points[:2]]
+    report = tmp_path / "rank1.json"
+    report.write_text(json.dumps([{"space": "Q-(3,2)", "properties": {"A": {
+        "verdict": "fails", "witness": {"a": labels[0], "b": labels[1], "generator": []}}}}]))
+    code, _, err = run(capsys, "replay", str(report), "Q-(3,2)/A")
+    assert code == 3 and "rank 1" in err
+
+
+def test_replay_report_not_json(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("not json {")
+    code, _, err = run(capsys, "replay", str(path), "Q-(5,2)/A")
+    assert code == 1 and "not a JSON report" in err
 
 
 def test_usage_error(capsys):

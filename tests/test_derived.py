@@ -6,7 +6,7 @@ import pytest
 from polarium import derived, hyperbolic
 from polarium.catalog import build_space
 from polarium.derived import dualize, grid, payne_derive, payne_a_failure_witness
-from polarium.props import check_A, check_centric_triads, validate_A_witness
+from polarium.props import check_A, check_centric_triads, validate_witness
 
 
 def test_grid_combinatorics():
@@ -82,7 +82,7 @@ def test_payne_bad_point():
 def test_payne_a_failure_witness(space_for):
     p = space_for("P(W(3,5))")
     w = payne_a_failure_witness(p)
-    assert validate_A_witness(p, w)
+    assert validate_witness(p, "A", w)
 
 
 def test_dualize_w32(space_for):

@@ -1,13 +1,14 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from polarium import embed, hyperplanes
+from polarium.cli import main
 from polarium.props import (FAILS, HOLDS, SKIPPED, check_A, check_B_prime,
                             check_C, check_D, check_centric_triads,
-                            check_regular_pairs, contains_subgenerator,
-                            is_symplectic, validate_witness)
+                            check_regular_pairs, is_symplectic, validate_witness)
 
 # the theorem matrix of the catalog (verdicts pinned by the source results)
 EXPECTED = {
@@ -65,6 +66,38 @@ def test_witness_negative_control(space_for, report_for):
     mutated["generator"] = [space.points[i] for i in space.generators()[0].points]
     if mutated["generator"] != rep.verdicts["A"].witness["generator"]:
         assert not validate_witness(space, "A", mutated)
+
+
+def _in_perp(space, *labels):
+    """The last point, other than the given ones, collinear with all of them."""
+    idx = [space.index_of(x) for x in labels]
+    mask = space.perp_mask(idx)
+    mask[idx] = False
+    return list(space.points[np.flatnonzero(mask)[-1]])
+
+
+# one tampered witness per property that fails somewhere in the catalog
+TAMPERED = {
+    "A": ("Q-(5,2)", lambda s, w: {**w, "b": _in_perp(s, w["a"])}),
+    # a, b, c with c in {a,b}^perp: c itself is a centre
+    "B_triads": ("Q+(3,3)", lambda s, w: {**w, "c": _in_perp(s, w["a"], w["b"])}),
+    "B_prime": ("Q+(3,3)", lambda s, w: {**w, "b": _in_perp(s, w["a"])}),
+    "C": ("Q(4,3)", lambda s, w: {**w, "deepest_point": w["a"]}),
+    "D": ("Q(4,3)", lambda s, w: {**w, "point": w["hyperbolic_line"][0]}),
+    # N, N' not opposite, so not an instance of the property at all
+    "regular_pairs": ("Q(4,3)", lambda s, w: {**w, "N_prime": w["N"]}),
+}
+
+
+@pytest.mark.parametrize("prop", sorted(TAMPERED))
+def test_tampered_witness_rejected(space_for, report_for, prop):
+    name, tamper = TAMPERED[prop]
+    space = space_for(name)
+    witness = report_for(name).verdicts[prop].witness
+    assert validate_witness(space, prop, witness)
+    mutated = tamper(space, witness)
+    assert mutated != witness
+    assert not validate_witness(space, prop, mutated)
 
 
 def test_triad_counts_w52(report_for):
@@ -132,12 +165,20 @@ def test_skipped_verdicts_are_first_class(report_for):
     assert rep.verdicts["symplectic"].status == SKIPPED
 
 
-def test_contains_subgenerator(space_for):
+def test_subgenerators(space_for):
+    # rank 2: the points, so SP is the collinearity matrix
+    w32 = space_for("W(3,2)")
+    sg, sp = w32.subgenerators()
+    assert (sg == np.eye(w32.n_points, dtype=bool)).all() and (sp == w32.coll).all()
+    # rank 3: the lines, sorted, each with its perp
     w52 = space_for("W(5,2)")
+    sg, sp = w52.subgenerators()
+    assert [tuple(np.flatnonzero(row)) for row in sg] == sorted(w52.lines)
+    for row, perp in zip(sg, sp):
+        assert (perp == w52.perp_mask(np.flatnonzero(row))).all()
+    # X^perp contains a sub-generator iff X lies in some SP row: p^perp holds lines
     p_perp = w52.perp_mask([0])
-    assert contains_subgenerator(w52, p_perp)  # lines abound in p^perp
-    empty = np.zeros(w52.n_points, dtype=bool)
-    assert not contains_subgenerator(w52, empty)
+    assert sp[:, 0].any() and (~(sg & ~p_perp).any(axis=1)).any()
 
 
 def test_single_checkers_agree_with_report(space_for, report_for):
@@ -151,3 +192,35 @@ def test_single_checkers_agree_with_report(space_for, report_for):
     assert check_B_prime(s, e).status == rep.verdicts["B_prime"].status
     assert check_C(s, e).status == rep.verdicts["C"].status
     assert is_symplectic(s).status == rep.verdicts["symplectic"].status
+
+
+# rank 4 and rank 3 past the catalog: sub-generators are planes in Q+(7,2)
+RANK4 = {
+    "Q+(7,2)": dict(A=(HOLDS, 259200), regular_pairs=(HOLDS, 518400),
+                    B_triads=(FAILS, 7), B_prime=FAILS, C=FAILS, D=FAILS,
+                    symplectic=FAILS),
+    "Q-(7,2)": dict(A=FAILS, regular_pairs=FAILS, B_triads=(HOLDS, 273819),
+                    B_prime=HOLDS, C=FAILS, D=FAILS, symplectic=FAILS),
+}
+
+
+def test_rank4_verdicts_and_replay(space_for, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["check", *RANK4, "--out", str(out)]) == 0
+    for rep in json.loads(out.read_text()):
+        name = rep["space"]
+        assert all(e["status"] == "ok" for e in rep["equivalences"]), name
+        for prop, want in RANK4[name].items():
+            got = rep["properties"][prop]
+            status, count = want if isinstance(want, tuple) else (want, None)
+            assert got["verdict"] == status, (name, prop)
+            assert count is None or got["checked_count"] == count, (name, prop)
+            if status == FAILS:
+                assert validate_witness(space_for(name), prop, got["witness"]), (name, prop)
+    # the brute-force triple of Q+(7,2): (0,1,8)^perp holds no singular plane
+    q = space_for("Q+(7,2)")
+    triads = json.loads(out.read_text())[0]["properties"]["B_triads"]["witness"]
+    assert [q.index_of(triads[k]) for k in "abc"] == [0, 1, 8]
+    assert q.max_singular_rank(q.perp_mask([0, 1, 8])) < 3  # Bron-Kerbosch oracle
+    sg, sp = q.subgenerators()
+    assert sg.shape == (2025, q.n_points) and set(sg.sum(axis=1)) == {7}
