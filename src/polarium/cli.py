@@ -2,9 +2,10 @@
 battery, emit deterministic JSON reports, replay failure witnesses.
 
 Exit codes: 0 success; 1 usage or spec-parse error (also: nothing to
-replay, or a report that is not JSON); 2 enumeration bound exceeded; 3
-equivalence-assertion failure, polar-space axiom failure (SpaceError),
-stale or malformed witness; 4 expectation mismatch.
+replay, a report that is not JSON, or --max-points below 1); 2 enumeration
+bound exceeded, in check or in replay; 3 equivalence-assertion failure,
+polar-space axiom failure (SpaceError), stale or malformed witness; 4
+expectation mismatch.
 """
 
 from __future__ import annotations
@@ -119,6 +120,10 @@ def _compare_expectation(reports, expect_path):
 
 
 def cmd_check(args) -> int:
+    if args.max_points < 1:
+        print(f"polarium: --max-points must be at least 1, got {args.max_points}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         for s in args.specs:
             parse_space_spec(s)
@@ -183,6 +188,9 @@ def cmd_replay(args) -> int:
     try:
         space = build_space(space_name)
         valid = validate_witness(space, prop, entry["witness"])
+    except BoundExceeded as exc:
+        print(f"polarium: bound exceeded: {exc}", file=sys.stderr)
+        return EXIT_BOUND
     except (KeyError, ValueError, SpaceError) as exc:
         print(f"polarium: {args.witness_id}: malformed witness or space: {exc!r}",
               file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from polarium.space import PolarSpace, SpaceError
+from polarium.space import BATCH_ELEMENTS, PolarSpace, SpaceError
 
 
 class HyperbolicLine:
@@ -35,39 +35,69 @@ class HyperbolicLine:
         return f"HyperbolicLine({self.pair} -> {self.points})"
 
 
+def _double_perps(coll, collf, a, b) -> np.ndarray:
+    """Rows {a_i,b_i}^perpperp for index arrays a, b: the points collinear with
+    all of the trace {a_i,b_i}^perp, by one BLAS product on `collf`, the
+    collinearity matrix in float32."""
+    trace = (coll[a] & coll[b]).astype(np.float32)
+    return trace @ collf == trace.sum(axis=1, keepdims=True)
+
+
 def hyperbolic_line(space: PolarSpace, a: int, b: int) -> HyperbolicLine:
-    """{a,b}^perpperp for a non-collinear pair, computed by two perp passes."""
+    """{a,b}^perpperp for a non-collinear pair."""
     if a == b:
         raise ValueError("hyperbolic line needs two distinct points")
     if space.collinear(a, b):
         raise ValueError(f"points {a} and {b} are collinear")
-    members = np.flatnonzero(space.double_perp_mask([a, b]))
-    line = HyperbolicLine(space, (a, b), (int(i) for i in members))
-    for i in line.points:
-        for j in line.points:
-            if i < j and space.collinear(i, j):
-                raise SpaceError(f"{space.name}: collinear pair inside a hyperbolic line")
-    assert a in line.points and b in line.points
-    return line
+    row = _double_perps(space.coll, space.coll.astype(np.float32), [a], [b])[0]
+    members = np.flatnonzero(row)
+    if (space.coll[np.ix_(members, members)] & ~np.eye(len(members), dtype=bool)).any():
+        raise SpaceError(f"{space.name}: collinear pair inside a hyperbolic line")
+    if not (row[a] and row[b]):
+        raise SpaceError(f"{space.name}: {{{a},{b}}}^perpperp misses {a} or {b}")
+    return HyperbolicLine(space, (a, b), members.tolist())
 
 
 def all_hyperbolic_lines(space: PolarSpace) -> list:
-    """All hyperbolic lines, deduplicated, ordered by member tuple."""
-    seen_pairs = set()
-    lines = {}
-    coll = space.coll
-    for a in range(space.n_points):
-        for b in np.flatnonzero(~coll[a, a + 1:]) + a + 1:
-            b = int(b)
-            if (a, b) in seen_pairs:
-                continue
-            h = hyperbolic_line(space, a, b)
-            lines[h.points] = h
-            pts = h.points
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    seen_pairs.add((pts[i], pts[j]))
-    return [lines[k] for k in sorted(lines)]
+    """All hyperbolic lines, ordered by member tuple: the double perps of the
+    non-collinear pairs a < b, in batches, each kept at the pair of its two
+    smallest members.  The lines must partition the non-collinear pairs; as
+    c, d in {a,b}^perpperp puts {c,d}^perpperp inside it, this also asserts
+    that any two points of a line span that same line."""
+    n = space.n_points
+    collf = space.coll.astype(np.float32)
+    pa, pb = np.nonzero(np.triu(~space.coll, 1))
+    step = max(1, BATCH_ELEMENTS // n)
+    lines = []
+    for lo in range(0, len(pa), step):
+        a, b = pa[lo:lo + step], pb[lo:lo + step]
+        dp = _double_perps(space.coll, collf, a, b)
+        first = np.count_nonzero(dp & (np.arange(n) < b[:, None]), axis=1) == 1  # a only
+        rows, members = np.nonzero(dp[first])
+        ends = np.cumsum(np.bincount(rows, minlength=int(first.sum()))).tolist()
+        members, start = members.tolist(), 0
+        for pair, end in zip(zip(a[first].tolist(), b[first].tolist()), ends):
+            lines.append(HyperbolicLine(space, pair, members[start:end]))
+            start = end
+    counts = _pair_counts(n, [h.points for h in lines])
+    bad = np.argwhere(counts != ~space.coll)
+    if len(bad):
+        i, j = bad[0]
+        kind = "collinear" if space.coll[i, j] else "non-collinear"
+        raise SpaceError(f"{space.name}: {kind} pair {i},{j} lies on {counts[i, j]} "
+                         "hyperbolic lines")
+    return lines
+
+
+def _pair_counts(n: int, lines) -> np.ndarray:
+    """counts[i, j]: how many of the point tuples hold both i and j, i != j."""
+    counts = np.zeros(n * n, dtype=np.int64)
+    for k in {len(line) for line in lines}:
+        m = np.array([line for line in lines if len(line) == k])
+        counts += np.bincount((m[:, :, None] * n + m[:, None, :]).ravel(), minlength=n * n)
+    counts = counts.reshape(n, n)
+    np.fill_diagonal(counts, 0)
+    return counts
 
 
 class LinearSpaceL:
@@ -79,11 +109,7 @@ class LinearSpaceL:
         self._verify_linear()
 
     def _verify_linear(self):
-        n = self.space.n_points
-        count = np.zeros((n, n), dtype=np.int64)
-        for line in self.lines:
-            idx = np.fromiter(line, dtype=np.int64)
-            count[np.ix_(idx, idx)] += 1
+        count = _pair_counts(self.space.n_points, self.lines)
         np.fill_diagonal(count, 1)
         if (count != 1).any():
             i, j = map(int, np.argwhere(count != 1)[0])

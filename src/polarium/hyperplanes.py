@@ -14,7 +14,7 @@ import numpy as np
 
 from polarium import linalg
 from polarium.embed import Embedding
-from polarium.space import PolarSpace, SpaceError
+from polarium.space import BATCH_ELEMENTS, PolarSpace, SpaceError
 
 SINGULAR = "singular"
 OVOID = "ovoid"
@@ -24,53 +24,32 @@ OTHER = "other"
 class Hyperplane:
     """A proper subspace meeting every line, with provenance metadata."""
 
-    __slots__ = ("space", "points", "provenance", "_rank", "_deepest", "_searched")
+    __slots__ = ("space", "mask", "points", "provenance", "_rank", "_deepest",
+                 "_searched")
 
     def __init__(self, space: PolarSpace, points, provenance):
+        mask = np.zeros(space.n_points, dtype=bool)
+        mask[list(points)] = True
+        _verify_axiom(space, mask[None])
+        self._set(space, mask, provenance)
+
+    def _set(self, space, mask, provenance) -> "Hyperplane":
+        """Fill the fields from a mask whose axiom check has run."""
+        mask.flags.writeable = False
         self.space = space
-        self.points = tuple(sorted(points))
+        self.mask = mask
+        self.points = tuple(np.flatnonzero(mask).tolist())
         self.provenance = provenance
         self._rank = None
         self._deepest = None
         self._searched = False
-        self._verify_axiom()
-
-    def _verify_axiom(self):
-        n = self.space.n_points
-        if not self.points or len(self.points) == n:
-            raise SpaceError(f"{self.space.name}: hyperplane must be a proper "
-                             "nonempty subspace")
-        mask = self.mask
-        lm = self.space.lines_matrix
-        if len(self.space.lines) and not (lm & mask).any(axis=1).all():
-            k = int(np.flatnonzero(~(lm & mask).any(axis=1))[0])
-            raise SpaceError(f"{self.space.name}: line {self.space.lines[k]} "
-                             "misses the hyperplane")
-        # subspace: a line meets it in <= 1 point or entirely
-        counts = (lm & mask).sum(axis=1) if len(self.space.lines) else np.array([])
-        sizes = lm.sum(axis=1) if len(self.space.lines) else np.array([])
-        partial = (counts > 1) & (counts < sizes)
-        if partial.any():
-            k = int(np.flatnonzero(partial)[0])
-            raise SpaceError(f"{self.space.name}: {self.space.lines[k]} meets the "
-                             "hyperplane in more than one point but not fully")
-
-    @property
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.space.n_points, dtype=bool)
-        m[list(self.points)] = True
-        return m
+        return self
 
     def deepest_point(self):
         """The unique p with H = p^perp, if one exists."""
         if not self._searched:
-            found = []
-            mask = self.mask
-            for p in self.points:
-                if (mask & ~self.space.coll[p]).any():
-                    continue
-                if int(self.space.coll[p].sum()) == len(self.points):
-                    found.append(p)
+            pts = np.flatnonzero(self.mask)
+            found = pts[(self.space.coll[pts] == self.mask).all(axis=1)].tolist()
             if len(found) > 1:
                 raise SpaceError(f"{self.space.name}: hyperplane with several "
                                  f"deepest points {found}")
@@ -103,56 +82,88 @@ class Hyperplane:
                 f"{self.provenance})")
 
 
+def _verify_axiom(space: PolarSpace, masks: np.ndarray):
+    """Every row of `masks` must be a proper nonempty point set that each line
+    meets in exactly one point or lies inside."""
+    sizes = np.count_nonzero(masks, axis=1)
+    if ((sizes == 0) | (sizes == space.n_points)).any():
+        raise SpaceError(f"{space.name}: hyperplane must be a proper nonempty subspace")
+    if not space.lines:
+        return
+    lm = space.lines_matrix
+    meet = masks.astype(np.float32) @ lm.T.astype(np.float32)
+    bad = np.argwhere((meet != 1) & (meet != lm.sum(axis=1)))
+    if len(bad):
+        h, k = bad[0]
+        if meet[h, k] == 0:
+            raise SpaceError(f"{space.name}: line {space.lines[k]} misses the hyperplane")
+        raise SpaceError(f"{space.name}: {space.lines[k]} meets the hyperplane in "
+                         "more than one point but not fully")
+
+
 def singular_hyperplane(space: PolarSpace, p: int) -> Hyperplane:
     """p^perp with deepest point p."""
     members = space.perp([p])
     h = Hyperplane(space, members, ("singular", space.points[p]))
-    assert h.deepest_point() == p
+    if h.deepest_point() != p:
+        raise SpaceError(f"{space.name}: the perp of {space.points[p]} has deepest "
+                         f"point {h.deepest_point()}")
     return h
 
 
+def _sections(e: Embedding, phis) -> np.ndarray:
+    """sections[k, i]: functional phis[k] vanishes on the image of point i, by
+    field-table gathers on the narrowest integer type, which keeps peak
+    memory low."""
+    small = np.min_scalar_type(e.field.q - 1)
+    add_t, mul_t = e.field.add_table.astype(small), e.field.mul_table.astype(small)
+    phis, images = np.asarray(phis, dtype=small), np.asarray(e.images, dtype=small)
+    acc = 0
+    for k in range(e.dim):
+        acc = add_t[acc, mul_t[phis[:, k, None], images[:, k]]]
+    return acc == 0
+
+
+def _arising(e: Embedding) -> tuple:
+    """(functionals, sections, hyperplanes) of an embedding, built once and
+    memoised on it, in batches of functionals, each batch checked against
+    the hyperplane axiom.  Distinct functionals must induce distinct
+    hyperplanes (the image spans the target); a collision is reported as an
+    anomaly."""
+    if e._arising is None:
+        space = e.source
+        duals = linalg.dual_hyperplanes(e.field, e.dim)
+        step = max(1, BATCH_ELEMENTS // max(space.n_points, len(space.lines)))
+        blocks = []
+        for lo in range(0, len(duals), step):
+            blocks.append(_sections(e, duals[lo:lo + step]))
+            _verify_axiom(space, blocks[-1])
+        sections = np.concatenate(blocks)
+        out, seen = [], {}
+        for phi, row in zip(duals, sections):
+            first = seen.setdefault(row.tobytes(), phi)
+            if first != phi:
+                raise SpaceError(f"{space.name}: functionals {first} and {phi} "
+                                 "induce the same hyperplane (image does not span)")
+            out.append(Hyperplane.__new__(Hyperplane)._set(space, row, ("arising", e.kind, phi)))
+        e._arising = (duals, sections, out)
+    return e._arising
+
+
 def arising_hyperplanes(e: Embedding) -> list:
-    """One hyperplane per canonical dual vector of the target space.
-
-    Distinct functionals must induce distinct hyperplanes (the image spans
-    the target); a collision is reported as an anomaly.
-    """
-    space = e.source
-    duals = linalg.dual_hyperplanes(e.field, e.dim)
-    out = []
-    seen = {}
-    for phi in duals:
-        members = _functional_section(e, phi)
-        key = tuple(members)
-        if key in seen:
-            raise SpaceError(f"{space.name}: functionals {seen[key]} and {phi} "
-                             "induce the same hyperplane (image does not span)")
-        seen[key] = phi
-        out.append(Hyperplane(space, members, ("arising", e.kind, phi)))
-    return out
-
-
-def _functional_section(e: Embedding, phi) -> list:
-    field = e.field
-    members = []
-    for i, v in enumerate(e.images):
-        acc = 0
-        for c, x in zip(phi, v):
-            if c and x:
-                acc = field.add(acc, field.mul(c, x))
-        if acc == 0:
-            members.append(i)
-    return members
+    """One hyperplane per canonical dual vector of the target space, built
+    once per embedding."""
+    return _arising(e)[2]
 
 
 def hyperplane_from_functional(e: Embedding, phi) -> Hyperplane:
-    return Hyperplane(e.source, _functional_section(e, phi), ("arising", e.kind, tuple(phi)))
+    """The hyperplane one functional induces, from its section row alone."""
+    members = np.flatnonzero(_sections(e, [phi])[0])
+    return Hyperplane(e.source, members, ("arising", e.kind, tuple(phi)))
 
 
 def find_inducing_functional(e: Embedding, h: Hyperplane):
     """A canonical dual vector whose section under e is exactly h, or None."""
-    target = list(h.points)
-    for phi in linalg.dual_hyperplanes(e.field, e.dim):
-        if _functional_section(e, phi) == target:
-            return phi
-    return None
+    duals, sections, _ = _arising(e)
+    hits = np.flatnonzero((sections == h.mask).all(axis=1))
+    return duals[hits[0]] if len(hits) else None

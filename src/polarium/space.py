@@ -20,6 +20,7 @@ from polarium.forms import Form, HERMITIAN, QUADRATIC, witt_index
 from polarium.linalg import BoundExceeded
 
 DEFAULT_MAX_POINTS = 2000
+BATCH_ELEMENTS = 1 << 16  # scratch matrix elements per batch in batched kernels
 
 
 class SpaceError(Exception):
@@ -198,10 +199,6 @@ class PolarSpace:
 
     def perp(self, idxs) -> list:
         return [int(i) for i in np.flatnonzero(self.perp_mask(idxs))]
-
-    def double_perp_mask(self, idxs) -> np.ndarray:
-        first = self.perp_mask(idxs)
-        return self.coll[first].all(axis=0)
 
     # -- singular subspaces ---------------------------------------------------
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,7 +9,8 @@ import pytest
 from polarium.catalog import CATALOG, build_space
 from polarium.cli import main
 
-GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "catalog.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "golden" / "catalog.json"
 
 
 def run(capsys, *argv):
@@ -74,6 +78,25 @@ def test_check_parse_error(capsys):
 def test_check_bound_exceeded(capsys):
     code, _, err = run(capsys, "check", "W(3,3)", "--max-points", "10")
     assert code == 2 and "bound" in err
+
+
+def test_check_max_points_below_one(capsys):
+    for value in ("0", "-3"):
+        code, out, err = run(capsys, "check", "W(3,2)", "--max-points", value)
+        assert code == 1 and out == "" and "must be at least 1" in err
+
+
+def test_check_under_python_O():
+    # -O strips assert statements: every guard must be a raise, and the
+    # report must not change
+    golden = {r["space"]: r for r in json.loads(GOLDEN.read_text())}
+    want = json.dumps([golden["W(3,2)"], golden["Q(4,3)"]], sort_keys=True, indent=2) + "\n"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run_o = subprocess.run(
+        [sys.executable, "-O", "-m", "polarium.cli", "check", "W(3,2)", "Q(4,3)"],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+    assert run_o.returncode == 0, run_o.stderr
+    assert run_o.stdout == want
 
 
 def test_check_matches_golden(capsys, tmp_path):
@@ -162,6 +185,16 @@ def test_replay_space_error(capsys, tmp_path):
         "verdict": "fails", "witness": {"a": labels[0], "b": labels[1], "generator": []}}}}]))
     code, _, err = run(capsys, "replay", str(report), "Q-(3,2)/A")
     assert code == 3 and "rank 1" in err
+
+
+def test_replay_bound_exceeded(capsys, tmp_path):
+    # W(7,3) has 3280 points, above the default bound of 2000
+    report = tmp_path / "oversize.json"
+    report.write_text(json.dumps([{"space": "W(7,3)", "properties": {"A": {
+        "verdict": "fails", "witness": {"a": [1] + [0] * 7, "b": [0, 1] + [0] * 6,
+                                        "generator": []}}}}]))
+    code, _, err = run(capsys, "replay", str(report), "W(7,3)/A")
+    assert code == 2 and err.startswith("polarium: bound exceeded: ")
 
 
 def test_replay_report_not_json(capsys, tmp_path):

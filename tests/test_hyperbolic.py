@@ -1,9 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from polarium import hyperbolic
 from polarium.hyperbolic import all_hyperbolic_lines, hyperbolic_line, linear_space
+from polarium.space import PolarSpace, SpaceError
 
 
 def noncollinear_pairs(space):
@@ -65,6 +67,55 @@ def test_all_hyperbolic_lines_counts(space_for):
     for h in hls:
         for a, b in itertools.combinations(h.points, 2):
             assert hyperbolic_line(grid, a, b).points == h.points  # dedup sound
+
+
+def _reference_lines(space):
+    """Oracle: the per-pair loop, one double perp per pair no earlier line
+    holds, as (pair, points) in member-tuple order."""
+    seen, lines = set(), {}
+    for a, b in noncollinear_pairs(space):
+        if (a, b) in seen:
+            continue
+        dperp = space.coll[space.perp_mask([a, b])].all(axis=0)
+        members = tuple(int(i) for i in np.flatnonzero(dperp))
+        lines[members] = (a, b)
+        seen.update(itertools.combinations(members, 2))
+    return [(lines[k], k) for k in sorted(lines)]
+
+
+@pytest.mark.parametrize("name", ["W(3,2)", "Q(4,3)", "W(5,2)", "grid(4)", "P(W(3,5))"])
+def test_batched_lines_match_reference(space_for, name):
+    space = space_for(name)
+    reference = _reference_lines(space)
+    assert [(h.pair, h.points) for h in all_hyperbolic_lines(space)] == reference
+    line_of = {pair: pts for _, pts in reference
+               for pair in itertools.combinations(pts, 2)}
+    for a, b in noncollinear_pairs(space):
+        assert hyperbolic_line(space, a, b).points == line_of[a, b]
+
+
+def _graph(n, edges):
+    """An unvalidated 'space' with the given collinearity graph and no lines."""
+    coll = np.eye(n, dtype=bool)
+    for a, b in edges:
+        coll[a, b] = coll[b, a] = True
+    return PolarSpace("graph", list(range(n)), [], coll, 2, validate=False)
+
+
+@pytest.mark.parametrize("n,edges,message", [
+    (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], "non-collinear pair 0,2 lies on 0 hyperbolic lines"),
+    (5, [(0, 3), (1, 4), (2, 3)], "non-collinear pair 0,2 lies on 2 hyperbolic lines"),
+    (4, [(0, 2), (2, 3)], "^graph: collinear pair 0,2 lies on 1 hyperbolic lines"),
+])
+def test_lines_must_partition_pairs(n, edges, message):
+    with pytest.raises(SpaceError, match=message):
+        all_hyperbolic_lines(_graph(n, edges))
+
+
+def test_hyperbolic_line_rejects_collinear_members():
+    pentagon = _graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    with pytest.raises(SpaceError, match="collinear pair inside"):
+        hyperbolic_line(pentagon, 0, 2)  # {0,2}^perpperp = {0,1,2}
 
 
 def test_double_perp_identities(space_for):

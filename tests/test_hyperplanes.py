@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from polarium import embed, hyperplanes
+from polarium import embed, hyperplanes, linalg
 from polarium.hyperbolic import all_hyperbolic_lines
 from polarium.hyperplanes import (Hyperplane, OVOID, SINGULAR, arising_hyperplanes,
-                                  find_inducing_functional, singular_hyperplane)
+                                  find_inducing_functional, hyperplane_from_functional,
+                                  singular_hyperplane)
 from polarium.props import is_symplectic
 from polarium.space import SpaceError
 
@@ -66,6 +67,43 @@ def test_arising_hyperplane_axiom(space_for):
     lm = w.lines_matrix
     for h in arising_hyperplanes(embed.natural_embedding(w)):
         assert (lm & h.mask).any(axis=1).all()  # every line meets it
+
+
+def _reference_sections(e):
+    """Oracle: the scalar section, one field.add/field.mul per point,
+    coordinate and functional, as (functional, members) pairs."""
+    field, out = e.field, []
+    for phi in linalg.dual_hyperplanes(field, e.dim):
+        members = []
+        for i, v in enumerate(e.images):
+            acc = 0
+            for c, x in zip(phi, v):
+                acc = field.add(acc, field.mul(c, x))
+            if acc == 0:
+                members.append(i)
+        out.append((phi, tuple(members)))
+    return out
+
+
+# grid(4) and P(W(3,5)) are combinatorial: they have no embedding to section
+@pytest.mark.parametrize("name,kind", [
+    ("W(3,2)", "natural"), ("W(3,2)", "universal"), ("Q(4,3)", "natural"),
+    ("W(5,2)", "natural"), ("W(5,2)", "universal"), ("Q(6,2)", "minimal"),
+])
+def test_batched_sections_match_reference(space_for, name, kind):
+    space = space_for(name)
+    e = {"natural": embed.natural_embedding, "minimal": embed.minimal_embedding,
+         "universal": embed.universal_embedding_sp_char2}[kind](space)
+    reference = _reference_sections(e)
+    hs = arising_hyperplanes(e)
+    assert [(h.provenance[2], h.points) for h in hs] == reference
+    for h, (phi, members) in zip(hs, reference):
+        mask = np.zeros(space.n_points, dtype=bool)
+        mask[list(members)] = True
+        assert (h.mask == mask).all()
+        assert hyperplane_from_functional(e, phi).points == members
+        assert find_inducing_functional(e, Hyperplane(space, members, ("explicit",))) == phi
+    assert arising_hyperplanes(e) is hs  # built once per embedding
 
 
 def test_grid_transversal_is_ovoid(space_for):

@@ -100,6 +100,26 @@ def test_tampered_witness_rejected(space_for, report_for, prop):
     assert not validate_witness(space, prop, mutated)
 
 
+# classical isomorphisms (Payne & Thas 3.2.1, 3.2.3): the left member goes
+# through the combinatorial path (dual spaces have no form, so their
+# hyperbolic lines come from collinearity alone), the right through forms
+@pytest.mark.parametrize("left,right", [
+    ("dual(W(3,2))", "Q(4,2)"), ("dual(W(3,3))", "Q(4,3)"),
+    ("dual(H(3,4))", "Q-(5,2)"), ("W(5,2)", "Q(6,2)"),
+])
+def test_isomorphic_spaces_agree(report_for, left, right):
+    lv, rv = report_for(left).verdicts, report_for(right).verdicts
+    compared = 0
+    for prop in sorted(lv):
+        if SKIPPED in (lv[prop].status, rv[prop].status):
+            continue
+        assert lv[prop].status == rv[prop].status, prop
+        if lv[prop].holds:
+            assert lv[prop].checked == rv[prop].checked, prop
+        compared += 1
+    assert compared >= 4  # A, regular pairs, triads and D are never skipped
+
+
 def test_triad_counts_w52(report_for):
     rep = report_for("W(5,2)")
     assert rep.verdicts["B_triads"].checked == 39711  # C(63,3)
