@@ -326,24 +326,15 @@ class CanonicalSpaceSpec:
 
 
 def _field_for_order(q: int, max_order: int) -> Field:
-    for p in range(2, q + 1):
-        if is_prime_power(q, p):
-            k = 0
-            t = q
-            while t > 1:
-                t //= p
-                k += 1
-            return Field(p, k, max_order=max_order)
-    raise ValueError(f"{q} is not a prime power")
-
-
-def is_prime_power(q: int, p: int) -> bool:
-    from polarium.gf import is_prime
-    if not is_prime(p):
-        return False
-    while q % p == 0:
-        q //= p
-    return q == 1
+    """GF(q), from one factorization of q: its smallest divisor p > 1 is
+    prime, and q is a prime power exactly when it is the power p^k."""
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    k = 0
+    while p and q % p ** (k + 1) == 0:
+        k += 1
+    if not p or p ** k != q:
+        raise ValueError(f"{q} is not a prime power")
+    return Field(p, k, max_order=max_order)
 
 
 def canonical_form(spec: CanonicalSpaceSpec, max_order: int = 256) -> Form:

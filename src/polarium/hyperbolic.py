@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from polarium.space import BATCH_ELEMENTS, PolarSpace, SpaceError
+from polarium.space import PolarSpace, SpaceError, pair_batches
 
 
 class HyperbolicLine:
@@ -35,11 +35,15 @@ class HyperbolicLine:
         return f"HyperbolicLine({self.pair} -> {self.points})"
 
 
-def _double_perps(coll, collf, a, b) -> np.ndarray:
-    """Rows {a_i,b_i}^perpperp for index arrays a, b: the points collinear with
-    all of the trace {a_i,b_i}^perp, by one BLAS product on `collf`, the
-    collinearity matrix in float32."""
-    trace = (coll[a] & coll[b]).astype(np.float32)
+def traces(coll, pairs) -> np.ndarray:
+    """Rows {a_i,b_i}^perp for an (m, 2) array of pairs, in float32 for BLAS."""
+    return (coll[pairs[:, 0]] & coll[pairs[:, 1]]).astype(np.float32)
+
+
+def double_perps(trace, collf) -> np.ndarray:
+    """Rows {a_i,b_i}^perpperp from trace rows: the points collinear with all
+    of the trace, by one BLAS product on `collf`, the collinearity matrix in
+    float32."""
     return trace @ collf == trace.sum(axis=1, keepdims=True)
 
 
@@ -49,7 +53,8 @@ def hyperbolic_line(space: PolarSpace, a: int, b: int) -> HyperbolicLine:
         raise ValueError("hyperbolic line needs two distinct points")
     if space.collinear(a, b):
         raise ValueError(f"points {a} and {b} are collinear")
-    row = _double_perps(space.coll, space.coll.astype(np.float32), [a], [b])[0]
+    row = double_perps(traces(space.coll, np.array([[a, b]])),
+                       space.coll.astype(np.float32))[0]
     members = np.flatnonzero(row)
     if (space.coll[np.ix_(members, members)] & ~np.eye(len(members), dtype=bool)).any():
         raise SpaceError(f"{space.name}: collinear pair inside a hyperbolic line")
@@ -66,12 +71,10 @@ def all_hyperbolic_lines(space: PolarSpace) -> list:
     that any two points of a line span that same line."""
     n = space.n_points
     collf = space.coll.astype(np.float32)
-    pa, pb = np.nonzero(np.triu(~space.coll, 1))
-    step = max(1, BATCH_ELEMENTS // n)
     lines = []
-    for lo in range(0, len(pa), step):
-        a, b = pa[lo:lo + step], pb[lo:lo + step]
-        dp = _double_perps(space.coll, collf, a, b)
+    for pairs in pair_batches(~space.coll, n):
+        a, b = pairs.T
+        dp = double_perps(traces(space.coll, pairs), collf)
         first = np.count_nonzero(dp & (np.arange(n) < b[:, None]), axis=1) == 1  # a only
         rows, members = np.nonzero(dp[first])
         ends = np.cumsum(np.bincount(rows, minlength=int(first.sum()))).tolist()

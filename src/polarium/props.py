@@ -7,22 +7,25 @@ line for D and the whole space for the symplectic test.  The predicate
 returns the number of instances it checked in the block and its failing
 instances as serialized witnesses.  Each checker scans the blocks in
 canonical order and stops at the first failure, so failing verdicts carry
-the smallest witness.  Replay is the checker's own predicate on one
-instance: validate_witness parses the witness into its block, recomputes the
-block and looks for the witness among its failures.  Witnesses use canonical
+the smallest witness.  The scan runs a batched kernel: chunked float32 BLAS
+products or bit-packed gathers over batches of blocks that give each block's
+instance count and whether it fails, and only the first failing block is
+rerun through the predicate for its witness.  Replay is the checker's own
+predicate on one instance: validate_witness parses the witness into its
+block, recomputes the block and looks for the witness among its failures,
+so it runs no kernel and no whole-space scan.  Witnesses use canonical
 point labels, never indices.  full_report runs the whole battery and asserts
 the theorem matrix: any violated biconditional raises EquivalenceViolation.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 
 import numpy as np
 
 from polarium import embed, hyperbolic, hyperplanes, linalg
-from polarium.space import PolarSpace
+from polarium.space import PolarSpace, batches, pair_batches
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -78,24 +81,25 @@ def _jsonable(label):
     return label
 
 
-def _noncollinear_pairs(space: PolarSpace):
-    for a in range(space.n_points):
-        for b in np.flatnonzero(~space.coll[a, a + 1:]) + a + 1:
-            yield a, int(b)
-
-
-def _scan(blocks, predicate, t0) -> Verdict:
-    """Run the predicate over the blocks in order and stop at the first
-    failure; `checked` counts the instances of the blocks before it plus the
-    failing block's count up to the failure."""
+def _scan(block_batches, kernel, predicate, t0) -> Verdict:
+    """Run the batched kernel over the blocks in canonical order and stop at
+    the first failing block.  The kernel gives each block's instance count
+    and whether it fails; the predicate reruns only the failing block, for
+    its first failure.  `checked` counts the instances of the blocks before
+    it plus the failing block's count up to the failure."""
     checked = 0
-    for block in blocks:
-        count, failures = predicate(block)
-        first = next(failures, None)
-        if first is not None:
+    for blocks in block_batches:
+        counts, fails = kernel(blocks)
+        if np.any(fails):
+            k = int(np.argmax(fails))
+            first = next(predicate(blocks[k])[1], None)
+            if first is None:
+                raise EquivalenceViolation(f"block {k} of a batch fails in the "
+                                           "kernel but not in the predicate")
             upto, witness = first
-            return Verdict(FAILS, witness, checked + upto, millis=_ms(t0))
-        checked += count
+            return Verdict(FAILS, witness, checked + int(np.sum(counts[:k])) + int(upto),
+                           millis=_ms(t0))
+        checked += int(np.sum(counts))
     return Verdict(HOLDS, checked=checked, millis=_ms(t0))
 
 
@@ -125,7 +129,17 @@ def check_A(space: PolarSpace) -> Verdict:
     """For non-collinear a, b and generator M: if M cap {a,b}^perp is a
     hyperplane of M then M must meet the hyperbolic line {a,b}^perpperp."""
     t0 = time.perf_counter()
-    return _scan(_noncollinear_pairs(space), _A_predicate(space), t0)
+    gf = space.generators_matrix().astype(np.float32)
+    size = int(space.subgenerators()[0][0].sum())
+    collf = space.coll.astype(np.float32)
+
+    def kernel(pairs):
+        trace = hyperbolic.traces(space.coll, pairs)
+        dperp = hyperbolic.double_perps(trace, collf).astype(np.float32)
+        cand = trace @ gf.T == size
+        return cand.sum(axis=1), (cand & (dperp @ gf.T == 0)).any(axis=1)
+    return _scan(pair_batches(~space.coll, max(space.n_points, len(gf))), kernel,
+                 _A_predicate(space), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +175,42 @@ def check_regular_pairs(space: PolarSpace) -> Verdict:
     """Every pair of opposite points a, b must be regular: N^perp cap N'^perp
     = {a,b}^perpperp for all opposite generators N, N' of the trace."""
     t0 = time.perf_counter()
-    return _scan(_noncollinear_pairs(space), _regular_pairs_predicate(space), t0)
+    sg, sp = space.subgenerators()
+    n = space.n_points
+    sgf, spf, spt = sg.astype(np.float32), sp.astype(np.float32), np.ascontiguousarray(sp.T)
+    collf = space.coll.astype(np.float32)
+    k_max = _most_inside(space, ~space.coll)
+
+    def kernel(pairs):
+        ks, valid = _padded(spt[pairs[:, 0]] & spt[pairs[:, 1]])  # S_k inside {a,b}^perp
+        upper = np.triu(valid[:, :, None] & valid[:, None, :], 1)
+        perps = spf[ks]
+        opp = upper & (perps @ sgf[ks].transpose(0, 2, 1) == 0)
+        far = ~hyperbolic.double_perps(hyperbolic.traces(space.coll, pairs), collf)
+        bad = opp & ((perps * far[:, None, :]) @ perps.transpose(0, 2, 1) > 0)
+        return opp.sum(axis=(1, 2)), bad.any(axis=(1, 2))
+    width = max(len(sp), k_max * max(n, k_max))
+    return _scan(pair_batches(~space.coll, width), kernel,
+                 _regular_pairs_predicate(space), t0)
+
+
+def _most_inside(space: PolarSpace, mask) -> int:
+    """The most sub-generators inside one {a,b}^perp over the pairs with
+    mask[a, b]: it sizes the padded stacks of the pair kernels."""
+    spf = space.subgenerators()[1].astype(np.float32)
+    n = space.n_points
+    return max(int((spf[:, s].T @ spf)[mask[s]].max(initial=0))
+               for s in batches(n, max(n, len(spf))))
+
+
+def _padded(inside) -> tuple:
+    """(ks, valid): the columns of each row's true entries in ascending order,
+    padded to the longest row; `valid` marks the real entries."""
+    k = inside.sum(axis=1)
+    valid = np.arange(k.max(initial=0)) < k[:, None]
+    ks = np.zeros(valid.shape, dtype=np.intp)
+    ks[valid] = np.flatnonzero(inside) % inside.shape[1]
+    return ks, valid
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +236,49 @@ def check_centric_triads(space: PolarSpace) -> Verdict:
     """Every triple of distinct points must have a sub-generator in its
     common perp (a point when n = 2)."""
     t0 = time.perf_counter()
-    pairs = itertools.combinations(range(space.n_points), 2)
-    return _scan(pairs, _triads_predicate(space), t0)
+    sp = space.subgenerators()[1]
+    n = space.n_points
+    spt, bits = np.ascontiguousarray(sp.T), np.packbits(sp, axis=1)
+    distinct = ~np.eye(n, dtype=bool)
+    k_max = _most_inside(space, distinct)
+
+    def kernel(pairs):
+        b = pairs[:, 1]
+        ks, valid = _padded(spt[pairs[:, 0]] & spt[b])  # S_k inside {a,b}^perp
+        # OR of the bit-packed rows S_k^perp: the c with a sub-generator in {a,b,c}^perp
+        held = np.bitwise_or.reduce(bits[ks] * valid[:, :, None], axis=1)
+        centric = np.unpackbits(held, axis=1, count=n).view(bool)
+        return n - b - 1, (~centric & (np.arange(n) > b[:, None])).any(axis=1)
+    width = max(len(sp), n, k_max * bits.shape[1])
+    return _scan(pair_batches(distinct, width), kernel, _triads_predicate(space), t0)
 
 
 # ---------------------------------------------------------------------------
 # properties (B') and (C) over arising hyperplanes
 
-def _traces_inside(space: PolarSpace, h) -> tuple:
+def _traces_inside(space: PolarSpace, h) -> np.ndarray:
     """The non-collinear pairs a < b, row-major, whose trace lies in h: no
-    point outside h is collinear with both."""
+    point outside h is collinear with both.  One n x n product, the fast
+    form for a single hyperplane (the predicates and replay)."""
     outside = space.coll[~h.mask].astype(np.float32)
-    return np.nonzero(np.triu((outside.T @ outside == 0) & ~space.coll))
+    return np.argwhere(np.triu((outside.T @ outside == 0) & ~space.coll))
+
+
+def _contained_traces(space: PolarSpace, hs) -> tuple:
+    """(counts, outside): counts[f] non-collinear pairs have their trace
+    inside hs[f], i.e. missing its complement outside[f] (float32), by one
+    product per batch of pairs for the whole chunk of hyperplanes."""
+    outside = (~np.stack([h.mask for h in hs])).astype(np.float32)
+    counts = np.zeros(len(hs), dtype=np.int64)
+    for pairs in pair_batches(~space.coll, max(space.n_points, len(hs))):
+        counts += (hyperbolic.traces(space.coll, pairs) @ outside.T == 0).sum(axis=0)
+    return counts, outside
+
+
+def _arising_batches(e: embed.Embedding, width: int):
+    """The arising hyperplanes of e, in `batches`."""
+    arising = hyperplanes.arising_hyperplanes(e)
+    return (arising[s] for s in batches(len(arising), width))
 
 
 def _B_prime_predicate(space: PolarSpace):
@@ -207,11 +287,11 @@ def _B_prime_predicate(space: PolarSpace):
     gm = space.generators_matrix()
 
     def predicate(h):
-        pa, pb = _traces_inside(space, h)
-        n = len(pa)
+        pairs = _traces_inside(space, h)
+        n = len(pairs)
         no_gen = n > 0 and (gm & ~h.mask).any(axis=1).all()
         return n, ((n, _pair_witness(space, a, b, functional=list(h.provenance[2])))
-                   for a, b in zip(pa, pb) if no_gen)
+                   for a, b in pairs if no_gen)
     return predicate
 
 
@@ -219,8 +299,13 @@ def check_B_prime(space: PolarSpace, e: embed.Embedding) -> Verdict:
     """Every arising hyperplane containing the trace of a non-collinear pair
     must contain a generator (equivalently have rank n)."""
     t0 = time.perf_counter()
-    arising = hyperplanes.arising_hyperplanes(e)
-    return _scan(arising, _B_prime_predicate(space), t0)
+    gf = space.generators_matrix().astype(np.float32)
+
+    def kernel(hs):
+        counts, outside = _contained_traces(space, hs)
+        return counts, (counts > 0) & (gf @ outside.T > 0).all(axis=0)
+    return _scan(_arising_batches(e, max(space.n_points, len(gf))), kernel,
+                 _B_prime_predicate(space), t0)
 
 
 def _C_predicate(space: PolarSpace):
@@ -230,12 +315,12 @@ def _C_predicate(space: PolarSpace):
     {a,b}^perpperp exactly when {a,b}^perp is inside p^perp = h, so every
     contained pair fails when h has no deepest point and none fails otherwise."""
     def predicate(h):
-        pa, pb = _traces_inside(space, h)
-        n = len(pa)
+        pairs = _traces_inside(space, h)
+        n = len(pairs)
         nonsingular = n > 0 and h.deepest_point() is None
         return n, ((n, _pair_witness(space, a, b, functional=list(h.provenance[2]),
                                      deepest_point=None))
-                   for a, b in zip(pa, pb) if nonsingular)
+                   for a, b in pairs if nonsingular)
     return predicate
 
 
@@ -243,8 +328,11 @@ def check_C(space: PolarSpace, e: embed.Embedding) -> Verdict:
     """Every arising hyperplane containing a trace must be singular, with
     deepest point on the hyperbolic line of the pair."""
     t0 = time.perf_counter()
-    arising = hyperplanes.arising_hyperplanes(e)
-    return _scan(arising, _C_predicate(space), t0)
+
+    def kernel(hs):
+        counts, _ = _contained_traces(space, hs)
+        return counts, [c > 0 and h.deepest_point() is None for c, h in zip(counts, hs)]
+    return _scan(_arising_batches(e, space.n_points), kernel, _C_predicate(space), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +355,16 @@ def check_D(space: PolarSpace) -> Verdict:
     """Every singular hyperplane x^perp must meet every hyperbolic line."""
     t0 = time.perf_counter()
     hlines = hyperbolic.all_hyperbolic_lines(space)
-    return _scan(hlines, _D_predicate(space), t0)
+    n = space.n_points
+    collf = space.coll.astype(np.float32)
+
+    def kernel(lines):
+        members = np.zeros((len(lines), n), dtype=np.float32)
+        for row, h in zip(members, lines):
+            row[list(h.points)] = 1
+        return np.full(len(lines), n), (members @ collf == 0).any(axis=1)
+    return _scan((hlines[s] for s in batches(len(hlines), n)), kernel,
+                 _D_predicate(space), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +392,11 @@ def is_symplectic(space: PolarSpace) -> Verdict:
     if not space.is_form_backed:
         return Verdict(SKIPPED, reason="no embedding (combinatorial space)",
                        millis=_ms(t0))
-    return _scan([space], _symplectic_predicate(space), t0)
+    _, failures = _symplectic_predicate(space)(space)
+    first = next(failures, None)
+    if first is None:
+        return Verdict(HOLDS, checked=1, millis=_ms(t0))
+    return Verdict(FAILS, first[1], first[0], millis=_ms(t0))
 
 
 # ---------------------------------------------------------------------------

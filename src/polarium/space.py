@@ -23,6 +23,26 @@ DEFAULT_MAX_POINTS = 2000
 BATCH_ELEMENTS = 1 << 16  # scratch matrix elements per batch in batched kernels
 
 
+def batches(total: int, width: int):
+    """Slices over `total` items for a kernel with `width` scratch elements
+    per item: one item first, then doubling until a batch holds
+    BATCH_ELEMENTS elements, so a scan that stops early stays cheap."""
+    cap = max(1, BATCH_ELEMENTS // width)
+    lo, size = 0, 1
+    while lo < total:
+        yield slice(lo, min(lo + size, total))
+        lo += size
+        size = min(2 * size, cap)
+
+
+def pair_batches(mask: np.ndarray, width: int):
+    """The pairs a < b with mask[a, b], in row-major order, as (m, 2) index
+    arrays in `batches`."""
+    pairs = np.argwhere(np.triu(mask, 1))
+    for s in batches(len(pairs), width):
+        yield pairs[s]
+
+
 class SpaceError(Exception):
     """A polar-space axiom failed to hold for the constructed structure."""
 
@@ -30,10 +50,9 @@ class SpaceError(Exception):
 class SingularSubspace:
     """A singular subspace: pairwise collinear, closed under lines."""
 
-    __slots__ = ("space", "points", "rank", "linear")
+    __slots__ = ("points", "rank", "linear")
 
-    def __init__(self, space, points, rank, linear=None):
-        self.space = space
+    def __init__(self, points, rank, linear=None):
         self.points = tuple(sorted(points))
         self.rank = rank
         self.linear = linear
@@ -69,6 +88,7 @@ class PolarSpace:
         self._lines_matrix = None
         self._line_of_pair = None
         self._generators = None
+        self._generators_matrix = None
         self._subgenerators = None
         if validate:
             self.validate()
@@ -230,11 +250,15 @@ class PolarSpace:
         return self._generators
 
     def generators_matrix(self) -> np.ndarray:
-        gens = self.generators()
-        m = np.zeros((len(gens), self.n_points), dtype=bool)
-        for k, g in enumerate(gens):
-            m[k, list(g.points)] = True
-        return m
+        """Membership rows of the generators, built once (read-only)."""
+        if self._generators_matrix is None:
+            gens = self.generators()
+            m = np.zeros((len(gens), self.n_points), dtype=bool)
+            for k, g in enumerate(gens):
+                m[k, list(g.points)] = True
+            m.flags.writeable = False
+            self._generators_matrix = m
+        return self._generators_matrix
 
     def subgenerators(self):
         """(SG, SP): every rank-(n-1) singular subspace S_k, sorted by point
@@ -277,11 +301,11 @@ class PolarSpace:
         pts = tuple(sorted(pts))
         if self.is_form_backed:
             sub = linalg.span(self.field, self.form.dim, [self.vectors[i] for i in pts])
-            return SingularSubspace(self, pts, sub.rank, sub)
+            return SingularSubspace(pts, sub.rank, sub)
         if len(pts) == 1:
-            return SingularSubspace(self, pts, 1)
+            return SingularSubspace(pts, 1)
         if pts in set(self.lines):
-            return SingularSubspace(self, pts, 2)
+            return SingularSubspace(pts, 2)
         raise SpaceError(f"{self.name}: cannot rank combinatorial singular set {pts}")
 
     def span_singular(self, idxs) -> SingularSubspace:
@@ -293,7 +317,7 @@ class PolarSpace:
         if self.is_form_backed:
             sub = linalg.span(self.field, self.form.dim, [self.vectors[i] for i in idxs])
             members = tuple(sorted(self.index_of(p) for p in linalg.enumerate_points(sub)))
-            return SingularSubspace(self, members, sub.rank, sub)
+            return SingularSubspace(members, sub.rank, sub)
         current = set(idxs)
         changed = True
         while changed:

@@ -107,6 +107,20 @@ def test_check_matches_golden(capsys, tmp_path):
     assert out_file.read_bytes() == GOLDEN.read_bytes()
 
 
+def test_check_matches_stretch_reference(capsys, tmp_path):
+    # q = 4, 5 at rank 2 and the rank-3 Q+(5,3), past the catalog: verdicts,
+    # witnesses and checked counts against the benchmark's reference report
+    reference = json.loads((ROOT / "perfbench" / "reference" / "stretch.json").read_text())
+    out_file = tmp_path / "stretch.json"
+    specs = [r["space"] for r in reference]
+    code, _, _ = run(capsys, "check", *specs, "--out", str(out_file))
+    assert code == 0
+    got = json.loads(out_file.read_text())
+    assert [r["space"] for r in got] == specs
+    for mine, want in zip(got, reference):
+        assert mine["properties"] == want["properties"], mine["space"]
+
+
 def test_check_space_error(capsys):
     # an elliptic quadric of PG(3,2) is an ovoid: rank 1, no sub-generators
     code, _, err = run(capsys, "check", "Q-(3,2)")

@@ -197,3 +197,10 @@ def test_form_validation_errors():
         Form(HERMITIAN, GF3, [[1]])  # GF(3) has no conjugation
     with pytest.raises(ValueError):
         Form(HERMITIAN, GF4, [[1, 2], [2, 1]])  # 2 != conj(2)
+
+
+def test_canonical_form_needs_prime_power_order():
+    assert forms.canonical_form(forms.CanonicalSpaceSpec("W", 3, 4)).field.q == 4
+    for q in (1, 6, 12):
+        with pytest.raises(ValueError, match="not a prime power"):
+            forms.canonical_form(forms.CanonicalSpaceSpec("W", 3, q))

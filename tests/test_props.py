@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from polarium import embed, hyperplanes
+from polarium import embed, hyperplanes, props
+from polarium import space as space_module
+from polarium.catalog import CATALOG
 from polarium.cli import main
 from polarium.props import (FAILS, HOLDS, SKIPPED, check_A, check_B_prime,
                             check_C, check_D, check_centric_triads,
@@ -244,3 +246,60 @@ def test_rank4_verdicts_and_replay(space_for, tmp_path, capsys):
     assert q.max_singular_rank(q.perp_mask([0, 1, 8])) < 3  # Bron-Kerbosch oracle
     sg, sp = q.subgenerators()
     assert sg.shape == (2025, q.n_points) and set(sg.sum(axis=1)) == {7}
+
+
+# the batched checkers against a plain loop of their per-block predicates
+def _predicate_loop(blocks, predicate):
+    """The scan by its definition: the predicate on every block in order,
+    stopping at the first failure."""
+    checked = 0
+    for block in blocks:
+        count, failures = predicate(block)
+        first = next(failures, None)
+        if first is not None:
+            upto, witness = first
+            return {"verdict": FAILS, "checked_count": checked + upto, "witness": witness}
+        checked += count
+    return {"verdict": HOLDS, "checked_count": checked}
+
+
+def _looped_verdicts(space):
+    pairs = list(itertools.combinations(range(space.n_points), 2))
+    opposite = [(a, b) for a, b in pairs if not space.collinear(a, b)]
+    out = {"A": _predicate_loop(opposite, props._A_predicate(space)),
+           "regular_pairs": _predicate_loop(opposite, props._regular_pairs_predicate(space)),
+           "B_triads": _predicate_loop(pairs, props._triads_predicate(space))}
+    if space.is_form_backed:
+        arising = hyperplanes.arising_hyperplanes(embed.natural_embedding(space))
+        out["B_prime"] = _predicate_loop(arising, props._B_prime_predicate(space))
+        out["C"] = _predicate_loop(arising, props._C_predicate(space))
+    return out
+
+
+_LOOPED = {}
+
+
+@pytest.mark.parametrize("batch", ["default", "small"])
+@pytest.mark.parametrize("name", [*CATALOG, "Q+(5,3)"])
+def test_kernels_match_predicate_loop(space_for, monkeypatch, name, batch):
+    space = space_for(name)
+    if name not in _LOOPED:
+        _LOOPED[name] = _looped_verdicts(space)
+    if batch == "small":  # failures land in later batches, counts cross many boundaries
+        monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 512)
+    got = {"A": check_A(space), "regular_pairs": check_regular_pairs(space),
+           "B_triads": check_centric_triads(space)}
+    if space.is_form_backed:
+        e = embed.natural_embedding(space)
+        got["B_prime"], got["C"] = check_B_prime(space, e), check_C(space, e)
+    assert {prop: v.to_dict() for prop, v in got.items()} == _LOOPED[name]
+
+
+def test_scan_rejects_kernel_predicate_disagreement():
+    def kernel(blocks):  # the second block fails in the kernel ...
+        return [1, 1], [False, True]
+
+    def predicate(block):  # ... but the predicate finds no failure in it
+        return 1, iter(())
+    with pytest.raises(props.EquivalenceViolation, match="kernel"):
+        props._scan([["x", "y"]], kernel, predicate, 0.0)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -219,3 +221,18 @@ def test_degenerate_combinatorial_rejected():
         PolarSpace.combinatorial("triangle", [0, 1, 2],
                                  [(0, 1), (1, 2), (0, 2)], rank=2,
                                  grid_family=True)
+
+
+def test_reported_space_freed_by_refcount():
+    # no reference cycle through the cached generators: the last reference
+    # going frees a checked space without the cyclic collector
+    from polarium.props import full_report
+    space = build_space("W(3,2)")
+    report = full_report(space)
+    ref = weakref.ref(space)
+    gc.disable()
+    try:
+        del space, report
+        assert ref() is None
+    finally:
+        gc.enable()
