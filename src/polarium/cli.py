@@ -2,10 +2,11 @@
 battery, emit deterministic JSON reports, replay failure witnesses.
 
 Exit codes: 0 success; 1 usage or spec-parse error (also: nothing to
-replay, a report that is not JSON, or --max-points below 1); 2 enumeration
-bound exceeded, in check or in replay; 3 equivalence-assertion failure,
-polar-space axiom failure (SpaceError), stale or malformed witness; 4
-expectation mismatch.
+replay, a report that is not JSON or not shaped like a check report, or
+--max-points below 1); 2 enumeration bound exceeded, in check or in replay;
+3 equivalence-assertion failure, polar-space axiom failure (SpaceError),
+stale or malformed witness (one that is not an object, lacks a key or names
+no point); 4 expectation mismatch.
 """
 
 from __future__ import annotations
@@ -175,14 +176,19 @@ def cmd_replay(args) -> int:
         print('polarium: witness id must look like "W(3,2)/A"', file=sys.stderr)
         return EXIT_USAGE
     space_name, prop = args.witness_id.rsplit("/", 1)
-    rep = next((r for r in reports if r["space"] == space_name), None)
-    if rep is None or prop not in rep.get("properties", {}):
+    try:
+        rep = next((r for r in reports if r["space"] == space_name), None)
+        entry = None if rep is None else rep.get("properties", {}).get(prop)
+        verdict = None if entry is None else entry["verdict"]
+    except (TypeError, KeyError, AttributeError):
+        print(f"polarium: {args.report} is not a check report", file=sys.stderr)
+        return EXIT_USAGE
+    if entry is None:
         print(f"polarium: no entry for {args.witness_id} in the report",
               file=sys.stderr)
         return EXIT_USAGE
-    entry = rep["properties"][prop]
-    if entry["verdict"] != props.FAILS:
-        print(f"polarium: {args.witness_id} verdict is {entry['verdict']!r}; "
+    if verdict != props.FAILS:
+        print(f"polarium: {args.witness_id} verdict is {verdict!r}; "
               "nothing to replay", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -191,7 +197,7 @@ def cmd_replay(args) -> int:
     except BoundExceeded as exc:
         print(f"polarium: bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except (KeyError, ValueError, SpaceError) as exc:
+    except (KeyError, TypeError, ValueError, SpaceError) as exc:
         print(f"polarium: {args.witness_id}: malformed witness or space: {exc!r}",
               file=sys.stderr)
         return EXIT_ASSERTION

@@ -10,13 +10,13 @@ canonical image points.
 
 from __future__ import annotations
 
-import itertools
+import numpy as np
 
 from polarium import linalg
 from polarium.forms import (ALTERNATING, QUADRATIC, Form, orthogonal_complement,
                             parabolic_quadric_form, symplectic_form)
 from polarium.linalg import Subspace, quotient_map, span
-from polarium.space import PolarSpace, SingularSubspace, are_opposite
+from polarium.space import PolarSpace
 
 
 class EmbeddingError(Exception):
@@ -180,15 +180,15 @@ def check_emb_identities(e: Embedding, a: int, b: int) -> dict:
     preim = set(e.preimage_of_subspace(line))
     identity_line = preim == dperp
 
-    induced = space.induced_subspace(trace, name=f"{space.name}|trace")
-    gens = induced.generators()
-    pair = next(((g, h) for g, h in itertools.combinations(gens, 2)
-                 if are_opposite(induced, g, h)), None)
-    if pair is None:
+    # N, N': the first opposite pair of sub-generators inside {a,b}^perp
+    sg, sp = space.subgenerators()
+    ks = np.flatnonzero(sp[:, a] & sp[:, b])
+    opposite = np.argwhere(np.triu(
+        sp[ks].astype(np.float32) @ sg[ks].T.astype(np.float32) == 0, 1))
+    if not len(opposite):
         raise ValueError("no opposite generator pair in the trace space")
-    n_pts = [trace[i] for i in pair[0].points]
-    n2_pts = [trace[i] for i in pair[1].points]
-    joint = set(space.perp(n_pts)) & set(space.perp(n2_pts))
+    kx, ky = ks[opposite[0]]
+    joint = set(np.flatnonzero(sp[kx] & sp[ky]).tolist())
     is_2n = e.dim == 2 * space.rank
     identity_gen = (joint == dperp) == is_2n
 

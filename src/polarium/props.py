@@ -1,21 +1,18 @@
 """The characterization predicates and their cross-equivalences.
 
-Each property is one canonical block enumeration plus one predicate over a
-block: a non-collinear pair for A and regular pairs, a pair of distinct
-points for centric triads, an arising hyperplane for B' and C, a hyperbolic
-line for D and the whole space for the symplectic test.  The predicate
-returns the number of instances it checked in the block and its failing
-instances as serialized witnesses.  Each checker scans the blocks in
-canonical order and stops at the first failure, so failing verdicts carry
-the smallest witness.  The scan runs a batched kernel: chunked float32 BLAS
-products or bit-packed gathers over batches of blocks that give each block's
-instance count and whether it fails, and only the first failing block is
-rerun through the predicate for its witness.  Replay is the checker's own
-predicate on one instance: validate_witness parses the witness into its
-block, recomputes the block and looks for the witness among its failures,
-so it runs no kernel and no whole-space scan.  Witnesses use canonical
-point labels, never indices.  full_report runs the whole battery and asserts
-the theorem matrix: any violated biconditional raises EquivalenceViolation.
+Each property is one kernel over a batch of blocks: non-collinear pairs for
+A and regular pairs, pairs of distinct points for centric triads, arising
+hyperplanes for B' and C, hyperbolic lines for D and the whole space for
+the symplectic test.  A kernel gives, by chunked float32 BLAS products or
+bit-packed gathers, each block's instance count and whether it fails, and
+`failures(k)`, which reads the same intermediates to yield the failing
+instances of block k as (checked up to it, serialized witness).  Each
+checker scans the blocks in canonical order and stops at the first failing
+block, so failing verdicts carry the smallest witness.  Replay runs the same
+kernel on a batch holding only the witness's block and accepts any failure
+of that block.  Witnesses use canonical point labels, never indices.
+full_report runs the whole battery and asserts the theorem matrix: any
+violated biconditional raises EquivalenceViolation.
 """
 
 from __future__ import annotations
@@ -81,22 +78,16 @@ def _jsonable(label):
     return label
 
 
-def _scan(block_batches, kernel, predicate, t0) -> Verdict:
-    """Run the batched kernel over the blocks in canonical order and stop at
-    the first failing block.  The kernel gives each block's instance count
-    and whether it fails; the predicate reruns only the failing block, for
-    its first failure.  `checked` counts the instances of the blocks before
-    it plus the failing block's count up to the failure."""
+def _scan(block_batches, kernel, t0) -> Verdict:
+    """Run the kernel over the blocks in canonical order and stop at the
+    first failing block.  `checked` counts the instances of the blocks before
+    it plus the failing block's count up to its first failure."""
     checked = 0
     for blocks in block_batches:
-        counts, fails = kernel(blocks)
+        counts, fails, failures = kernel(blocks)
         if np.any(fails):
             k = int(np.argmax(fails))
-            first = next(predicate(blocks[k])[1], None)
-            if first is None:
-                raise EquivalenceViolation(f"block {k} of a batch fails in the "
-                                           "kernel but not in the predicate")
-            upto, witness = first
+            upto, witness = next(failures(k))
             return Verdict(FAILS, witness, checked + int(np.sum(counts[:k])) + int(upto),
                            millis=_ms(t0))
         checked += int(np.sum(counts))
@@ -106,30 +97,11 @@ def _scan(block_batches, kernel, predicate, t0) -> Verdict:
 # ---------------------------------------------------------------------------
 # property (A)
 
-def _A_predicate(space: PolarSpace):
+def _A_kernel(space: PolarSpace):
     """Block: a non-collinear pair (a, b).  Checked: the generators M with
     M cap {a,b}^perp a hyperplane of M.  Failing: those missing {a,b}^perpperp."""
     gm = space.generators_matrix()
     gf = gm.astype(np.float32)
-    size = int(space.subgenerators()[0][0].sum())
-
-    def predicate(pair):
-        a, b = pair
-        perp = space.coll[a] & space.coll[b]
-        dperp = space.coll[perp].all(axis=0)
-        cand = gf @ perp == size
-        bad = cand & ~(gf @ dperp > 0)
-        n = int(cand.sum())
-        return n, ((n, _pair_witness(space, a, b, generator=_labels(
-            space, np.flatnonzero(gm[g])))) for g in np.flatnonzero(bad))
-    return predicate
-
-
-def check_A(space: PolarSpace) -> Verdict:
-    """For non-collinear a, b and generator M: if M cap {a,b}^perp is a
-    hyperplane of M then M must meet the hyperbolic line {a,b}^perpperp."""
-    t0 = time.perf_counter()
-    gf = space.generators_matrix().astype(np.float32)
     size = int(space.subgenerators()[0][0].sum())
     collf = space.coll.astype(np.float32)
 
@@ -137,49 +109,34 @@ def check_A(space: PolarSpace) -> Verdict:
         trace = hyperbolic.traces(space.coll, pairs)
         dperp = hyperbolic.double_perps(trace, collf).astype(np.float32)
         cand = trace @ gf.T == size
-        return cand.sum(axis=1), (cand & (dperp @ gf.T == 0)).any(axis=1)
-    return _scan(pair_batches(~space.coll, max(space.n_points, len(gf))), kernel,
-                 _A_predicate(space), t0)
+        bad = cand & (dperp @ gf.T == 0)
+        counts = cand.sum(axis=1)
+
+        def failures(k):
+            return ((counts[k], _pair_witness(space, *pairs[k], generator=_labels(
+                space, np.flatnonzero(gm[g])))) for g in np.flatnonzero(bad[k]))
+        return counts, bad.any(axis=1), failures
+    return kernel
+
+
+def check_A(space: PolarSpace) -> Verdict:
+    """For non-collinear a, b and generator M: if M cap {a,b}^perp is a
+    hyperplane of M then M must meet the hyperbolic line {a,b}^perpperp."""
+    t0 = time.perf_counter()
+    width = max(space.n_points, len(space.generators_matrix()))
+    return _scan(pair_batches(~space.coll, width), _A_kernel(space), t0)
 
 
 # ---------------------------------------------------------------------------
 # regular pairs
 
-def _regular_pairs_predicate(space: PolarSpace):
+def _regular_pairs_kernel(space: PolarSpace):
     """Block: a non-collinear pair (a, b).  Checked: the opposite pairs N, N'
     of sub-generators inside {a,b}^perp (the generators of the trace), in
     row-major order.  Failing: those with N^perp cap N'^perp != {a,b}^perpperp."""
     sg, sp = space.subgenerators()
-
-    def predicate(pair):
-        a, b = pair
-        ks = np.flatnonzero(sp[:, a] & sp[:, b])  # S_k inside {a,b}^perp
-        dperp = space.coll[space.coll[a] & space.coll[b]].all(axis=0)
-        perps = sp[ks].astype(np.float32)
-        opp = np.triu(perps @ sg[ks].T.astype(np.float32) == 0, 1)
-        bad = opp & ((perps * ~dperp) @ perps.T > 0)
-        upto = np.cumsum(opp).reshape(opp.shape)
-
-        def witness(x, y):
-            kx, ky = ks[x], ks[y]
-            extra = np.flatnonzero(sp[kx] & sp[ky] & ~dperp)[0]
-            return _pair_witness(space, a, b, N=_labels(space, np.flatnonzero(sg[kx])),
-                                 N_prime=_labels(space, np.flatnonzero(sg[ky])),
-                                 extra_point=_label(space, int(extra)))
-        return int(opp.sum()), ((int(upto[x, y]), witness(x, y))
-                                for x, y in zip(*np.nonzero(bad)))
-    return predicate
-
-
-def check_regular_pairs(space: PolarSpace) -> Verdict:
-    """Every pair of opposite points a, b must be regular: N^perp cap N'^perp
-    = {a,b}^perpperp for all opposite generators N, N' of the trace."""
-    t0 = time.perf_counter()
-    sg, sp = space.subgenerators()
-    n = space.n_points
     sgf, spf, spt = sg.astype(np.float32), sp.astype(np.float32), np.ascontiguousarray(sp.T)
     collf = space.coll.astype(np.float32)
-    k_max = _most_inside(space, ~space.coll)
 
     def kernel(pairs):
         ks, valid = _padded(spt[pairs[:, 0]] & spt[pairs[:, 1]])  # S_k inside {a,b}^perp
@@ -188,10 +145,28 @@ def check_regular_pairs(space: PolarSpace) -> Verdict:
         opp = upper & (perps @ sgf[ks].transpose(0, 2, 1) == 0)
         far = ~hyperbolic.double_perps(hyperbolic.traces(space.coll, pairs), collf)
         bad = opp & ((perps * far[:, None, :]) @ perps.transpose(0, 2, 1) > 0)
-        return opp.sum(axis=(1, 2)), bad.any(axis=(1, 2))
-    width = max(len(sp), k_max * max(n, k_max))
-    return _scan(pair_batches(~space.coll, width), kernel,
-                 _regular_pairs_predicate(space), t0)
+
+        def failures(k):
+            upto = np.cumsum(opp[k]).reshape(opp[k].shape)
+            for x, y in zip(*np.nonzero(bad[k])):
+                kx, ky = ks[k, x], ks[k, y]
+                extra = np.flatnonzero(sp[kx] & sp[ky] & far[k])[0]
+                yield upto[x, y], _pair_witness(
+                    space, *pairs[k], N=_labels(space, np.flatnonzero(sg[kx])),
+                    N_prime=_labels(space, np.flatnonzero(sg[ky])),
+                    extra_point=_label(space, int(extra)))
+        return opp.sum(axis=(1, 2)), bad.any(axis=(1, 2)), failures
+    return kernel
+
+
+def check_regular_pairs(space: PolarSpace) -> Verdict:
+    """Every pair of opposite points a, b must be regular: N^perp cap N'^perp
+    = {a,b}^perpperp for all opposite generators N, N' of the trace."""
+    t0 = time.perf_counter()
+    n = space.n_points
+    k_max = _most_inside(space, ~space.coll)
+    width = max(len(space.subgenerators()[1]), k_max * max(n, k_max))
+    return _scan(pair_batches(~space.coll, width), _regular_pairs_kernel(space), t0)
 
 
 def _most_inside(space: PolarSpace, mask) -> int:
@@ -216,63 +191,49 @@ def _padded(inside) -> tuple:
 # ---------------------------------------------------------------------------
 # centric triads (the implementation of property (B))
 
-def _triads_predicate(space: PolarSpace):
+def _triads_kernel(space: PolarSpace):
     """Block: a pair a < b of distinct points.  Checked: every c > b.  Failing:
     the c with no sub-generator in {a,b,c}^perp, i.e. no S_k^perp holding a, b
-    and c."""
+    and c: the c outside the OR of the bit-packed rows S_k^perp of the
+    sub-generators inside {a,b}^perp."""
     sp = space.subgenerators()[1]
     n = space.n_points
+    spt, bits = np.ascontiguousarray(sp.T), np.packbits(sp, axis=1)
 
-    def predicate(pair):
-        a, b = pair
-        centric = sp[sp[:, a] & sp[:, b]].any(axis=0)
-        acentric = np.flatnonzero(~centric[b + 1:]) + b + 1
-        return n - b - 1, ((int(c) - b, _pair_witness(space, a, b, c=_label(space, int(c))))
-                           for c in acentric)
-    return predicate
+    def kernel(pairs):
+        b = pairs[:, 1]
+        ks, valid = _padded(spt[pairs[:, 0]] & spt[b])  # S_k inside {a,b}^perp
+        held = np.bitwise_or.reduce(bits[ks] * valid[:, :, None], axis=1)
+        centric = np.unpackbits(held, axis=1, count=n).view(bool)
+        acentric = ~centric & (np.arange(n) > b[:, None])
+
+        def failures(k):
+            return ((c - b[k], _pair_witness(space, *pairs[k], c=_label(space, int(c))))
+                    for c in np.flatnonzero(acentric[k]))
+        return n - b - 1, acentric.any(axis=1), failures
+    return kernel
 
 
 def check_centric_triads(space: PolarSpace) -> Verdict:
     """Every triple of distinct points must have a sub-generator in its
     common perp (a point when n = 2)."""
     t0 = time.perf_counter()
-    sp = space.subgenerators()[1]
     n = space.n_points
-    spt, bits = np.ascontiguousarray(sp.T), np.packbits(sp, axis=1)
     distinct = ~np.eye(n, dtype=bool)
-    k_max = _most_inside(space, distinct)
-
-    def kernel(pairs):
-        b = pairs[:, 1]
-        ks, valid = _padded(spt[pairs[:, 0]] & spt[b])  # S_k inside {a,b}^perp
-        # OR of the bit-packed rows S_k^perp: the c with a sub-generator in {a,b,c}^perp
-        held = np.bitwise_or.reduce(bits[ks] * valid[:, :, None], axis=1)
-        centric = np.unpackbits(held, axis=1, count=n).view(bool)
-        return n - b - 1, (~centric & (np.arange(n) > b[:, None])).any(axis=1)
-    width = max(len(sp), n, k_max * bits.shape[1])
-    return _scan(pair_batches(distinct, width), kernel, _triads_predicate(space), t0)
+    packed = (n + 7) // 8  # bytes per bit-packed S_k^perp row
+    width = max(len(space.subgenerators()[1]), n, _most_inside(space, distinct) * packed)
+    return _scan(pair_batches(distinct, width), _triads_kernel(space), t0)
 
 
 # ---------------------------------------------------------------------------
 # properties (B') and (C) over arising hyperplanes
 
-def _traces_inside(space: PolarSpace, h) -> np.ndarray:
-    """The non-collinear pairs a < b, row-major, whose trace lies in h: no
-    point outside h is collinear with both.  One n x n product, the fast
-    form for a single hyperplane (the predicates and replay)."""
-    outside = space.coll[~h.mask].astype(np.float32)
-    return np.argwhere(np.triu((outside.T @ outside == 0) & ~space.coll))
-
-
-def _contained_traces(space: PolarSpace, hs) -> tuple:
-    """(counts, outside): counts[f] non-collinear pairs have their trace
-    inside hs[f], i.e. missing its complement outside[f] (float32), by one
-    product per batch of pairs for the whole chunk of hyperplanes."""
-    outside = (~np.stack([h.mask for h in hs])).astype(np.float32)
-    counts = np.zeros(len(hs), dtype=np.int64)
-    for pairs in pair_batches(~space.coll, max(space.n_points, len(hs))):
-        counts += (hyperbolic.traces(space.coll, pairs) @ outside.T == 0).sum(axis=0)
-    return counts, outside
+def _contained(space: PolarSpace, outside):
+    """(pairs, inside) per batch of the non-collinear pairs a < b, row-major:
+    inside[i, f] when the trace of pair i misses outside[f], the complement of
+    a hyperplane in float32, so that the hyperplane contains the trace."""
+    for pairs in pair_batches(~space.coll, max(space.n_points, len(outside))):
+        yield pairs, hyperbolic.traces(space.coll, pairs) @ outside.T == 0
 
 
 def _arising_batches(e: embed.Embedding, width: int):
@@ -281,80 +242,67 @@ def _arising_batches(e: embed.Embedding, width: int):
     return (arising[s] for s in batches(len(arising), width))
 
 
-def _B_prime_predicate(space: PolarSpace):
+def _arising_kernel(space: PolarSpace, failing, **extra):
     """Block: an arising hyperplane h.  Checked: the non-collinear pairs whose
-    trace h contains.  Failing: all of them, when no generator lies in h."""
-    gm = space.generators_matrix()
+    trace h contains.  Failing: all of them when failing(hs, outside,
+    contained) marks h, none otherwise; failures(k) sweeps the pairs again
+    for hyperplane k alone."""
+    def kernel(hs):
+        outside = (~np.stack([h.mask for h in hs])).astype(np.float32)
+        counts = np.zeros(len(hs), dtype=np.int64)
+        for _, inside in _contained(space, outside):
+            counts += inside.sum(axis=0)
+        fails = failing(hs, outside, counts > 0)
 
-    def predicate(h):
-        pairs = _traces_inside(space, h)
-        n = len(pairs)
-        no_gen = n > 0 and (gm & ~h.mask).any(axis=1).all()
-        return n, ((n, _pair_witness(space, a, b, functional=list(h.provenance[2])))
-                   for a, b in pairs if no_gen)
-    return predicate
+        def failures(k):
+            if not fails[k]:
+                return
+            functional = list(hs[k].provenance[2])
+            for pairs, inside in _contained(space, outside[k:k + 1]):
+                for a, b in pairs[inside[:, 0]]:
+                    yield counts[k], _pair_witness(space, a, b, functional=functional, **extra)
+        return counts, fails, failures
+    return kernel
+
+
+def _B_prime_kernel(space: PolarSpace):
+    """Failing: an arising hyperplane containing a trace but no generator."""
+    gf = space.generators_matrix().astype(np.float32)
+    return _arising_kernel(
+        space, lambda hs, outside, contained: contained & (gf @ outside.T > 0).all(axis=0))
 
 
 def check_B_prime(space: PolarSpace, e: embed.Embedding) -> Verdict:
     """Every arising hyperplane containing the trace of a non-collinear pair
     must contain a generator (equivalently have rank n)."""
     t0 = time.perf_counter()
-    gf = space.generators_matrix().astype(np.float32)
-
-    def kernel(hs):
-        counts, outside = _contained_traces(space, hs)
-        return counts, (counts > 0) & (gf @ outside.T > 0).all(axis=0)
-    return _scan(_arising_batches(e, max(space.n_points, len(gf))), kernel,
-                 _B_prime_predicate(space), t0)
+    return _scan(_arising_batches(e, max(space.n_points, len(space.generators_matrix()))),
+                 _B_prime_kernel(space), t0)
 
 
-def _C_predicate(space: PolarSpace):
-    """Block: an arising hyperplane h.  Checked: the non-collinear pairs whose
-    trace h contains.  Failing: those without a deepest point of h on their
-    hyperbolic line.  A deepest point p has h = p^perp, and p lies on
-    {a,b}^perpperp exactly when {a,b}^perp is inside p^perp = h, so every
-    contained pair fails when h has no deepest point and none fails otherwise."""
-    def predicate(h):
-        pairs = _traces_inside(space, h)
-        n = len(pairs)
-        nonsingular = n > 0 and h.deepest_point() is None
-        return n, ((n, _pair_witness(space, a, b, functional=list(h.provenance[2]),
-                                     deepest_point=None))
-                   for a, b in pairs if nonsingular)
-    return predicate
+def _C_kernel(space: PolarSpace):
+    """Failing: an arising hyperplane containing a trace but with no deepest
+    point.  A deepest point p has h = p^perp, and p lies on {a,b}^perpperp
+    exactly when {a,b}^perp is inside p^perp = h, so every contained pair
+    fails when h has no deepest point and none fails otherwise."""
+    return _arising_kernel(space, lambda hs, outside, contained: np.array(
+        [c and h.deepest_point() is None for c, h in zip(contained, hs)], dtype=bool),
+        deepest_point=None)
 
 
 def check_C(space: PolarSpace, e: embed.Embedding) -> Verdict:
     """Every arising hyperplane containing a trace must be singular, with
     deepest point on the hyperbolic line of the pair."""
     t0 = time.perf_counter()
-
-    def kernel(hs):
-        counts, _ = _contained_traces(space, hs)
-        return counts, [c > 0 and h.deepest_point() is None for c, h in zip(counts, hs)]
-    return _scan(_arising_batches(e, space.n_points), kernel, _C_predicate(space), t0)
+    return _scan(_arising_batches(e, space.n_points), _C_kernel(space), t0)
 
 
 # ---------------------------------------------------------------------------
 # property (D)
 
-def _D_predicate(space: PolarSpace):
+def _D_kernel(space: PolarSpace):
     """Block: a hyperbolic line.  Checked: every point x.  Failing: the x whose
     singular hyperplane x^perp misses the line."""
-    n = space.n_points
-
-    def predicate(h):
-        meets = space.coll[:, list(h.points)].any(axis=1)
-        return n, ((n, {"point": _label(space, int(x)), "pair": _labels(space, h.pair),
-                        "hyperbolic_line": _labels(space, h.points)})
-                   for x in np.flatnonzero(~meets))
-    return predicate
-
-
-def check_D(space: PolarSpace) -> Verdict:
-    """Every singular hyperplane x^perp must meet every hyperbolic line."""
-    t0 = time.perf_counter()
-    hlines = hyperbolic.all_hyperbolic_lines(space)
     n = space.n_points
     collf = space.coll.astype(np.float32)
 
@@ -362,27 +310,41 @@ def check_D(space: PolarSpace) -> Verdict:
         members = np.zeros((len(lines), n), dtype=np.float32)
         for row, h in zip(members, lines):
             row[list(h.points)] = 1
-        return np.full(len(lines), n), (members @ collf == 0).any(axis=1)
-    return _scan((hlines[s] for s in batches(len(hlines), n)), kernel,
-                 _D_predicate(space), t0)
+        missed = members @ collf == 0
+
+        def failures(k):
+            h = lines[k]
+            return ((n, {"point": _label(space, int(x)), "pair": _labels(space, h.pair),
+                         "hyperbolic_line": _labels(space, h.points)})
+                    for x in np.flatnonzero(missed[k]))
+        return np.full(len(lines), n), missed.any(axis=1), failures
+    return kernel
+
+
+def check_D(space: PolarSpace) -> Verdict:
+    """Every singular hyperplane x^perp must meet every hyperbolic line."""
+    t0 = time.perf_counter()
+    hlines = hyperbolic.all_hyperbolic_lines(space)
+    return _scan((hlines[s] for s in batches(len(hlines), space.n_points)),
+                 _D_kernel(space), t0)
 
 
 # ---------------------------------------------------------------------------
 # symplectic verdict
 
-def _symplectic_predicate(space: PolarSpace):
+def _symplectic_kernel(space: PolarSpace):
     """Block: the whole space, one instance.  Failing: a minimal embedding
     that is not 2n-dimensional or not onto the target point set."""
-    def predicate(_):
+    def kernel(_):
         e = embed.minimal_embedding(space)
         q = space.field.q
         target = (q ** e.dim - 1) // (q - 1)
         image = len(e.image_points())
-        if e.dim == 2 * space.rank and image == target:
-            return 1, iter(())
-        return 1, iter([(1, {"dimension": e.dim, "required_dimension": 2 * space.rank,
-                             "image_points": image, "target_points": target})])
-    return predicate
+        fails = not (e.dim == 2 * space.rank and image == target)
+        witness = {"dimension": e.dim, "required_dimension": 2 * space.rank,
+                   "image_points": image, "target_points": target}
+        return [1], [fails], lambda k: iter([(1, witness)] if fails else [])
+    return kernel
 
 
 def is_symplectic(space: PolarSpace) -> Verdict:
@@ -392,11 +354,7 @@ def is_symplectic(space: PolarSpace) -> Verdict:
     if not space.is_form_backed:
         return Verdict(SKIPPED, reason="no embedding (combinatorial space)",
                        millis=_ms(t0))
-    _, failures = _symplectic_predicate(space)(space)
-    first = next(failures, None)
-    if first is None:
-        return Verdict(HOLDS, checked=1, millis=_ms(t0))
-    return Verdict(FAILS, first[1], first[0], millis=_ms(t0))
+    return _scan([[space]], _symplectic_kernel(space), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +422,12 @@ def full_report(space: PolarSpace) -> PropertyReport:
 
 def _pair_block(space, witness):
     a, b = space.index_of(witness["a"]), space.index_of(witness["b"])
-    return None if space.collinear(a, b) else (a, b)
+    return None if space.collinear(a, b) else np.array([[a, b]])
 
 
 def _triad_block(space, witness):
     a, b = space.index_of(witness["a"]), space.index_of(witness["b"])
-    return (a, b) if a < b else None
+    return np.array([[a, b]]) if a < b else None
 
 
 def _arising_block(space, witness):
@@ -477,43 +435,43 @@ def _arising_block(space, witness):
     phi = tuple(witness["functional"])
     if phi not in linalg.dual_hyperplanes(e.field, e.dim):
         return None
-    return hyperplanes.hyperplane_from_functional(e, phi)
+    return [hyperplanes.hyperplane_from_functional(e, phi)]
 
 
 def _hyperbolic_block(space, witness):
     a, b = (space.index_of(p) for p in witness["pair"])
-    return None if space.collinear(a, b) else hyperbolic.hyperbolic_line(space, a, b)
+    return None if space.collinear(a, b) else [hyperbolic.hyperbolic_line(space, a, b)]
 
 
-# property -> (witness -> its block, or None if the scan has no such block;
-#              space -> the checker's predicate)
+# property -> (witness -> a batch of its one block, or None if the scan has
+#              no such block; space -> the checker's kernel)
 _REPLAY = {
-    "A": (_pair_block, _A_predicate),
-    "regular_pairs": (_pair_block, _regular_pairs_predicate),
-    "B_triads": (_triad_block, _triads_predicate),
-    "B_prime": (_arising_block, _B_prime_predicate),
-    "C": (_arising_block, _C_predicate),
-    "D": (_hyperbolic_block, _D_predicate),
-    "symplectic": (lambda space, witness: space, _symplectic_predicate),
+    "A": (_pair_block, _A_kernel),
+    "regular_pairs": (_pair_block, _regular_pairs_kernel),
+    "B_triads": (_triad_block, _triads_kernel),
+    "B_prime": (_arising_block, _B_prime_kernel),
+    "C": (_arising_block, _C_kernel),
+    "D": (_hyperbolic_block, _D_kernel),
+    "symplectic": (lambda space, witness: [space], _symplectic_kernel),
 }
 
 
 def validate_witness(space: PolarSpace, prop: str, witness: dict) -> bool:
     """Replay a serialized failure witness against a freshly built space.
 
-    Replay is the checker's own predicate on one instance: the witness is
-    parsed into its block, the block is recomputed, and the witness must equal
-    one of the block's serialized failures.  A witness whose block names a
-    non-point or lacks a key raises ValueError or KeyError.
+    Replay is the checker's own kernel on one block: the witness is parsed
+    into a batch holding its block, and it must equal one of that block's
+    serialized failures.  A witness whose block names a non-point or lacks a
+    key raises ValueError or KeyError.
     """
     if prop not in _REPLAY:
         raise ValueError(f"unknown property {prop!r}")
-    parse, predicate = _REPLAY[prop]
+    parse, kernel = _REPLAY[prop]
     block = parse(space, witness)
     if block is None:
         return False
-    _, failures = predicate(space)(block)
-    return any(w == witness for _, w in failures)
+    _, _, failures = kernel(space)(block)
+    return any(w == witness for _, w in failures(0))
 
 
 def _ms(t0):

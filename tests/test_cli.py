@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from polarium import cli
 from polarium.catalog import CATALOG, build_space
 from polarium.cli import main
 
@@ -121,6 +123,25 @@ def test_check_matches_stretch_reference(capsys, tmp_path):
         assert mine["properties"] == want["properties"], mine["space"]
 
 
+def test_benchmark_tracer_counts_checked(capsys, tmp_path):
+    # perfbench/tracer.py wraps the checkers at their module-level names; each
+    # props.<P>.checked counter must sum the report's checked counts
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    out_file = tmp_path / "traced.json"
+    tracer.install()
+    try:
+        assert cli.main(["check", "W(3,2)", "Q(4,3)", "--out", str(out_file)]) == 0
+    finally:
+        tracer.uninstall()
+    reports = json.loads(out_file.read_text())
+    for prop in reports[0]["properties"]:
+        want = sum(r["properties"][prop]["checked_count"] for r in reports)
+        assert tracer.counts[f"props.{prop}.checked"] == want, prop
+
+
 def test_check_space_error(capsys):
     # an elliptic quadric of PG(3,2) is an ovoid: rank 1, no sub-generators
     code, _, err = run(capsys, "check", "Q-(3,2)")
@@ -189,6 +210,13 @@ def test_replay_witness_missing_key(capsys, tmp_path):
     report = _tampered_report(tmp_path, "Q-(5,2)", "A", lambda w: w.pop("b"))
     code, _, err = run(capsys, "replay", report, "Q-(5,2)/A")
     assert code == 3 and "malformed" in err
+    # a witness that is not an object at all
+    reports = json.loads(GOLDEN.read_text())
+    next(r for r in reports if r["space"] == "Q-(5,2)")["properties"]["A"]["witness"] = [1]
+    path = tmp_path / "listed.json"
+    path.write_text(json.dumps(reports))
+    code, _, err = run(capsys, "replay", str(path), "Q-(5,2)/A")
+    assert code == 3 and "malformed" in err
 
 
 def test_replay_space_error(capsys, tmp_path):
@@ -216,6 +244,12 @@ def test_replay_report_not_json(capsys, tmp_path):
     path.write_text("not json {")
     code, _, err = run(capsys, "replay", str(path), "Q-(5,2)/A")
     assert code == 1 and "not a JSON report" in err
+    # JSON, but not shaped like a check report
+    no_verdict = [{"space": "Q-(5,2)", "properties": {"A": {"witness": {}}}}]
+    for payload in ([1], "x", no_verdict):
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "replay", str(path), "Q-(5,2)/A")
+        assert code == 1 and "not a check report" in err, payload
 
 
 def test_usage_error(capsys):

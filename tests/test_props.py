@@ -1,16 +1,19 @@
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polarium import embed, hyperplanes, props
+from polarium import embed, hyperbolic, hyperplanes, props
 from polarium import space as space_module
 from polarium.catalog import CATALOG
 from polarium.cli import main
 from polarium.props import (FAILS, HOLDS, SKIPPED, check_A, check_B_prime,
                             check_C, check_D, check_centric_triads,
                             check_regular_pairs, is_symplectic, validate_witness)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # the theorem matrix of the catalog (verdicts pinned by the source results)
 EXPECTED = {
@@ -248,58 +251,89 @@ def test_rank4_verdicts_and_replay(space_for, tmp_path, capsys):
     assert sg.shape == (2025, q.n_points) and set(sg.sum(axis=1)) == {7}
 
 
-# the batched checkers against a plain loop of their per-block predicates
-def _predicate_loop(blocks, predicate):
-    """The scan by its definition: the predicate on every block in order,
-    stopping at the first failure."""
-    checked = 0
-    for block in blocks:
-        count, failures = predicate(block)
-        first = next(failures, None)
-        if first is not None:
-            upto, witness = first
-            return {"verdict": FAILS, "checked_count": checked + upto, "witness": witness}
-        checked += count
-    return {"verdict": HOLDS, "checked_count": checked}
-
-
-def _looped_verdicts(space):
-    pairs = list(itertools.combinations(range(space.n_points), 2))
-    opposite = [(a, b) for a, b in pairs if not space.collinear(a, b)]
-    out = {"A": _predicate_loop(opposite, props._A_predicate(space)),
-           "regular_pairs": _predicate_loop(opposite, props._regular_pairs_predicate(space)),
-           "B_triads": _predicate_loop(pairs, props._triads_predicate(space))}
-    if space.is_form_backed:
-        arising = hyperplanes.arising_hyperplanes(embed.natural_embedding(space))
-        out["B_prime"] = _predicate_loop(arising, props._B_prime_predicate(space))
-        out["C"] = _predicate_loop(arising, props._C_predicate(space))
-    return out
-
-
-_LOOPED = {}
+# the checkers at the default batch size and at a small one, where failures
+# land in later batches and counts cross many batch boundaries, against the
+# golden report and the benchmark's stretch reference, both written by the
+# original pair-by-pair loops
+REFERENCE = {r["space"]: r for path in ("golden/catalog.json", "perfbench/reference/stretch.json")
+             for r in json.loads((ROOT / path).read_text())}
 
 
 @pytest.mark.parametrize("batch", ["default", "small"])
 @pytest.mark.parametrize("name", [*CATALOG, "Q+(5,3)"])
-def test_kernels_match_predicate_loop(space_for, monkeypatch, name, batch):
-    space = space_for(name)
-    if name not in _LOOPED:
-        _LOOPED[name] = _looped_verdicts(space)
-    if batch == "small":  # failures land in later batches, counts cross many boundaries
+def test_kernels_match_predicate_loop(space_for, report_for, monkeypatch, name, batch):
+    if batch == "small":
         monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 512)
-    got = {"A": check_A(space), "regular_pairs": check_regular_pairs(space),
-           "B_triads": check_centric_triads(space)}
-    if space.is_form_backed:
-        e = embed.natural_embedding(space)
-        got["B_prime"], got["C"] = check_B_prime(space, e), check_C(space, e)
-    assert {prop: v.to_dict() for prop, v in got.items()} == _LOOPED[name]
+        report = props.full_report(space_for(name))
+    else:
+        report = report_for(name)
+    assert report.to_dict()["properties"] == REFERENCE[name]["properties"]
 
 
-def test_scan_rejects_kernel_predicate_disagreement():
-    def kernel(blocks):  # the second block fails in the kernel ...
-        return [1, 1], [False, True]
+def _block_failures(space, prop, w):
+    """Every failure in the block of witness w, enumerated from the
+    definitions in the checkers' order.  Rank 2 only: the sub-generators are
+    the points and the generators are lines."""
+    coll, n = space.coll, space.n_points
 
-    def predicate(block):  # ... but the predicate finds no failure in it
-        return 1, iter(())
-    with pytest.raises(props.EquivalenceViolation, match="kernel"):
-        props._scan([["x", "y"]], kernel, predicate, 0.0)
+    def label(i):
+        return list(space.points[i])
+    if prop == "D":
+        line = [space.index_of(p) for p in w["hyperbolic_line"]]
+        return [{**w, "point": label(x)} for x in range(n) if not coll[x, line].any()]
+    if prop in ("B_prime", "C"):  # every non-collinear pair whose trace h contains
+        h = hyperplanes.hyperplane_from_functional(embed.natural_embedding(space),
+                                                   tuple(w["functional"]))
+        return [{**w, "a": label(a), "b": label(b)}
+                for a, b in itertools.combinations(range(n), 2)
+                if not coll[a, b] and not (coll[a] & coll[b] & ~h.mask).any()]
+    a, b = space.index_of(w["a"]), space.index_of(w["b"])
+    trace = coll[a] & coll[b]
+    dperp = coll[trace].all(axis=0)
+    if prop == "A":  # lines meeting the trace in one point and missing the double perp
+        return [{**w, "generator": [label(p) for p in g.points]} for g in space.generators()
+                if trace[list(g.points)].sum() == 1 and not dperp[list(g.points)].any()]
+    if prop == "B_triads":  # no point collinear with all of a, b, c
+        return [{**w, "c": label(c)} for c in range(b + 1, n) if not (trace & coll[c]).any()]
+    out = []  # regular pairs: opposite x < y in the trace, x^perp cap y^perp != {a,b}^perpperp
+    for x, y in itertools.combinations(np.flatnonzero(trace), 2):
+        extra = np.flatnonzero(coll[x] & coll[y] & ~dperp)
+        if not coll[x, y] and len(extra):
+            out.append({**w, "N": [label(x)], "N_prime": [label(y)], "extra_point": label(extra[0])})
+    return out
+
+
+def test_replay_accepts_every_failure_of_a_block(space_for, report_for):
+    # Q(4,3): the witness blocks hold several failures each; replay must accept
+    # any of them, not only the reported first one
+    space = space_for("Q(4,3)")
+    sizes = {"A": 8, "regular_pairs": 6, "B_triads": 6, "B_prime": 15, "C": 12, "D": 18}
+    for prop, size in sizes.items():
+        witness = report_for("Q(4,3)").verdicts[prop].witness
+        failures = _block_failures(space, prop, witness)
+        assert len(failures) == size and failures[0] == witness, prop
+        for w in failures:
+            assert validate_witness(space, prop, w), (prop, w)
+
+
+def test_kernel_failures_do_not_depend_on_the_batch(space_for):
+    # Q(4,3) fails every property: each block of one whole-space batch must
+    # give the count, verdict and failures it gives in a batch of its own,
+    # and fail exactly when it has failures
+    space = space_for("Q(4,3)")
+    pairs = np.argwhere(np.triu(~space.coll, 1))
+    arising = hyperplanes.arising_hyperplanes(embed.natural_embedding(space))
+    for make, blocks in [
+            (props._A_kernel, pairs), (props._regular_pairs_kernel, pairs),
+            (props._triads_kernel, np.argwhere(np.triu(~np.eye(space.n_points, dtype=bool), 1))),
+            (props._B_prime_kernel, arising), (props._C_kernel, arising),
+            (props._D_kernel, hyperbolic.all_hyperbolic_lines(space))]:
+        kernel = make(space)
+        counts, fails, failures = kernel(blocks)
+        assert np.any(fails), make.__name__
+        for k in range(len(blocks)):
+            got = list(failures(k))
+            one_counts, one_fails, one_failures = kernel(blocks[k:k + 1])
+            assert (counts[k], bool(fails[k]), got) == (one_counts[0], bool(one_fails[0]),
+                                                       list(one_failures(0))), (make.__name__, k)
+            assert bool(fails[k]) == bool(got), (make.__name__, k)
