@@ -2,7 +2,8 @@
 battery, emit deterministic JSON reports, replay failure witnesses.
 
 Exit codes: 0 success; 1 usage or spec-parse error (also: nothing to
-replay, a report that is not JSON or not shaped like a check report, or
+replay, a report or --expect file that cannot be read, is not JSON or is not
+shaped like a check report, an --out file that cannot be written, or
 --max-points below 1); 2 enumeration bound exceeded, in check or in replay;
 3 equivalence-assertion failure, polar-space axiom failure (SpaceError),
 stale or malformed witness (one that is not an object, lacks a key or names
@@ -31,6 +32,20 @@ EXIT_ASSERTION = 3
 EXIT_EXPECTATION = 4
 
 TABLE_COLUMNS = ["A", "B_triads", "B_prime", "C", "D", "regular_pairs", "symplectic"]
+
+
+class _FileError(Exception):
+    """A file named on the command line cannot be read or written."""
+
+
+def _read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise _FileError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise _FileError(f"{path} is not a JSON report: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,21 +117,23 @@ def _render_table(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compare_expectation(reports, expect_path):
-    with open(expect_path, "r", encoding="utf-8") as fh:
-        expected = json.load(fh)
-    by_name = {r["space"]: r for r in expected}
+def _compare_expectation(reports, expected):
+    """Verdict differences between the reports and an expectation file."""
     diffs = []
-    for rep in reports:
-        exp = by_name.get(rep["space"])
-        if exp is None:
-            diffs.append(f'{rep["space"]}: missing from expectation file')
-            continue
-        for prop, data in rep["properties"].items():
-            want = exp["properties"].get(prop, {}).get("verdict")
-            if want != data["verdict"]:
-                diffs.append(f'{rep["space"]}/{prop}: expected {want}, '
-                             f'got {data["verdict"]}')
+    try:
+        by_name = {r["space"]: r for r in expected}
+        for rep in reports:
+            exp = by_name.get(rep["space"])
+            if exp is None:
+                diffs.append(f'{rep["space"]}: missing from expectation file')
+                continue
+            for prop, data in rep["properties"].items():
+                want = exp["properties"].get(prop, {}).get("verdict")
+                if want != data["verdict"]:
+                    diffs.append(f'{rep["space"]}/{prop}: expected {want}, '
+                                 f'got {data["verdict"]}')
+    except (TypeError, KeyError, AttributeError):
+        raise _FileError("the --expect file is not a check report") from None
     return diffs
 
 
@@ -131,6 +148,7 @@ def cmd_check(args) -> int:
     except SpecParseError as exc:
         print(f"polarium: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    expected = _read_json(args.expect) if args.expect else None
     try:
         results = [_check_one(s, args.max_points, args.seed) for s in args.specs]
     except SpecParseError as exc:
@@ -149,15 +167,18 @@ def cmd_check(args) -> int:
     reports = [r.to_dict(include_millis=args.timings) for r in results]
     payload = json.dumps(reports, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise _FileError(f"cannot write {args.out}: {exc.strerror}") from None
     if args.format == "table":
         sys.stdout.write(_render_table(reports))
     elif not args.out:
         sys.stdout.write(payload)
 
     if args.expect:
-        diffs = _compare_expectation(reports, args.expect)
+        diffs = _compare_expectation(reports, expected)
         if diffs:
             for d in diffs:
                 print(f"polarium: expectation mismatch: {d}", file=sys.stderr)
@@ -166,12 +187,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            reports = json.load(fh)
-    except json.JSONDecodeError as exc:
-        print(f"polarium: {args.report} is not a JSON report: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    reports = _read_json(args.report)
     if "/" not in args.witness_id:
         print('polarium: witness id must look like "W(3,2)/A"', file=sys.stderr)
         return EXIT_USAGE
@@ -226,13 +242,15 @@ def cmd_info(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "check":
-        code = cmd_check(args)
-    elif args.command == "replay":
-        code = cmd_replay(args)
-    else:
-        code = cmd_info(args)
-    return code
+    try:
+        if args.command == "check":
+            return cmd_check(args)
+        if args.command == "replay":
+            return cmd_replay(args)
+        return cmd_info(args)
+    except _FileError as exc:
+        print(f"polarium: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -48,17 +48,18 @@ class Embedding:
         self._verify_full()
 
     def _verify_full(self):
-        field = self.field
-        for line in self.source.lines:
-            u, v = self.images[line[0]], self.images[line[1]]
-            target = {linalg.normalize(field, v)}
-            for lam in field.elements:
-                w = linalg.vec_add(field, u, linalg.vec_scale(field, lam, v))
-                target.add(linalg.normalize(field, w))
-            have = {self.images[p] for p in line}
-            if have != target:
-                raise EmbeddingError(
-                    f"{self.source.name}: line {line} does not map onto a projective line")
+        """Each source line must map onto the q + 1 points of the projective
+        line through the images of its first two points."""
+        lines, q = self.source.lines, self.field.q
+        bad = [line for line in lines if len(line) != q + 1]
+        if lines and not bad:
+            members, images = np.array(lines), np.asarray(self.images)
+            have = np.sort(linalg.point_codes(q, images)[members], axis=1)
+            want = linalg.line_points(self.field, images[members[:, 0]], images[members[:, 1]])
+            bad = [lines[k] for k in np.flatnonzero((have != want).any(axis=1))]
+        if bad:
+            raise EmbeddingError(
+                f"{self.source.name}: line {bad[0]} does not map onto a projective line")
 
     def preimage(self, point):
         """Source point index of a canonical target point, or None."""

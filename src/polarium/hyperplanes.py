@@ -24,8 +24,7 @@ OTHER = "other"
 class Hyperplane:
     """A proper subspace meeting every line, with provenance metadata."""
 
-    __slots__ = ("space", "mask", "points", "provenance", "_rank", "_deepest",
-                 "_searched")
+    __slots__ = ("space", "mask", "points", "provenance", "_deepest", "_searched")
 
     def __init__(self, space: PolarSpace, points, provenance):
         mask = np.zeros(space.n_points, dtype=bool)
@@ -40,7 +39,6 @@ class Hyperplane:
         self.mask = mask
         self.points = tuple(np.flatnonzero(mask).tolist())
         self.provenance = provenance
-        self._rank = None
         self._deepest = None
         self._searched = False
         return self
@@ -58,14 +56,10 @@ class Hyperplane:
         return self._deepest
 
     def rank(self) -> int:
-        if self._rank is None:
-            space = self.space
-            gm = space.generators_matrix()
-            if not (gm & ~self.mask).any(axis=1).all():  # some generator inside
-                self._rank = space.rank
-            else:
-                self._rank = space.max_singular_rank(self.mask)
-        return self._rank
+        """n if a generator lies inside, else n - 1: every generator meets a
+        hyperplane in itself or in a hyperplane of itself."""
+        outside = self.space.generators_matrix() & ~self.mask
+        return self.space.rank - bool(outside.any(axis=1).all())
 
     def is_singular(self) -> bool:
         return self.deepest_point() is not None

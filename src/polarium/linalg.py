@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from polarium.gf import Field
 
 DEFAULT_MAX_CANDIDATES = 10 ** 6
@@ -186,6 +188,24 @@ def enumerate_points(sub: Subspace, max_candidates: int = DEFAULT_MAX_CANDIDATES
                         v[i] = field.add(v[i], field.mul(c, x))
         pts.add(normalize(field, v))
     return sorted(pts)
+
+
+def point_codes(q: int, vectors) -> np.ndarray:
+    """Base-q codes of coordinate vectors, first coordinate most significant,
+    so that code order is the lexicographic order of the vectors."""
+    vectors = np.asarray(vectors, dtype=np.int64)
+    return vectors @ q ** np.arange(vectors.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+def line_points(field: Field, u, v) -> np.ndarray:
+    """Sorted codes of the q + 1 canonical points v and u + lam*v, lam in
+    GF(q), of each projective line <u_i, v_i>, for (m, d) arrays of
+    independent vectors, by add/mul/inv table gathers: an (m, q + 1) array."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    lam_v = field.mul_table[np.arange(field.q)[:, None], v[:, None]]  # (m, q, d)
+    w = np.concatenate([v[:, None], field.add_table[u[:, None], lam_v]], axis=1)
+    lead = np.take_along_axis(w, (w != 0).argmax(axis=2)[..., None], axis=2)  # leftmost nonzero
+    return np.sort(point_codes(field.q, field.mul_table[field.inv_table[lead], w]), axis=1)
 
 
 def dual_hyperplanes(field: Field, dim: int,

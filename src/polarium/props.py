@@ -228,48 +228,41 @@ def check_centric_triads(space: PolarSpace) -> Verdict:
 # ---------------------------------------------------------------------------
 # properties (B') and (C) over arising hyperplanes
 
-def _contained(space: PolarSpace, outside):
-    """(pairs, inside) per batch of the non-collinear pairs a < b, row-major:
-    inside[i, f] when the trace of pair i misses outside[f], the complement of
-    a hyperplane in float32, so that the hyperplane contains the trace."""
-    for pairs in pair_batches(~space.coll, max(space.n_points, len(outside))):
-        yield pairs, hyperbolic.traces(space.coll, pairs) @ outside.T == 0
-
-
 def _arising_batches(e: embed.Embedding, width: int):
     """The arising hyperplanes of e, in `batches`."""
     arising = hyperplanes.arising_hyperplanes(e)
     return (arising[s] for s in batches(len(arising), width))
 
 
-def _arising_kernel(space: PolarSpace, failing, **extra):
+def _arising_kernel(space: PolarSpace, marked, **extra):
     """Block: an arising hyperplane h.  Checked: the non-collinear pairs whose
-    trace h contains.  Failing: all of them when failing(hs, outside,
-    contained) marks h, none otherwise; failures(k) sweeps the pairs again
-    for hyperplane k alone."""
+    trace h contains.  Failing: all of them when marked(hs, outside) marks h,
+    none otherwise.  The mark depends on h alone, so the one sweep over the
+    pairs keeps the contained pairs of the marked hyperplanes for failures."""
     def kernel(hs):
         outside = (~np.stack([h.mask for h in hs])).astype(np.float32)
+        mark = marked(hs, outside)
         counts = np.zeros(len(hs), dtype=np.int64)
-        for _, inside in _contained(space, outside):
+        kept = []  # (pairs, hyperplane) of the contained pairs of marked hyperplanes
+        for pairs in pair_batches(~space.coll, max(space.n_points, len(hs))):
+            inside = hyperbolic.traces(space.coll, pairs) @ outside.T == 0  # trace in h
             counts += inside.sum(axis=0)
-        fails = failing(hs, outside, counts > 0)
+            rows, cols = np.nonzero(inside & mark)
+            kept.append((pairs[rows], cols))
 
         def failures(k):
-            if not fails[k]:
-                return
             functional = list(hs[k].provenance[2])
-            for pairs, inside in _contained(space, outside[k:k + 1]):
-                for a, b in pairs[inside[:, 0]]:
+            for pairs, cols in kept:
+                for a, b in pairs[cols == k]:
                     yield counts[k], _pair_witness(space, a, b, functional=functional, **extra)
-        return counts, fails, failures
+        return counts, mark & (counts > 0), failures
     return kernel
 
 
 def _B_prime_kernel(space: PolarSpace):
     """Failing: an arising hyperplane containing a trace but no generator."""
     gf = space.generators_matrix().astype(np.float32)
-    return _arising_kernel(
-        space, lambda hs, outside, contained: contained & (gf @ outside.T > 0).all(axis=0))
+    return _arising_kernel(space, lambda hs, outside: (gf @ outside.T > 0).all(axis=0))
 
 
 def check_B_prime(space: PolarSpace, e: embed.Embedding) -> Verdict:
@@ -285,9 +278,8 @@ def _C_kernel(space: PolarSpace):
     point.  A deepest point p has h = p^perp, and p lies on {a,b}^perpperp
     exactly when {a,b}^perp is inside p^perp = h, so every contained pair
     fails when h has no deepest point and none fails otherwise."""
-    return _arising_kernel(space, lambda hs, outside, contained: np.array(
-        [c and h.deepest_point() is None for c, h in zip(contained, hs)], dtype=bool),
-        deepest_point=None)
+    return _arising_kernel(space, lambda hs, outside: np.array(
+        [h.deepest_point() is None for h in hs], dtype=bool), deepest_point=None)
 
 
 def check_C(space: PolarSpace, e: embed.Embedding) -> Verdict:

@@ -1,7 +1,8 @@
 """Polar spaces as incidence structures: points, lines, collinearity.
 
 Two backings share one query API.  Form-backed spaces enumerate the
-isotropic/singular projective points of a form and carry coordinates;
+isotropic/singular projective points of a form, carry coordinates, build
+their lines by field-table gathers and rank each generator by its size;
 combinatorial spaces are given by explicit point and line lists (grids,
 Payne derivations, duals, induced perp-spaces).  Collinearity is cached as
 a dense symmetric boolean matrix (diagonal True, so perps are
@@ -12,6 +13,7 @@ maximal-clique search used for generators.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -50,12 +52,11 @@ class SpaceError(Exception):
 class SingularSubspace:
     """A singular subspace: pairwise collinear, closed under lines."""
 
-    __slots__ = ("points", "rank", "linear")
+    __slots__ = ("points", "rank")
 
-    def __init__(self, points, rank, linear=None):
+    def __init__(self, points, rank):
         self.points = tuple(sorted(points))
         self.rank = rank
-        self.linear = linear
 
     def __eq__(self, other):
         return isinstance(other, SingularSubspace) and self.points == other.points
@@ -111,18 +112,17 @@ class PolarSpace:
         coll = gram == 0
         np.fill_diagonal(coll, True)
 
-        index = {v: i for i, v in enumerate(pts)}
+        # pts are in code order; each line is kept at the pair of its two
+        # smallest points, so lines come out sorted
+        vecs, codes = np.asarray(pts), linalg.point_codes(field.q, pts)
         lines = []
-        covered = set()
-        for i in range(len(pts)):
-            row = np.flatnonzero(coll[i, i + 1:]) + i + 1
-            for j in row:
-                if (i, int(j)) in covered:
-                    continue
-                members = _line_points(field, pts[i], pts[int(j)], index)
-                lines.append(members)
-                for a, b in itertools.combinations(members, 2):
-                    covered.add((a, b))
+        for pairs in pair_batches(coll, (field.q + 1) * form.dim):
+            members = linalg.line_points(field, vecs[pairs[:, 0]], vecs[pairs[:, 1]])
+            idx = np.searchsorted(codes, members).clip(max=len(pts) - 1)
+            if (codes[idx] != members).any():
+                raise SpaceError(f"{name}: a line through two collinear points "
+                                 "leaves the point set")
+            lines += idx[(idx[:, :2] == pairs).all(axis=1)].tolist()
         rank = witt_index(form)
         return cls(name, pts, lines, coll, rank, field=field, form=form,
                    vectors=pts, grid_family=grid_family)
@@ -242,10 +242,11 @@ class PolarSpace:
             cliques = _bron_kerbosch(self.adj_bits, full)
             gens = [self._as_singular(c) for c in sorted(cliques)]
             if self.is_form_backed:
+                size = (self.field.q ** self.rank - 1) // (self.field.q - 1)
                 for g in gens:
-                    if g.rank != self.rank:
-                        raise SpaceError(f"{self.name}: generator of rank {g.rank}, "
-                                         f"expected {self.rank}")
+                    if len(g.points) != size:
+                        raise SpaceError(f"{self.name}: generator of {len(g.points)} "
+                                         f"points, expected rank {self.rank} with {size}")
             self._generators = gens
         return self._generators
 
@@ -299,9 +300,9 @@ class PolarSpace:
 
     def _as_singular(self, pts) -> SingularSubspace:
         pts = tuple(sorted(pts))
-        if self.is_form_backed:
-            sub = linalg.span(self.field, self.form.dim, [self.vectors[i] for i in pts])
-            return SingularSubspace(pts, sub.rank, sub)
+        if self.is_form_backed:  # a maximal clique: a subspace of (q^r - 1)/(q - 1) points
+            q = self.field.q
+            return SingularSubspace(pts, round(math.log(len(pts) * (q - 1) + 1, q)))
         if len(pts) == 1:
             return SingularSubspace(pts, 1)
         if pts in set(self.lines):
@@ -317,7 +318,7 @@ class PolarSpace:
         if self.is_form_backed:
             sub = linalg.span(self.field, self.form.dim, [self.vectors[i] for i in idxs])
             members = tuple(sorted(self.index_of(p) for p in linalg.enumerate_points(sub)))
-            return SingularSubspace(members, sub.rank, sub)
+            return SingularSubspace(members, sub.rank)
         current = set(idxs)
         changed = True
         while changed:
@@ -390,15 +391,6 @@ def _bilinear_matrix(bil: Form, vectors) -> np.ndarray:
             xg = mul_t[P[:, k], g]
             acc = add_t[acc, mul_t[xg[:, None], Y[None, :, l]]]
     return acc
-
-
-def _line_points(field, u, v, index) -> tuple:
-    """Indices of all projective points on the line through u and v."""
-    members = [index[linalg.normalize(field, v)]]
-    for lam in field.elements:
-        w = linalg.vec_add(field, u, linalg.vec_scale(field, lam, v))
-        members.append(index[linalg.normalize(field, w)])
-    return tuple(sorted(members))
 
 
 def _bron_kerbosch(adj, full) -> list:

@@ -163,6 +163,19 @@ def test_expectation_mismatch(capsys, tmp_path):
     code, _, err = run(capsys, "check", "W(3,3)", "--expect", str(bad),
                        "--out", "/dev/null")
     assert code == 4 and "mismatch" in err
+    # an expectation file that is missing, not JSON or not a check report
+    (tmp_path / "garbled.json").write_text("not json {")
+    (tmp_path / "listed.json").write_text("[1]")
+    for name, message in [("missing.json", "cannot read"), ("garbled.json", "not a JSON report"),
+                          ("listed.json", "not a check report")]:
+        code, _, err = run(capsys, "check", "W(3,2)", "--expect", str(tmp_path / name),
+                           "--out", "/dev/null")
+        assert code == 1 and err.startswith("polarium: ") and message in err, name
+
+
+def test_check_out_unwritable(capsys, tmp_path):
+    code, _, err = run(capsys, "check", "W(3,2)", "--out", str(tmp_path))
+    assert code == 1 and err.startswith(f"polarium: cannot write {tmp_path}")
 
 
 def test_replay_valid(capsys):
@@ -250,6 +263,10 @@ def test_replay_report_not_json(capsys, tmp_path):
         path.write_text(json.dumps(payload))
         code, _, err = run(capsys, "replay", str(path), "Q-(5,2)/A")
         assert code == 1 and "not a check report" in err, payload
+    # a report that is missing, or a directory
+    for missing in (tmp_path / "missing.json", tmp_path):
+        code, _, err = run(capsys, "replay", str(missing), "Q-(5,2)/A")
+        assert code == 1 and err.startswith(f"polarium: cannot read {missing}"), missing
 
 
 def test_usage_error(capsys):

@@ -7,13 +7,30 @@ from polarium import embed
 from polarium.embed import (EmbeddingError, check_emb_identities, minimal_embedding,
                             natural_embedding, quotient_embedding,
                             universal_embedding_sp_char2)
-from polarium.linalg import span
+from polarium.forms import parabolic_quadric_form
+from polarium.gf import Field
+from polarium.linalg import proj_points, span
 
 
 def test_natural_dimensions(space_for):
     assert natural_embedding(space_for("W(3,2)")).dim == 4  # = 2n
     assert natural_embedding(space_for("Q(4,2)")).dim == 5  # > 2n
     natural_embedding(space_for("H(3,4)"))  # fullness verified at build
+
+
+def test_non_full_embedding_rejected(space_for):
+    # injective, but swapping two non-collinear images breaks a line
+    w = space_for("W(3,2)")
+    b = next(i for i in range(w.n_points) if not w.collinear(0, i))
+    images = list(w.vectors)
+    images[0], images[b] = images[b], images[0]
+    with pytest.raises(EmbeddingError, match="does not map onto a projective line"):
+        embed.Embedding(w, images, w.form)
+    # lines of five points cannot map onto the three-point lines of PG(4,2)
+    grid, gf2 = space_for("grid(4)"), Field(2)
+    with pytest.raises(EmbeddingError, match="does not map onto a projective line"):
+        embed.Embedding(grid, proj_points(gf2, 5)[:grid.n_points],
+                        parabolic_quadric_form(gf2, 2).polarization())
 
 
 def test_natural_requires_form(space_for):

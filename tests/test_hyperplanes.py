@@ -106,6 +106,15 @@ def test_batched_sections_match_reference(space_for, name, kind):
     assert arising_hyperplanes(e) is hs  # built once per embedding
 
 
+@pytest.mark.parametrize("name", ["W(3,2)", "Q(4,2)", "Q(4,3)", "Q-(5,2)", "H(3,4)", "W(5,2)"])
+def test_rank_matches_clique_search(space_for, name):
+    # n or n - 1 from the generators, against the Bron-Kerbosch search
+    space = space_for(name)
+    for e in (embed.natural_embedding(space), embed.minimal_embedding(space)):
+        for h in arising_hyperplanes(e):
+            assert h.rank() == space.max_singular_rank(h.mask), (e.kind, h.provenance)
+
+
 def test_grid_transversal_is_ovoid(space_for):
     grid = space_for("Q+(3,3)")
     # 4 pairwise non-collinear points meeting every line: a diagonal

@@ -109,6 +109,19 @@ def test_proj_points_order_and_bounds():
         proj_points(GF5, 10, max_candidates=10 ** 4)
 
 
+def test_line_points_match_span():
+    rng = random.Random(11)
+    for field, d in [(GF2, 4), (GF3, 3), (GF4, 3), (GF5, 3), (Field(3, 2), 3)]:
+        pts = proj_points(field, d)
+        codes = linalg.point_codes(field.q, pts).tolist()
+        assert codes == sorted(set(codes))  # code order is lexicographic order
+        pairs = [rng.sample(pts, 2) for _ in range(40)]
+        got = linalg.line_points(field, [u for u, _ in pairs], [v for _, v in pairs])
+        for (u, v), row in zip(pairs, got):
+            line = enumerate_points(span(field, d, [u, v]))
+            assert row.tolist() == linalg.point_codes(field.q, line).tolist()
+
+
 def test_dual_hyperplanes():
     duals = dual_hyperplanes(GF2, 4)
     assert len(duals) == 15

@@ -9,7 +9,7 @@ import pytest
 from polarium.catalog import build_space, parse_space_spec, SpecParseError
 from polarium.forms import CanonicalSpaceSpec
 from polarium.linalg import BoundExceeded
-from polarium.space import are_opposite, ideal_subgenerator, SpaceError
+from polarium.space import are_opposite, ideal_subgenerator, PolarSpace, SpaceError
 
 
 def q_of(space):
@@ -44,6 +44,50 @@ def test_parse_grammar():
 def test_point_bound():
     with pytest.raises(BoundExceeded):
         build_space("W(3,5)", max_points=100)
+
+
+def _reference_lines(space):
+    """Oracle: the per-pair loop over the collinear pairs a < b that no
+    earlier line holds, each line's points v and u + lam*v by scalar
+    field.add/field.mul and leftmost-coordinate scaling."""
+    field, index = space.field, {v: i for i, v in enumerate(space.vectors)}
+
+    def canonical(w):
+        lead = next(c for c in w if c)
+        return tuple(field.mul(field.inv(lead), c) for c in w)
+
+    lines, covered = [], set()
+    for a, b in itertools.combinations(range(space.n_points), 2):
+        if not space.collinear(a, b) or (a, b) in covered:
+            continue
+        u, v = space.vectors[a], space.vectors[b]
+        points = [v] + [tuple(field.add(x, field.mul(lam, y)) for x, y in zip(u, v))
+                        for lam in field.elements]
+        members = tuple(sorted(index[canonical(w)] for w in points))
+        lines.append(members)
+        covered.update(itertools.combinations(members, 2))
+    return lines
+
+
+@pytest.mark.parametrize("name", ["W(3,2)", "W(3,3)", "W(5,2)", "Q(4,2)", "Q(4,3)", "Q(6,2)",
+                                  "Q+(3,3)", "Q+(3,4)", "Q-(5,2)", "H(3,4)"])
+def test_lines_match_reference(space_for, name):
+    space = space_for(name)
+    assert space.lines == _reference_lines(space)
+
+
+def test_form_backed_consistency_checks():
+    # a point set missing one singular point: lines through it leave the set
+    form = build_space("W(3,2)").form
+    vanishes = form.vanishes
+    form.vanishes = lambda v: v != (0, 0, 0, 1) and vanishes(v)
+    with pytest.raises(SpaceError, match="leaves the point set"):
+        PolarSpace.from_form(form, "W(3,2) less a point")
+    # a maximal clique whose size is not that of a rank-n subspace
+    space = build_space("W(3,2)")
+    space.rank = 3
+    with pytest.raises(SpaceError, match="generator of 3 points"):
+        space.generators()
 
 
 def test_collinearity_matrix_symmetric(space_for):
