@@ -52,11 +52,9 @@ def payne_derive(base: PolarSpace, x: int) -> PolarSpace:
             lines.append(restricted)
         elif restricted:
             raise SpaceError(f"{base.name}: line {line} meets x^perp oddly")
-    hline_keys = set()
-    for y in np.flatnonzero(keep):
-        h = hyperbolic.hyperbolic_line(base, x, int(y))
-        hline_keys.add(h.points)
-    for pts in sorted(hline_keys):
+    ys = np.flatnonzero(keep)
+    hlines = hyperbolic.hyperbolic_lines(base, np.column_stack([np.full_like(ys, x), ys]))
+    for pts in sorted({h.points for h in hlines}):
         lines.append(tuple(sorted(new_index[p] for p in pts if p != x)))
 
     space = PolarSpace.combinatorial(

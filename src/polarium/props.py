@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from polarium import embed, hyperbolic, hyperplanes, linalg
-from polarium.space import PolarSpace, batches, pair_batches
+from polarium.space import PolarSpace, batches, padded_columns, pair_batches
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -139,7 +139,7 @@ def _regular_pairs_kernel(space: PolarSpace):
     collf = space.coll.astype(np.float32)
 
     def kernel(pairs):
-        ks, valid = _padded(spt[pairs[:, 0]] & spt[pairs[:, 1]])  # S_k inside {a,b}^perp
+        ks, valid = padded_columns(spt[pairs[:, 0]] & spt[pairs[:, 1]])  # S_k inside {a,b}^perp
         upper = np.triu(valid[:, :, None] & valid[:, None, :], 1)
         perps = spf[ks]
         opp = upper & (perps @ sgf[ks].transpose(0, 2, 1) == 0)
@@ -178,16 +178,6 @@ def _most_inside(space: PolarSpace, mask) -> int:
                for s in batches(n, max(n, len(spf))))
 
 
-def _padded(inside) -> tuple:
-    """(ks, valid): the columns of each row's true entries in ascending order,
-    padded to the longest row; `valid` marks the real entries."""
-    k = inside.sum(axis=1)
-    valid = np.arange(k.max(initial=0)) < k[:, None]
-    ks = np.zeros(valid.shape, dtype=np.intp)
-    ks[valid] = np.flatnonzero(inside) % inside.shape[1]
-    return ks, valid
-
-
 # ---------------------------------------------------------------------------
 # centric triads (the implementation of property (B))
 
@@ -202,7 +192,7 @@ def _triads_kernel(space: PolarSpace):
 
     def kernel(pairs):
         b = pairs[:, 1]
-        ks, valid = _padded(spt[pairs[:, 0]] & spt[b])  # S_k inside {a,b}^perp
+        ks, valid = padded_columns(spt[pairs[:, 0]] & spt[b])  # S_k inside {a,b}^perp
         held = np.bitwise_or.reduce(bits[ks] * valid[:, :, None], axis=1)
         centric = np.unpackbits(held, axis=1, count=n).view(bool)
         acentric = ~centric & (np.arange(n) > b[:, None])
@@ -299,10 +289,9 @@ def _D_kernel(space: PolarSpace):
     collf = space.coll.astype(np.float32)
 
     def kernel(lines):
-        members = np.zeros((len(lines), n), dtype=np.float32)
-        for row, h in zip(members, lines):
-            row[list(h.points)] = 1
-        missed = members @ collf == 0
+        members = np.zeros((len(lines), n + 1), dtype=np.float32)  # column n: padding
+        members[np.arange(len(lines))[:, None], lines.members] = 1
+        missed = members[:, :n] @ collf == 0
 
         def failures(k):
             h = lines[k]
@@ -432,7 +421,7 @@ def _arising_block(space, witness):
 
 def _hyperbolic_block(space, witness):
     a, b = (space.index_of(p) for p in witness["pair"])
-    return None if space.collinear(a, b) else [hyperbolic.hyperbolic_line(space, a, b)]
+    return None if space.collinear(a, b) else hyperbolic.hyperbolic_lines(space, np.array([[a, b]]))
 
 
 # property -> (witness -> a batch of its one block, or None if the scan has

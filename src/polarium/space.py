@@ -45,6 +45,16 @@ def pair_batches(mask: np.ndarray, width: int):
         yield pairs[s]
 
 
+def padded_columns(inside) -> tuple:
+    """(ks, valid): the columns of each row's true entries in ascending order,
+    padded to the longest row; `valid` marks the real entries."""
+    k = inside.sum(axis=1)
+    valid = np.arange(k.max(initial=0)) < k[:, None]
+    ks = np.zeros(valid.shape, dtype=np.intp)
+    ks[valid] = np.flatnonzero(inside) % inside.shape[1]
+    return ks, valid
+
+
 class SpaceError(Exception):
     """A polar-space axiom failed to hold for the constructed structure."""
 
@@ -91,6 +101,7 @@ class PolarSpace:
         self._generators = None
         self._generators_matrix = None
         self._subgenerators = None
+        self._packed_perps = None
         if validate:
             self.validate()
 
@@ -159,8 +170,9 @@ class PolarSpace:
     def lines_matrix(self) -> np.ndarray:
         if self._lines_matrix is None:
             m = np.zeros((len(self.lines), self.n_points), dtype=bool)
-            for k, line in enumerate(self.lines):
-                m[k, list(line)] = True
+            rows = np.repeat(np.arange(len(self.lines)), [len(l) for l in self.lines])
+            m[rows, np.fromiter(itertools.chain.from_iterable(self.lines), dtype=np.intp,
+                                count=len(rows))] = True
             self._lines_matrix = m
         return self._lines_matrix
 
@@ -188,17 +200,16 @@ class PolarSpace:
             if min(sizes) < 3 and not self.grid_family:
                 raise SpaceError(f"{self.name}: thin line in a thick-lined space")
         self.line_of_pair  # at most one line through two points
-        # one-or-all axiom, exhaustive
-        for line in self.lines:
-            members = list(line)
-            counts = self.coll[:, members].sum(axis=1)
-            outside = np.ones(n, dtype=bool)
-            outside[members] = False
-            bad = outside & (counts != 1) & (counts != len(members))
+        # one-or-all axiom, exhaustive: counts[k, p] = |p^perp cap line k|
+        collt = self.coll.T.astype(np.float32)
+        for s in batches(len(self.lines), n):
+            lm = self.lines_matrix[s]
+            counts = lm.astype(np.float32) @ collt
+            bad = ~lm & (counts != 1) & (counts != lm.sum(axis=1, keepdims=True))
             if bad.any():
-                p = int(np.flatnonzero(bad)[0])
+                k, p = np.unravel_index(np.argmax(bad), bad.shape)
                 raise SpaceError(f"{self.name}: point {self.points[p]} sees "
-                                 f"{int(counts[p])} points of line {line}")
+                                 f"{int(counts[k, p])} points of line {self.lines[s.start + k]}")
         if n > 1:
             deep = self.coll.all(axis=1)
             if deep.any():
@@ -207,6 +218,21 @@ class PolarSpace:
                                  "collinear with every point")
 
     # -- perps -------------------------------------------------------------------
+
+    def packed_perps(self):
+        """(nbr, bits), built once (read-only): nbr[a] lists a^perp in
+        ascending order, padded by repeating a, which no trace {a,b}^perp
+        holds; bits is coll bit-packed by row with an all-ones row n
+        appended, so a gather padded with n ANDs nothing away."""
+        if self._packed_perps is None:
+            n = self.n_points
+            ks, valid = padded_columns(self.coll)
+            nbr = np.where(valid, ks, np.arange(n)[:, None])
+            bits = np.vstack([np.packbits(self.coll, axis=1),
+                              np.full((1, (n + 7) // 8), 255, dtype=np.uint8)])
+            nbr.flags.writeable = bits.flags.writeable = False
+            self._packed_perps = (nbr, bits)
+        return self._packed_perps
 
     def perp_mask(self, idxs) -> np.ndarray:
         idxs = list(idxs)

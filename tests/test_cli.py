@@ -1,15 +1,21 @@
 import importlib.util
+import itertools
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from polarium import cli
 from polarium.catalog import CATALOG, build_space
 from polarium.cli import main
+from polarium.props import EquivalenceViolation
+from polarium.space import PolarSpace
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "golden" / "catalog.json"
@@ -140,6 +146,48 @@ def test_benchmark_tracer_counts_checked(capsys, tmp_path):
     for prop in reports[0]["properties"]:
         want = sum(r["properties"][prop]["checked_count"] for r in reports)
         assert tracer.counts[f"props.{prop}.checked"] == want, prop
+    # check_D must reach hyperbolic.all_hyperbolic_lines through its module,
+    # and the tracer takes len() of the result: the distinct double perps
+    lines = 0
+    for name in ["W(3,2)", "Q(4,3)"]:
+        coll = build_space(name).coll
+        lines += len({tuple(np.flatnonzero(coll[coll[a] & coll[b]].all(axis=0)))
+                      for a, b in itertools.combinations(range(len(coll)), 2)
+                      if not coll[a, b]})
+    assert tracer.counts["hyperbolic.lines.count"] == lines == 20 + 540
+
+
+def _first_perp_failure(space, seed, samples=200):
+    """Oracle: the per-sample loop; the first sample X with X^perp nonempty
+    and X^perpperpperp != X^perp, or None."""
+    rng = random.Random(f"{seed}:{space.name}")
+    n = space.n_points
+    for _ in range(samples):
+        size = rng.randrange(1, min(4, n) + 1)
+        idxs = sorted(rng.sample(range(n), size))
+        first = space.coll[idxs].all(axis=0)
+        third = space.coll[space.coll[first].all(axis=0)].all(axis=0)
+        if first.any() and not np.array_equal(first, third):
+            return idxs
+    return None
+
+
+def test_perp_self_check_names_first_failing_sample():
+    # X^perpperpperp = X^perp for every symmetric coll; W(3,2) with one
+    # non-collinear pair made collinear in one direction fails at samples
+    # 0 to 29 of these seeds, and the batched check must name the loop's first
+    w = build_space("W(3,2)")
+    assert _first_perp_failure(w, 0) is None
+    cli._sampled_perp_invariant(w, 0)
+    coll = w.coll.copy()
+    a, b = np.argwhere(~coll)[0]
+    coll[a, b] = True
+    space = PolarSpace("tampered", w.points, [], coll, 2, validate=False)
+    for seed in range(6):
+        want = _first_perp_failure(space, seed)
+        assert want is not None
+        with pytest.raises(EquivalenceViolation, match=f"^tampered: .* on {re.escape(str(want))}$"):
+            cli._sampled_perp_invariant(space, seed)
 
 
 def test_check_space_error(capsys):

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from polarium import hyperbolic
+from polarium import hyperbolic, props
+from polarium.derived import payne_derive
 from polarium.hyperbolic import all_hyperbolic_lines, hyperbolic_line, linear_space
 from polarium.space import PolarSpace, SpaceError
 
@@ -83,7 +84,8 @@ def _reference_lines(space):
     return [(lines[k], k) for k in sorted(lines)]
 
 
-@pytest.mark.parametrize("name", ["W(3,2)", "Q(4,3)", "W(5,2)", "grid(4)", "P(W(3,5))"])
+@pytest.mark.parametrize("name", ["W(3,2)", "Q(4,3)", "W(5,2)", "grid(4)", "P(W(3,5))",
+                                  "dual(P(W(3,4)))"])
 def test_batched_lines_match_reference(space_for, name):
     space = space_for(name)
     reference = _reference_lines(space)
@@ -92,6 +94,34 @@ def test_batched_lines_match_reference(space_for, name):
                for pair in itertools.combinations(pts, 2)}
     for a, b in noncollinear_pairs(space):
         assert hyperbolic_line(space, a, b).points == line_of[a, b]
+
+
+def test_D_kernel_never_reads_padding(space_for, monkeypatch):
+    # dual(P(W(3,4))) has hyperbolic lines of 4 and 2 points, so a whole-space
+    # batch pads the 2-point lines; each line's failing points must be the x
+    # with x^perp missing its members, ~coll[members].any(0)
+    space = space_for("dual(P(W(3,4)))")
+    lines = all_hyperbolic_lines(space)
+    assert (lines.members == space.n_points).any()
+    monkeypatch.setattr(props, "_label", lambda space, i: i)  # indices, not labels
+    _, fails, failures = props._D_kernel(space)(lines)
+    assert fails.any()
+    for k, h in enumerate(lines):
+        missed = np.flatnonzero(~space.coll[list(h.points)].any(axis=0)).tolist()
+        assert [w["point"] for _, w in failures(k)] == missed, k
+        assert bool(fails[k]) == bool(missed), k
+
+
+def test_lines_need_no_numpy2_bit_count(space_for, monkeypatch):
+    # NumPy 1.x has no np.bitwise_count; the packed tests must not call it
+    space = space_for("dual(P(W(3,4)))")
+    expected = [(h.pair, h.points) for h in all_hyperbolic_lines(space)]
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert [(h.pair, h.points) for h in all_hyperbolic_lines(space)] == expected
+    a, b = expected[-1][0]
+    assert hyperbolic_line(space, a, b).points == expected[-1][1]
+    base = space_for("W(3,3)")
+    assert payne_derive(base, 0).n_points == 27
 
 
 def _graph(n, edges):
@@ -116,6 +146,23 @@ def test_hyperbolic_line_rejects_collinear_members():
     pentagon = _graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     with pytest.raises(SpaceError, match="collinear pair inside"):
         hyperbolic_line(pentagon, 0, 2)  # {0,2}^perpperp = {0,1,2}
+
+
+def test_hyperbolic_line_rejects_a_single_collinear_pair():
+    # {2,3}^perp = {0,4} and {0,4}^perp = {2,3,5}: only 3 and 5 are collinear,
+    # so no member sees more than one other
+    graph = _graph(6, [(0, 2), (0, 3), (0, 5), (1, 4), (1, 5), (2, 4), (3, 4), (3, 5), (4, 5)])
+    with pytest.raises(SpaceError, match="collinear pair inside"):
+        hyperbolic_line(graph, 2, 3)
+
+
+def test_hyperbolic_line_must_hold_its_pair():
+    # 0 and 1 see 2 but 2 sees neither: {0,1}^perp = {2}, {0,1}^perpperp = {2}
+    coll = np.eye(3, dtype=bool)
+    coll[0, 2] = coll[1, 2] = True
+    one_way = PolarSpace("one-way", [0, 1, 2], [], coll, 2, validate=False)
+    with pytest.raises(SpaceError, match=r"\{0,1\}\^perpperp misses 0 or 1"):
+        hyperbolic_line(one_way, 0, 1)
 
 
 def test_double_perp_identities(space_for):

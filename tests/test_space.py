@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import weakref
 
 import numpy as np
@@ -159,6 +160,21 @@ def test_one_or_all_axiom_recheck(space_for):
                     continue
                 seen = sum(1 for m in line if s.coll[p, m])
                 assert seen in (1, len(line))
+
+
+@pytest.mark.parametrize("edges,message", [
+    # point 6 sees 1 and 2 of the first line (and point 7 sees none of it)
+    ([(0, 3), (0, 4), (0, 5), (1, 6), (2, 6)], "point 6 sees 2 points of line (0, 1, 2)"),
+    # the first line is clean; point 1 is the first to see none of the second
+    ([(0, 3), (0, 4), (0, 5), (1, 6), (2, 7)], "point 1 sees 0 points of line (3, 4, 5)"),
+])
+def test_one_or_all_violation_named(edges, message):
+    lines = [(0, 1, 2), (3, 4, 5)]
+    coll = np.eye(8, dtype=bool)
+    for a, b in edges + [e for line in lines for e in itertools.combinations(line, 2)]:
+        coll[a, b] = coll[b, a] = True
+    with pytest.raises(SpaceError, match=f"^graph: {re.escape(message)}$"):
+        PolarSpace("graph", list(range(8)), lines, coll, 2)
 
 
 def test_generators_counts(space_for):
