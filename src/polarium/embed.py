@@ -14,7 +14,7 @@ import numpy as np
 
 from polarium import linalg
 from polarium.forms import (ALTERNATING, QUADRATIC, Form, orthogonal_complement,
-                            parabolic_quadric_form, symplectic_form)
+                            parabolic_quadric_form, restrict, symplectic_form)
 from polarium.linalg import Subspace, quotient_map, span
 from polarium.space import PolarSpace
 
@@ -95,26 +95,15 @@ def quotient_embedding(e: Embedding, x: Subspace) -> Embedding:
         return Embedding(e.source, e.images, e.bilinear, e.quadratic,
                          kind=e.kind, is_universal=e.is_universal)
     qm = quotient_map(e.field, e.dim, x)
-    images = []
-    for v in e.images:
-        w = qm.apply(v)
-        if not any(w):
-            raise EmbeddingError("a point image collapses into the quotient kernel")
-        images.append(linalg.normalize(e.field, w))
+    reduced = [qm.apply(v) for v in e.images]
+    if not all(map(any, reduced)):
+        raise EmbeddingError("a point image collapses into the quotient kernel")
+    images = linalg.normalize_rows(e.field, reduced).tolist()
     basis = [tuple(1 if i == c else 0 for i in range(e.dim)) for c in qm.coords]
-    gram = [[e.bilinear.bilinear(bi, bj) for bj in basis] for bi in basis]
-    bilinear = Form(e.bilinear.kind, e.field, gram)
-    quad = None
-    if e.quadratic is not None and all(e.quadratic.quadratic(v) == 0
-                                       for v in linalg.enumerate_points(x)):
-        m = len(basis)
-        A = [[0] * m for _ in range(m)]
-        for i in range(m):
-            A[i][i] = e.quadratic.quadratic(basis[i])
-            for j in range(i + 1, m):
-                A[i][j] = e.bilinear.bilinear(basis[i], basis[j])
-        quad = Form(QUADRATIC, e.field, A)
-    return Embedding(e.source, images, bilinear, quad, kind="quotient")
+    quad = None  # q is additive on Rad(f), so it vanishes on x iff on x's rows
+    if e.quadratic is not None and all(map(e.quadratic.vanishes, x.rows)):
+        quad = restrict(e.quadratic, basis)
+    return Embedding(e.source, images, restrict(e.bilinear, basis), quad, kind="quotient")
 
 
 def minimal_embedding(space: PolarSpace) -> Embedding:
@@ -144,12 +133,10 @@ def universal_embedding_sp_char2(space: PolarSpace) -> Embedding:
     if form.matrix != symplectic_form(field, n).matrix:
         raise ValueError("universal section assumes the canonical symplectic Gram")
     target = parabolic_quadric_form(field, n)
-    images = []
-    for v in space.vectors:
-        qw = 0
-        for i in range(n):
-            qw = field.add(qw, field.mul(v[2 * i], v[2 * i + 1]))
-        images.append(linalg.normalize(field, (field.sqrt(qw),) + tuple(v)))
+    vecs = np.array(space.vectors)
+    root = np.array([field.sqrt(a) for a in field.elements])
+    qw = linalg.gf_dot(field, vecs[:, 0::2], vecs[:, 1::2])
+    images = linalg.normalize_rows(field, np.column_stack([root[qw], vecs])).tolist()
     return Embedding(space, images, target.polarization(), target,
                      kind="universal", is_minimal=False, is_universal=True)
 

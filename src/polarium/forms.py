@@ -4,14 +4,18 @@ A Form holds Gram data: a Gram matrix for alternating, symmetric and
 Hermitian forms, an upper-triangular coefficient matrix for quadratic
 forms.  Bilinear evaluation is linear in the first argument and (for
 Hermitian forms) conjugate-linear in the second, so the standard Hermitian
-form reads sum x_i * conj(y_i).  The Witt index is computed by splitting
-off hyperbolic pairs and recursing on their perp.
+form reads sum x_i * conj(y_i).  Only this module knows that convention;
+`values`, `quadratic_values` and `vanishing` apply it to arrays of vectors.
+The Witt index is computed by splitting off hyperbolic pairs and recursing
+on their perp.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from polarium.gf import Field
 from polarium import linalg
@@ -37,6 +41,7 @@ class Form:
             if len(r) != self.dim:
                 raise ValueError("Gram data must be square")
         self._validate()
+        self._polarization = None
 
     def _validate(self):
         f, G = self.field, self.matrix
@@ -109,21 +114,49 @@ class Form:
             return self.quadratic(x) == 0
         return self.bilinear(x, x) == 0
 
+    def values(self, x, y) -> np.ndarray:
+        """f(x, y) over the last axis of two arrays, the leading axes
+        broadcast; for quadratic forms this is the polarization value."""
+        if self.kind == QUADRATIC:
+            return self.polarization().values(x, y)
+        y = np.asarray(y, dtype=np.int64)
+        if self.kind == HERMITIAN:
+            y = self.field.conj_table[y]
+        gy = linalg.gf_dot(self.field, self.matrix, y[..., None, :])  # G conj(y)
+        return linalg.gf_dot(self.field, x, gy)
+
+    def quadratic_values(self, x) -> np.ndarray:
+        """q(x) over the last axis of an array."""
+        if self.kind != QUADRATIC:
+            raise ValueError("quadratic evaluation on a non-quadratic form")
+        x = np.asarray(x, dtype=np.int64)
+        return linalg.gf_dot(self.field, x, linalg.gf_dot(self.field, self.matrix, x[..., None, :]))
+
+    def vanishing(self, x) -> np.ndarray:
+        """`vanishes` over the last axis of an array: a boolean array.  An
+        alternating form vanishes on every vector."""
+        if self.kind == QUADRATIC:
+            return self.quadratic_values(x) == 0
+        if self.kind == ALTERNATING:
+            return np.ones(np.shape(x)[:-1], dtype=bool)
+        return self.values(x, x) == 0
+
     # -- derived forms ---------------------------------------------------------
 
     def polarization(self) -> Form:
         """f_q(x,y) = q(x+y) - q(x) - q(y); alternating iff char 2."""
         if self.kind != QUADRATIC:
             raise ValueError("polarization applies to quadratic forms")
-        f, A, d = self.field, self.matrix, self.dim
-        G = [[0] * d for _ in range(d)]
-        for i in range(d):
-            G[i][i] = f.mul(2 % f.p, A[i][i])
-            for j in range(i + 1, d):
-                G[i][j] = A[i][j]
-                G[j][i] = A[i][j]
-        kind = ALTERNATING if f.p == 2 else SYMMETRIC
-        return Form(kind, f, G)
+        if self._polarization is None:
+            f, A, d = self.field, self.matrix, self.dim
+            G = [[0] * d for _ in range(d)]
+            for i in range(d):
+                G[i][i] = f.mul(2 % f.p, A[i][i])
+                for j in range(i + 1, d):
+                    G[i][j] = A[i][j]
+                    G[j][i] = A[i][j]
+            self._polarization = Form(ALTERNATING if f.p == 2 else SYMMETRIC, f, G)
+        return self._polarization
 
     def radical(self) -> Subspace:
         """Rad(f) = V^perp, the kernel of the Gram matrix."""
@@ -155,30 +188,23 @@ class Form:
 # Witt index
 
 def _first_vanishing_point(form: Form):
-    for v in linalg.proj_points(form.field, form.dim):
-        if form.vanishes(v):
-            return v
-    return None
+    """The first nonzero vanishing vector, which is canonical: scaled to a
+    leading 1 it still vanishes and comes no later."""
+    vectors = itertools.product(range(form.field.q), repeat=form.dim)
+    next(vectors)  # the zero vector
+    return next((v for v in vectors if form.vanishes(v)), None)
 
 
 def orthogonal_complement(form: Form, vectors):
-    """Basis of the common perp of the given vectors w.r.t. the (polarized) form."""
-    f = form.field
+    """Basis of the common perp of the given vectors w.r.t. the (polarized)
+    form: the w with f(w, v) = 0, as the form is reflexive."""
     bil = form.polarization() if form.kind == QUADRATIC else form
-    rows = []
-    for v in vectors:
-        # f(v, w) = 0 as a linear condition on w
-        row = []
-        for j in range(form.dim):
-            e = tuple(1 if i == j else 0 for i in range(form.dim))
-            row.append(bil.bilinear(v, e))
-        if bil.kind == HERMITIAN:
-            row = [f.conjugate(c) for c in row]
-        rows.append(tuple(row))
-    return nullspace(f, rows, form.dim)
+    basis = [tuple(int(i == j) for i in range(form.dim)) for j in range(form.dim)]
+    return nullspace(form.field, [[bil.bilinear(e, v) for e in basis] for v in vectors],
+                     form.dim)
 
 
-def _restrict(form: Form, basis_rows) -> Form:
+def restrict(form: Form, basis_rows) -> Form:
     """The form induced on the span of the given (independent) vectors."""
     f, m = form.field, len(basis_rows)
     if form.kind == QUADRATIC:
@@ -238,7 +264,7 @@ def witt_index(form: Form) -> int:
         if w is None:
             raise AssertionError("vanishing vector stuck in the radical")
         perp = orthogonal_complement(current, [v, w])
-        current = _restrict(current, perp.rows)
+        current = restrict(current, perp.rows)
         index += 1
     return index
 
@@ -325,7 +351,7 @@ class CanonicalSpaceSpec:
         return f"{self.family}({self.proj_dim},{self.order})"
 
 
-def _field_for_order(q: int, max_order: int) -> Field:
+def _field_for_order(q: int) -> Field:
     """GF(q), from one factorization of q: its smallest divisor p > 1 is
     prime, and q is a prime power exactly when it is the power p^k."""
     p = next((d for d in range(2, q + 1) if q % d == 0), None)
@@ -334,13 +360,13 @@ def _field_for_order(q: int, max_order: int) -> Field:
         k += 1
     if not p or p ** k != q:
         raise ValueError(f"{q} is not a prime power")
-    return Field(p, k, max_order=max_order)
+    return Field(p, k)
 
 
-def canonical_form(spec: CanonicalSpaceSpec, max_order: int = 256) -> Form:
+def canonical_form(spec: CanonicalSpaceSpec) -> Form:
     """The canonical form of a classical family member, per the fixed Gram data."""
     fam, pd, q = spec.family, spec.proj_dim, spec.order
-    field = _field_for_order(q, max_order)
+    field = _field_for_order(q)
     if fam == "W":
         if pd % 2 == 0:
             raise ValueError("W requires odd projective dimension (even ambient)")

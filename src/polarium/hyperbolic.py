@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from polarium.space import PolarSpace, SpaceError, pair_batches, padded_columns
+from polarium.space import PolarSpace, SpaceError, pair_batches, pair_counts, padded_columns
 
 # set bits of each byte value (np.bitwise_count needs NumPy 2), and the
 # np.packbits mask of each bit position within a byte
@@ -152,7 +152,7 @@ def all_hyperbolic_lines(space: PolarSpace) -> HyperbolicLines:
     lines = HyperbolicLines(space, np.concatenate([h.pairs for h in kept]), np.concatenate(
         [np.pad(h.members, ((0, 0), (0, w - h.members.shape[1])), constant_values=n)
          for h in kept]))
-    counts = _pair_counts(n, lines.members)
+    counts = pair_counts(n, lines.members)
     bad = np.argwhere(counts != ~space.coll)
     if len(bad):
         i, j = bad[0]
@@ -160,20 +160,6 @@ def all_hyperbolic_lines(space: PolarSpace) -> HyperbolicLines:
         raise SpaceError(f"{space.name}: {kind} pair {i},{j} lies on {counts[i, j]} "
                          "hyperbolic lines")
     return lines
-
-
-def _pair_counts(n: int, members) -> np.ndarray:
-    """counts[i, j]: how many rows of `members`, point indices in ascending
-    order padded with n, hold both i and j, i != j.  Rows are counted in
-    groups of equal size k, so the pair codes take k^2, not width^2, per row."""
-    sizes = (members < n).sum(axis=1)
-    counts = np.zeros(n * n, dtype=np.int64)
-    for k in np.unique(sizes).tolist():
-        m = members[sizes == k, :k]
-        counts += np.bincount((m[:, :, None] * n + m[:, None, :]).ravel(), minlength=n * n)
-    counts = counts.reshape(n, n)
-    np.fill_diagonal(counts, 0)
-    return counts
 
 
 class LinearSpaceL:
@@ -187,7 +173,7 @@ class LinearSpaceL:
     def _verify_linear(self):
         n = self.space.n_points
         w = max(map(len, self.lines))
-        count = _pair_counts(n, np.array([line + (n,) * (w - len(line)) for line in self.lines]))
+        count = pair_counts(n, np.array([line + (n,) * (w - len(line)) for line in self.lines]))
         np.fill_diagonal(count, 1)
         if (count != 1).any():
             i, j = map(int, np.argwhere(count != 1)[0])

@@ -3,9 +3,10 @@
 A hyperplane is a proper subspace meeting every line.  Singular hyperplanes
 are point perps p^perp with deepest point p; hyperplanes arising from an
 embedding are preimages of projective hyperplanes, one per canonical dual
-vector.  Classification computes the rank (largest singular subspace
-inside) and searches for a deepest point; rank-1 hyperplanes of rank-2
-spaces are ovoids.
+vector, read off as section rows: the points whose image the functional
+sends to 0, by one `linalg.gf_dot` per batch.  Classification computes the
+rank (largest singular subspace inside) and searches for a deepest point;
+rank-1 hyperplanes of rank-2 spaces are ovoids.
 """
 
 from __future__ import annotations
@@ -106,16 +107,8 @@ def singular_hyperplane(space: PolarSpace, p: int) -> Hyperplane:
 
 
 def _sections(e: Embedding, phis) -> np.ndarray:
-    """sections[k, i]: functional phis[k] vanishes on the image of point i, by
-    field-table gathers on the narrowest integer type, which keeps peak
-    memory low."""
-    small = np.min_scalar_type(e.field.q - 1)
-    add_t, mul_t = e.field.add_table.astype(small), e.field.mul_table.astype(small)
-    phis, images = np.asarray(phis, dtype=small), np.asarray(e.images, dtype=small)
-    acc = 0
-    for k in range(e.dim):
-        acc = add_t[acc, mul_t[phis[:, k, None], images[:, k]]]
-    return acc == 0
+    """sections[k, i]: functional phis[k] vanishes on the image of point i."""
+    return linalg.gf_dot(e.field, np.asarray(phis)[:, None], e.images) == 0
 
 
 def _arising(e: Embedding) -> tuple:

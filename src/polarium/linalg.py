@@ -5,11 +5,11 @@ its reduced row echelon basis, which is the unique canonical representative
 and therefore hashable.  Projective points are canonicalised by scaling the
 leftmost nonzero coordinate to 1.  All enumeration orders are lexicographic
 on coordinate tuples.
+Arrays of vectors (coordinates on the last axis) go through `gf_dot` and
+`normalize_rows`, by field-table gathers; `rref` and its users stay scalar.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -46,13 +46,27 @@ def is_zero(v) -> bool:
 
 def normalize(field: Field, v) -> tuple:
     """Canonical projective representative: leftmost nonzero coordinate is 1."""
-    for c in v:
-        if c:
-            if c == 1:
-                return tuple(v)
-            s = field.inv(c)
-            return tuple(field.mul(s, x) for x in v)
-    raise ValueError("cannot normalize the zero vector")
+    if is_zero(v):
+        raise ValueError("cannot normalize the zero vector")
+    return tuple(normalize_rows(field, v).tolist())
+
+
+def gf_dot(field: Field, x, y) -> np.ndarray:
+    """sum_k x[..., k] * y[..., k] in GF(q) over a nonempty last axis, the
+    leading axes broadcast, by add/mul table gathers."""
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    acc = field.mul_table[x[..., 0], y[..., 0]]
+    for k in range(1, x.shape[-1]):
+        acc = field.add_table[acc, field.mul_table[x[..., k], y[..., k]]]
+    return acc
+
+
+def normalize_rows(field: Field, w) -> np.ndarray:
+    """Each vector on the last axis of w scaled so that its leftmost nonzero
+    coordinate is 1, by inv/mul table gathers; zero vectors stay zero."""
+    w = np.asarray(w, dtype=np.int64)
+    lead = np.take_along_axis(w, (w != 0).argmax(axis=-1)[..., None], axis=-1)
+    return field.mul_table[field.inv_table[lead], w]
 
 
 # ---------------------------------------------------------------------------
@@ -155,39 +169,30 @@ def intersect(x: Subspace, y: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 # enumeration
 
+def proj_rows(field: Field, dim: int, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> np.ndarray:
+    """`proj_points` as the rows of an array: the base-q digits of the codes
+    q^m + t, t < q^m, a leading 1 followed by m free digits."""
+    q = field.q
+    if q ** dim > max_candidates:
+        raise BoundExceeded(f"{q}^{dim} vectors exceed bound {max_candidates}")
+    codes = np.concatenate([q ** m + np.arange(q ** m) for m in range(dim)])
+    return codes[:, None] // q ** np.arange(dim - 1, -1, -1) % q
+
+
 def proj_points(field: Field, dim: int, max_candidates: int = DEFAULT_MAX_CANDIDATES):
     """All canonical points of PG(dim-1, q), lexicographic on coordinates."""
-    if field.q ** dim > max_candidates:
-        raise BoundExceeded(f"{field.q}^{dim} vectors exceed bound {max_candidates}")
-    out = []
-    for v in itertools.product(range(field.q), repeat=dim):
-        for c in v:
-            if c:
-                if c == 1:
-                    out.append(v)
-                break
-    return out
+    return list(map(tuple, proj_rows(field, dim, max_candidates).tolist()))
 
 
 def enumerate_points(sub: Subspace, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> list:
-    """All canonical projective points of a subspace, lexicographically sorted."""
+    """All canonical projective points of a subspace, lexicographically
+    sorted: the combinations of the RREF rows by canonical coefficients,
+    whose leading coordinate is the first nonzero coefficient."""
     field, r = sub.field, sub.rank
     if r == 0:
         return []
-    if field.q ** r > max_candidates:
-        raise BoundExceeded(f"{field.q}^{r} combinations exceed bound {max_candidates}")
-    pts = set()
-    for coeffs in itertools.product(range(field.q), repeat=r):
-        if not any(coeffs):
-            continue
-        v = [0] * sub.dim
-        for c, row in zip(coeffs, sub.rows):
-            if c:
-                for i, x in enumerate(row):
-                    if x:
-                        v[i] = field.add(v[i], field.mul(c, x))
-        pts.add(normalize(field, v))
-    return sorted(pts)
+    points = gf_dot(field, proj_rows(field, r, max_candidates)[:, None, :], np.array(sub.rows).T)
+    return sorted(map(tuple, points.tolist()))
 
 
 def point_codes(q: int, vectors) -> np.ndarray:
@@ -204,14 +209,12 @@ def line_points(field: Field, u, v) -> np.ndarray:
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     lam_v = field.mul_table[np.arange(field.q)[:, None], v[:, None]]  # (m, q, d)
     w = np.concatenate([v[:, None], field.add_table[u[:, None], lam_v]], axis=1)
-    lead = np.take_along_axis(w, (w != 0).argmax(axis=2)[..., None], axis=2)  # leftmost nonzero
-    return np.sort(point_codes(field.q, field.mul_table[field.inv_table[lead], w]), axis=1)
+    return np.sort(point_codes(field.q, normalize_rows(field, w)), axis=1)
 
 
-def dual_hyperplanes(field: Field, dim: int,
-                     max_candidates: int = DEFAULT_MAX_CANDIDATES) -> list:
+def dual_hyperplanes(field: Field, dim: int) -> list:
     """All canonical linear functionals on GF(q)^dim (points of the dual space)."""
-    return proj_points(field, dim, max_candidates)
+    return proj_points(field, dim)
 
 
 def nullspace(field: Field, rows, dim: int) -> Subspace:

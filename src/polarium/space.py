@@ -1,13 +1,13 @@
 """Polar spaces as incidence structures: points, lines, collinearity.
 
-Two backings share one query API.  Form-backed spaces enumerate the
-isotropic/singular projective points of a form, carry coordinates, build
-their lines by field-table gathers and rank each generator by its size;
-combinatorial spaces are given by explicit point and line lists (grids,
-Payne derivations, duals, induced perp-spaces).  Collinearity is cached as
-a dense symmetric boolean matrix (diagonal True, so perps are
-"collinear-or-equal" sets); a parallel bitmask adjacency drives the
-maximal-clique search used for generators.
+Two backings share one query API.  Form-backed spaces keep the projective
+points where a form vanishes and take collinearity from its values, both
+by array calls, carry coordinates, build their lines by field-table
+gathers and rank each generator by its size; combinatorial spaces are given
+by explicit point and line lists (grids, Payne derivations, duals, induced
+perp-spaces).  Collinearity is cached as a dense symmetric boolean matrix
+(diagonal True, so perps are "collinear-or-equal" sets); its rows as
+Python ints drive the maximal-clique search used for generators.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from polarium import linalg
-from polarium.forms import Form, HERMITIAN, QUADRATIC, witt_index
+from polarium.forms import Form, witt_index
 from polarium.linalg import BoundExceeded
 
 DEFAULT_MAX_POINTS = 2000
@@ -43,6 +43,27 @@ def pair_batches(mask: np.ndarray, width: int):
     pairs = np.argwhere(np.triu(mask, 1))
     for s in batches(len(pairs), width):
         yield pairs[s]
+
+
+def pair_codes(n: int, members) -> np.ndarray:
+    """The codes a * n + b of the pairs a < b in each row of `members`, point
+    indices in ascending order padded with n.  Rows are taken in groups of
+    equal size k, so a row costs k(k - 1)/2 codes, not width^2."""
+    sizes = (members < n).sum(axis=1)
+    codes = [np.empty(0, dtype=np.int64)]
+    for k in set(sizes.tolist()):
+        pairs = np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp)
+        a, b = pairs.reshape(-1, 2).T
+        m = members[sizes == k]
+        codes.append((m[:, a] * n + m[:, b]).ravel())
+    return np.concatenate(codes)
+
+
+def pair_counts(n: int, members) -> np.ndarray:
+    """counts[i, j]: how many rows of `members` (as in `pair_codes`) hold
+    both i and j, i != j."""
+    counts = np.bincount(pair_codes(n, members), minlength=n * n).reshape(n, n)
+    return counts + counts.T
 
 
 def padded_columns(inside) -> tuple:
@@ -109,23 +130,20 @@ class PolarSpace:
 
     @classmethod
     def from_form(cls, form: Form, name: str, *, max_points: int = DEFAULT_MAX_POINTS,
-                  grid_family: bool = False,
-                  max_candidates: int = linalg.DEFAULT_MAX_CANDIDATES) -> "PolarSpace":
+                  grid_family: bool = False) -> "PolarSpace":
         field = form.field
-        pts = [v for v in linalg.proj_points(field, form.dim, max_candidates)
-               if form.vanishes(v)]
-        if len(pts) > max_points:
-            raise BoundExceeded(f"{name}: {len(pts)} points exceed bound {max_points}")
-        if not pts:
+        cand = linalg.proj_rows(field, form.dim)
+        vecs = cand[form.vanishing(cand)]
+        if len(vecs) > max_points:
+            raise BoundExceeded(f"{name}: {len(vecs)} points exceed bound {max_points}")
+        if not len(vecs):
             raise SpaceError(f"{name}: the form has no vanishing points")
-        bil = form.polarization() if form.kind == QUADRATIC else form
-        gram = _bilinear_matrix(bil, pts)
-        coll = gram == 0
+        coll = form.values(vecs[:, None], vecs[None]) == 0
         np.fill_diagonal(coll, True)
 
-        # pts are in code order; each line is kept at the pair of its two
+        # vecs are in code order; each line is kept at the pair of its two
         # smallest points, so lines come out sorted
-        vecs, codes = np.asarray(pts), linalg.point_codes(field.q, pts)
+        pts, codes = list(map(tuple, vecs.tolist())), linalg.point_codes(field.q, vecs)
         lines = []
         for pairs in pair_batches(coll, (field.q + 1) * form.dim):
             members = linalg.line_points(field, vecs[pairs[:, 0]], vecs[pairs[:, 1]])
@@ -199,10 +217,19 @@ class PolarSpace:
                 raise SpaceError(f"{self.name}: line sizes {sizes} != q+1")
             if min(sizes) < 3 and not self.grid_family:
                 raise SpaceError(f"{self.name}: thin line in a thick-lined space")
-        self.line_of_pair  # at most one line through two points
-        # one-or-all axiom, exhaustive: counts[k, p] = |p^perp cap line k|
+        # at most one line through two points: no pair code twice; the
+        # smallest repeated code is the first such pair in row-major order
+        ks, valid = padded_columns(self.lines_matrix)
+        codes = np.sort(pair_codes(n, np.where(valid, ks, n)))
+        twice = codes[1:][codes[1:] == codes[:-1]]
+        if len(twice):
+            a, b = divmod(int(twice[0]), n)
+            raise SpaceError(f"{self.name}: two lines through points {a},{b}")
+        # one-or-all axiom, exhaustive: counts[k, p] = |p^perp cap line k|,
+        # in full chunks, since a valid space runs every line
         collt = self.coll.T.astype(np.float32)
-        for s in batches(len(self.lines), n):
+        step = max(1, BATCH_ELEMENTS // n)
+        for s in (slice(lo, lo + step) for lo in range(0, len(self.lines), step)):
             lm = self.lines_matrix[s]
             counts = lm.astype(np.float32) @ collt
             bad = ~lm & (counts != 1) & (counts != lm.sum(axis=1, keepdims=True))
@@ -251,14 +278,9 @@ class PolarSpace:
     @property
     def adj_bits(self):
         if self._adj_bits is None:
-            bits = []
-            for i in range(self.n_points):
-                row = 0
-                for j in np.flatnonzero(self.coll[i]):
-                    if j != i:
-                        row |= 1 << int(j)
-                bits.append(row)
-            self._adj_bits = bits
+            packed = np.packbits(self.coll, axis=1, bitorder="little")
+            self._adj_bits = [int.from_bytes(row.tobytes(), "little") & ~(1 << i)
+                              for i, row in enumerate(packed)]
         return self._adj_bits
 
     def generators(self) -> list:
@@ -397,26 +419,6 @@ def _freeze(label):
     if isinstance(label, list):
         return tuple(_freeze(x) for x in label)
     return label
-
-
-def _bilinear_matrix(bil: Form, vectors) -> np.ndarray:
-    """All pairwise form values f(v_i, v_j), via field-table gathers."""
-    field = bil.field
-    P = np.asarray(vectors, dtype=np.int64)
-    Y = field.conj_table[P] if bil.kind == HERMITIAN else P
-    add_t, mul_t = field.add_table, field.mul_table
-    n = len(vectors)
-    acc = np.zeros((n, n), dtype=np.int64)
-    for k in range(bil.dim):
-        if not P[:, k].any():
-            continue
-        for l in range(bil.dim):
-            g = bil.matrix[k][l]
-            if not g:
-                continue
-            xg = mul_t[P[:, k], g]
-            acc = add_t[acc, mul_t[xg[:, None], Y[None, :, l]]]
-    return acc
 
 
 def _bron_kerbosch(adj, full) -> list:

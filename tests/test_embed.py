@@ -7,9 +7,9 @@ from polarium import embed
 from polarium.embed import (EmbeddingError, check_emb_identities, minimal_embedding,
                             natural_embedding, quotient_embedding,
                             universal_embedding_sp_char2)
-from polarium.forms import parabolic_quadric_form
+from polarium.forms import ALTERNATING, QUADRATIC, Form, parabolic_quadric_form
 from polarium.gf import Field
-from polarium.linalg import proj_points, span
+from polarium.linalg import enumerate_points, normalize, proj_points, quotient_map, span
 
 
 def test_natural_dimensions(space_for):
@@ -53,6 +53,14 @@ def test_quotient_embedding_nucleus(space_for):
     quo6 = quotient_embedding(nat6, nat6.bilinear.radical())
     assert quo6.dim == 6
     assert len(quo6.image_points()) == 63 == (2 ** 6 - 1)
+
+
+def test_quotient_collapse_rejected(space_for):
+    # under the zero form every vector is radical, point images included
+    w = space_for("W(3,2)")
+    e = embed.Embedding(w, w.vectors, Form(ALTERNATING, w.field, [[0] * 4] * 4))
+    with pytest.raises(EmbeddingError, match="collapses into the quotient kernel"):
+        quotient_embedding(e, span(w.field, 4, [w.vectors[0]]))
 
 
 def test_quotient_by_zero_is_identity(space_for):
@@ -176,3 +184,48 @@ def test_preimage_queries(space_for):
     for i in random.Random(1).sample(range(15), 5):
         assert e.preimage(e.images[i]) == i
     assert e.preimage((0, 0, 0, 1)) == w.index_of((0, 0, 0, 1))
+
+
+def _scalar_quotient(e, x):
+    """Images, Gram and quadratic data of e modulo x, vector by vector."""
+    f, qm = e.field, quotient_map(e.field, e.dim, x)
+    images = [normalize(f, qm.apply(v)) for v in e.images]
+    basis = [tuple(int(i == c) for i in range(e.dim)) for c in qm.coords]
+    gram = tuple(tuple(e.bilinear.bilinear(u, v) for v in basis) for u in basis)
+    quad = None
+    if all(e.quadratic.quadratic(v) == 0 for v in enumerate_points(x)):
+        quad = tuple(tuple(e.quadratic.quadratic(u) if i == j else gram[i][j] if i < j else 0
+                           for j in range(len(basis))) for i, u in enumerate(basis))
+    return images, gram, quad
+
+
+@pytest.mark.parametrize("name", ["W(3,2)", "W(3,4)", "Q(4,2)", "Q(4,4)", "Q(6,2)"])
+def test_images_match_scalar_recomputation(space_for, name):
+    """Universal images (W, q even) and quotient images, Gram and quadratic
+    data equal a recomputation with scalar field operations."""
+    s = space_for(name)
+    f = s.field
+    if s.form.kind == ALTERNATING:
+        e = universal_embedding_sp_char2(s)
+        want = []
+        for v in s.vectors:
+            qw = 0
+            for i in range(0, len(v), 2):
+                qw = f.add(qw, f.mul(v[i], v[i + 1]))
+            want.append(normalize(f, (f.sqrt(qw),) + v))
+        assert e.images == want
+    else:
+        # one more coordinate on which q vanishes: a singular radical vector,
+        # so the quotient by it keeps the quadratic form
+        d = s.form.dim + 1
+        quad = Form(QUADRATIC, f, [row + (0,) for row in s.form.matrix] + [(0,) * d])
+        padded = embed.Embedding(s, [v + (0,) for v in s.vectors], quad.polarization(), quad)
+        x = span(f, d, [(0,) * (d - 1) + (1,)])
+        quo = quotient_embedding(padded, x)
+        want = _scalar_quotient(padded, x)
+        assert (quo.images, quo.bilinear.matrix, quo.quadratic.matrix) == want
+        e = natural_embedding(s)
+    rad = e.bilinear.radical()
+    quo = quotient_embedding(e, rad)
+    images, gram, quad = _scalar_quotient(e, rad)
+    assert (quo.images, quo.bilinear.matrix, quo.quadratic) == (images, gram, quad)

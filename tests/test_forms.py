@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from polarium.gf import Field
@@ -204,3 +205,54 @@ def test_canonical_form_needs_prime_power_order():
     for q in (1, 6, 12):
         with pytest.raises(ValueError, match="not a prime power"):
             forms.canonical_form(forms.CanonicalSpaceSpec("W", 3, q))
+
+
+GF9 = Field(3, 2)
+
+
+ARRAY_CASES = {
+    "W-GF3": symplectic_form(GF3, 2),
+    "H-GF4": hermitian_form(GF4, 3),
+    "H-GF4-offdiag": Form(HERMITIAN, GF4, [[1, 2, 0], [3, 0, 1], [0, 1, 1]]),
+    "H-GF9-offdiag": Form(HERMITIAN, GF9, [[0, 4], [GF9.conjugate(4), 1]]),
+    "sym-GF3": Form(SYMMETRIC, GF3, [[1, 2, 0], [2, 0, 1], [0, 1, 2]]),
+    "Q-GF2": parabolic_quadric_form(GF2, 2),
+    "Qminus-GF2": elliptic_quadric_form(GF2, 1),
+    "Q-GF3": parabolic_quadric_form(GF3, 1),
+    "Qplus-GF3": hyperbolic_quadric_form(GF3, 2),
+    "quad-GF3-offdiag": Form(QUADRATIC, GF3, [[1, 2, 0], [0, 2, 1], [0, 0, 1]]),
+    "Q-GF4": parabolic_quadric_form(GF4, 1),
+    "Qminus-GF4-binary": elliptic_quadric_form(GF4, 0),
+    "Qminus-GF4": elliptic_quadric_form(GF4, 1),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_CASES)
+def test_array_values_match_scalar(name):
+    """values, quadratic_values and vanishing equal the scalar bilinear,
+    quadratic and vanishes on every vector (pair); for quadratic forms the
+    values are those of the polarization."""
+    form = ARRAY_CASES[name]
+    vectors = list(itertools.product(range(form.field.q), repeat=form.dim))
+    x = np.array(vectors)
+    assert form.vanishing(x).tolist() == [form.vanishes(v) for v in vectors]
+    values = form.values(x[:, None], x[None])
+    assert values.tolist() == [[form.bilinear(u, v) for v in vectors] for u in vectors]
+    if form.kind == QUADRATIC:
+        assert form.quadratic_values(x).tolist() == [form.quadratic(v) for v in vectors]
+        assert np.array_equal(form.polarization().values(x[:, None], x[None]), values)
+    else:
+        with pytest.raises(ValueError):
+            form.quadratic_values(x)
+
+
+@pytest.mark.parametrize("name", ["W-GF3", "H-GF4-offdiag", "H-GF9-offdiag", "Q-GF2", "quad-GF3-offdiag"])
+def test_orthogonal_complement_matches_bruteforce(name):
+    form = ARRAY_CASES[name]
+    field, d = form.field, form.dim
+    bil = form.polarization() if form.kind == QUADRATIC else form
+    vectors = list(itertools.product(range(field.q), repeat=d))
+    given = [vectors[1], vectors[-1]]
+    perp = forms.orthogonal_complement(form, given)
+    want = [w for w in vectors if all(bil.bilinear(v, w) == 0 for v in given)]
+    assert len(want) == field.q ** perp.rank and all(perp.contains(w) for w in want)

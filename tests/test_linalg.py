@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from polarium.gf import Field
@@ -170,3 +171,65 @@ def test_nullspace_rank():
     for v in enumerate_points(ns):
         assert vec_dot(GF3, (1, 2, 0, 1), v) == 0
         assert vec_dot(GF3, (0, 1, 1, 1), v) == 0
+
+
+GF9 = Field(3, 2)
+
+
+def test_gf_dot_broadcasts_like_scalar_sum():
+    rng = np.random.default_rng(0)
+    for field in (GF2, GF3, GF4, GF5, GF9):
+        x = rng.integers(field.q, size=(3, 1, 4))
+        y = rng.integers(field.q, size=(5, 4))
+        got = linalg.gf_dot(field, x, y)
+        assert got.shape == (3, 5)
+        for i, j in itertools.product(range(3), range(5)):
+            acc = 0
+            for a, b in zip(x[i, 0].tolist(), y[j].tolist()):
+                acc = field.add(acc, field.mul(a, b))
+            assert got[i, j] == acc
+
+
+def test_normalize_rows_matches_normalize():
+    for field, d in [(GF3, 3), (GF4, 3), (GF9, 2)]:
+        vectors = list(itertools.product(range(field.q), repeat=d))
+        rows = linalg.normalize_rows(field, vectors).tolist()
+        assert rows[0] == [0] * d  # the zero vector stays zero
+        assert [tuple(r) for r in rows[1:]] == [normalize(field, v) for v in vectors[1:]]
+
+
+def _proj_points_loop(field, dim):
+    """Oracle: every vector in lexicographic order whose leading nonzero
+    coordinate is 1, by a per-vector loop."""
+    out = []
+    for v in itertools.product(range(field.q), repeat=dim):
+        for c in v:
+            if c:
+                if c == 1:
+                    out.append(v)
+                break
+    return out
+
+
+def _enumerate_points_loop(sub):
+    """Oracle: every nonzero combination of the rows by scalar field
+    operations, normalized, deduplicated and sorted."""
+    field, pts = sub.field, set()
+    for coeffs in itertools.product(range(field.q), repeat=sub.rank):
+        if any(coeffs):
+            v = [0] * sub.dim
+            for c, row in zip(coeffs, sub.rows):
+                v = [field.add(a, field.mul(c, b)) for a, b in zip(v, row)]
+            pts.add(normalize(field, v))
+    return sorted(pts)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4, GF5, GF9], ids=repr)
+def test_points_match_loops(field):
+    rng = random.Random(field.q)
+    for d in range(1, 5):
+        assert proj_points(field, d) == _proj_points_loop(field, d)
+        for r in range(d + 1):
+            sub = span(field, d, [tuple(rng.randrange(field.q) for _ in range(d))
+                                  for _ in range(r)])
+            assert enumerate_points(sub) == _enumerate_points_loop(sub)

@@ -9,6 +9,7 @@ import pytest
 
 from polarium.catalog import build_space, parse_space_spec, SpecParseError
 from polarium.forms import CanonicalSpaceSpec
+from polarium import space as space_module
 from polarium.linalg import BoundExceeded
 from polarium.space import are_opposite, ideal_subgenerator, PolarSpace, SpaceError
 
@@ -80,8 +81,8 @@ def test_lines_match_reference(space_for, name):
 def test_form_backed_consistency_checks():
     # a point set missing one singular point: lines through it leave the set
     form = build_space("W(3,2)").form
-    vanishes = form.vanishes
-    form.vanishes = lambda v: v != (0, 0, 0, 1) and vanishes(v)
+    vanishing = form.vanishing
+    form.vanishing = lambda x: vanishing(x) & (x != (0, 0, 0, 1)).any(axis=-1)
     with pytest.raises(SpaceError, match="leaves the point set"):
         PolarSpace.from_form(form, "W(3,2) less a point")
     # a maximal clique whose size is not that of a rank-n subspace
@@ -168,13 +169,35 @@ def test_one_or_all_axiom_recheck(space_for):
     # the first line is clean; point 1 is the first to see none of the second
     ([(0, 3), (0, 4), (0, 5), (1, 6), (2, 7)], "point 1 sees 0 points of line (3, 4, 5)"),
 ])
-def test_one_or_all_violation_named(edges, message):
+def test_one_or_all_violation_named(edges, message, monkeypatch):
+    monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 8)  # one line per chunk of 8 points
     lines = [(0, 1, 2), (3, 4, 5)]
     coll = np.eye(8, dtype=bool)
     for a, b in edges + [e for line in lines for e in itertools.combinations(line, 2)]:
         coll[a, b] = coll[b, a] = True
     with pytest.raises(SpaceError, match=f"^graph: {re.escape(message)}$"):
         PolarSpace("graph", list(range(8)), lines, coll, 2)
+
+
+def test_two_lines_through_a_pair_named():
+    # in line order (2, 3) repeats first; row-major order names (0, 1)
+    lines = [(2, 3, 4), (0, 1, 5), (2, 3, 6), (0, 1, 7)]
+    with pytest.raises(SpaceError, match=r"^graph: two lines through points 0,1$"):
+        PolarSpace("graph", list(range(8)), lines, np.ones((8, 8), dtype=bool), 2)
+
+
+@pytest.mark.parametrize("name", ["W(3,2)", "Q-(5,2)", "H(3,4)", "grid(4)", "P(W(3,5))"])
+def test_adj_bits_match_loop(space_for, name):
+    s = space_for(name)
+    s._adj_bits = None
+    want = []
+    for i in range(s.n_points):
+        row = 0
+        for j in np.flatnonzero(s.coll[i]):
+            if j != i:
+                row |= 1 << int(j)
+        want.append(row)
+    assert s.adj_bits == want
 
 
 def test_generators_counts(space_for):
