@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from polarium import hyperbolic
-from polarium.space import PolarSpace, SpaceError
+from polarium.space import PolarSpace, SpaceError, padded_columns
 
 
 def grid(s: int) -> PolarSpace:
@@ -80,21 +80,12 @@ def dualize(space: PolarSpace) -> PolarSpace:
     degrees = set(space.lines_matrix.sum(axis=0).tolist())
     if len(sizes) != 1 or len(degrees) != 1:
         raise ValueError(f"{space.name}: not a GQ (orders not constant)")
-    labels = [tuple(sorted(_as_tuple(space.points[p]) for p in line))
-              for line in space.lines]
-    dual_lines = []
-    for p in range(space.n_points):
-        dual_lines.append(tuple(int(k) for k in np.flatnonzero(space.lines_matrix[:, p])))
+    labels = [tuple(sorted(space.points[p] for p in line)) for line in space.lines]
+    dual_lines = padded_columns(space.lines_matrix.T)[0].tolist()  # the lines on each point
     return PolarSpace.combinatorial(
         f"dual({space.name})", labels, dual_lines, rank=2,
         grid_family=space.grid_family,
         provenance={"construction": "dual", "base": space.name})
-
-
-def _as_tuple(label):
-    if isinstance(label, (list, tuple)):
-        return tuple(_as_tuple(x) for x in label)
-    return label
 
 
 def payne_a_failure_witness(space: PolarSpace) -> dict:

@@ -78,12 +78,16 @@ class Embedding:
 
 def natural_embedding(space: PolarSpace) -> Embedding:
     """Identity-on-coordinates inclusion of a form-backed space."""
+    return Embedding(space, space.vectors, *_natural_forms(space))
+
+
+def _natural_forms(space: PolarSpace) -> tuple:
+    """(bilinear, quadratic) of the natural embedding: the polarization and
+    the form itself for a quadric, else the form and None."""
     if not space.is_form_backed:
         raise ValueError(f"{space.name} carries no form")
     form = space.form
-    if form.kind == QUADRATIC:
-        return Embedding(space, space.vectors, form.polarization(), form)
-    return Embedding(space, space.vectors, form)
+    return (form.polarization(), form) if form.kind == QUADRATIC else (form, None)
 
 
 def quotient_embedding(e: Embedding, x: Subspace) -> Embedding:
@@ -91,9 +95,15 @@ def quotient_embedding(e: Embedding, x: Subspace) -> Embedding:
     rad = e.bilinear.radical()
     if not rad.contains_subspace(x):
         raise EmbeddingError("quotient subspace must lie inside the radical")
+    return _quotient(e, x, x.rank == rad.rank)
+
+
+def _quotient(e: Embedding, x: Subspace, is_minimal: bool) -> Embedding:
+    """The quotient by x inside Rad(f), whose form has radical Rad(f)/x: it is
+    minimal exactly when x is all of Rad(f)."""
     if x.rank == 0:
-        return Embedding(e.source, e.images, e.bilinear, e.quadratic,
-                         kind=e.kind, is_universal=e.is_universal)
+        return Embedding(e.source, e.images, e.bilinear, e.quadratic, kind=e.kind,
+                         is_minimal=is_minimal, is_universal=e.is_universal)
     qm = quotient_map(e.field, e.dim, x)
     reduced = [qm.apply(v) for v in e.images]
     if not all(map(any, reduced)):
@@ -103,20 +113,17 @@ def quotient_embedding(e: Embedding, x: Subspace) -> Embedding:
     quad = None  # q is additive on Rad(f), so it vanishes on x iff on x's rows
     if e.quadratic is not None and all(map(e.quadratic.vanishes, x.rows)):
         quad = restrict(e.quadratic, basis)
-    return Embedding(e.source, images, restrict(e.bilinear, basis), quad, kind="quotient")
+    return Embedding(e.source, images, restrict(e.bilinear, basis), quad, kind="quotient",
+                     is_minimal=is_minimal)
 
 
 def minimal_embedding(space: PolarSpace) -> Embedding:
     """Quotient of the natural embedding by the full radical of the
     polarization (the nucleus, in the characteristic-2 quadric case)."""
-    nat = natural_embedding(space)
-    rad = nat.bilinear.radical()
-    if rad.rank == 0:
-        nat.is_minimal = True
-        return nat
-    out = quotient_embedding(nat, rad)
-    out.is_minimal = True
-    return out
+    bilinear, quadratic = _natural_forms(space)
+    rad = bilinear.radical()
+    nat = Embedding(space, space.vectors, bilinear, quadratic, is_minimal=rad.rank == 0)
+    return nat if rad.rank == 0 else _quotient(nat, rad, True)
 
 
 def universal_embedding_sp_char2(space: PolarSpace) -> Embedding:

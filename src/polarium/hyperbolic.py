@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from polarium.space import PolarSpace, SpaceError, pair_batches, pair_counts, padded_columns
+from polarium.space import PolarSpace, SpaceError, pair_chunks, pair_counts, padded_columns
 
 # set bits of each byte value (np.bitwise_count needs NumPy 2), and the
 # np.packbits mask of each bit position within a byte
@@ -133,7 +133,7 @@ def hyperbolic_line(space: PolarSpace, a: int, b: int) -> HyperbolicLine:
 
 def all_hyperbolic_lines(space: PolarSpace) -> HyperbolicLines:
     """All hyperbolic lines, ordered by member tuple: the double perps of the
-    non-collinear pairs a < b, in batches, each kept at the pair of its two
+    non-collinear pairs a < b, in chunks, each kept at the pair of its two
     smallest members.  The lines must partition the non-collinear pairs; as
     c, d in {a,b}^perpperp puts {c,d}^perpperp inside it, this also asserts
     that any two points of a line span that same line."""
@@ -141,7 +141,7 @@ def all_hyperbolic_lines(space: PolarSpace) -> HyperbolicLines:
     below = np.packbits(np.tri(n, k=-1, dtype=bool), axis=1)  # row b: the points < b
     width = max(space.packed_perps()[0].shape[1], (n + 7) // 8)
     kept = [HyperbolicLines(space, np.empty((0, 2), dtype=np.intp), np.empty((0, 0), dtype=np.intp))]
-    for pairs in pair_batches(~space.coll, width):
+    for pairs in pair_chunks(~space.coll, width):
         dp = packed_double_perps(space, pairs)
         a = pairs[:, 0]
         rest = dp & below[pairs[:, 1]]

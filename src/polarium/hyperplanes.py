@@ -15,7 +15,7 @@ import numpy as np
 
 from polarium import linalg
 from polarium.embed import Embedding
-from polarium.space import BATCH_ELEMENTS, PolarSpace, SpaceError
+from polarium.space import PolarSpace, SpaceError, chunks
 
 SINGULAR = "singular"
 OVOID = "ovoid"
@@ -25,7 +25,8 @@ OTHER = "other"
 class Hyperplane:
     """A proper subspace meeting every line, with provenance metadata."""
 
-    __slots__ = ("space", "mask", "points", "provenance", "_deepest", "_searched")
+    __slots__ = ("space", "mask", "points", "provenance", "_deepest", "_searched",
+                 "_contained")
 
     def __init__(self, space: PolarSpace, points, provenance):
         mask = np.zeros(space.n_points, dtype=bool)
@@ -42,6 +43,7 @@ class Hyperplane:
         self.provenance = provenance
         self._deepest = None
         self._searched = False
+        self._contained = None
         return self
 
     def deepest_point(self):
@@ -55,6 +57,15 @@ class Hyperplane:
             self._deepest = found[0] if found else None
             self._searched = True
         return self._deepest
+
+    def contained_pairs(self) -> np.ndarray:
+        """The non-collinear pairs a < b whose trace {a,b}^perp lies inside
+        the hyperplane, as (m, 2) rows: no packed trace bit outside it."""
+        bits, outside = self.space.packed_traces(), np.packbits(~self.mask)
+        inside = np.zeros(len(bits), dtype=bool)
+        for s in chunks(len(bits), len(outside)):
+            inside[s] = ~(bits[s] & outside).any(axis=1)
+        return self.space.noncollinear_pairs()[inside]
 
     def rank(self) -> int:
         """n if a generator lies inside, else n - 1: every generator meets a
@@ -75,6 +86,32 @@ class Hyperplane:
     def __repr__(self):
         return (f"Hyperplane({self.space.name}, {len(self.points)} points, "
                 f"{self.provenance})")
+
+
+def contained_counts(hs) -> np.ndarray:
+    """How many non-collinear pairs have their trace inside each hyperplane
+    of `hs` (of one space), memoised on the hyperplane: those not yet
+    counted share one sweep."""
+    todo = [h for h in hs if h._contained is None]
+    if len(todo) == 1:  # its pairs cost less than a sweep
+        todo[0]._contained = len(todo[0].contained_pairs())
+    elif todo:
+        for h, count in zip(todo, _count_contained(todo).tolist()):
+            h._contained = count
+    return np.array([h._contained for h in hs], dtype=np.int64)
+
+
+def _count_contained(hs) -> np.ndarray:
+    """One sweep over the packed traces of the space of `hs`, in chunks: a
+    trace lies inside h when it has no point outside h."""
+    space = hs[0].space
+    n, bits = space.n_points, space.packed_traces()
+    outside = (~np.stack([h.mask for h in hs])).T.astype(np.float32)
+    counts = np.zeros(len(hs), dtype=np.int64)
+    for s in chunks(len(bits), max(n, len(hs))):
+        traces = np.unpackbits(bits[s], axis=1, count=n).astype(np.float32)
+        counts += np.count_nonzero(traces @ outside == 0, axis=0)
+    return counts
 
 
 def _verify_axiom(space: PolarSpace, masks: np.ndarray):
@@ -113,17 +150,16 @@ def _sections(e: Embedding, phis) -> np.ndarray:
 
 def _arising(e: Embedding) -> tuple:
     """(functionals, sections, hyperplanes) of an embedding, built once and
-    memoised on it, in batches of functionals, each batch checked against
+    memoised on it, in chunks of functionals, each chunk checked against
     the hyperplane axiom.  Distinct functionals must induce distinct
     hyperplanes (the image spans the target); a collision is reported as an
     anomaly."""
     if e._arising is None:
         space = e.source
         duals = linalg.dual_hyperplanes(e.field, e.dim)
-        step = max(1, BATCH_ELEMENTS // max(space.n_points, len(space.lines)))
         blocks = []
-        for lo in range(0, len(duals), step):
-            blocks.append(_sections(e, duals[lo:lo + step]))
+        for s in chunks(len(duals), max(space.n_points, len(space.lines))):
+            blocks.append(_sections(e, duals[s]))
             _verify_axiom(space, blocks[-1])
         sections = np.concatenate(blocks)
         out, seen = [], {}

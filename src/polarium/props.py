@@ -6,7 +6,12 @@ hyperplanes for B' and C, hyperbolic lines for D and the whole space for
 the symplectic test.  A kernel gives, by chunked float32 BLAS products or
 bit-packed gathers, each block's instance count and whether it fails, and
 `failures(k)`, which reads the same intermediates to yield the failing
-instances of block k as (checked up to it, serialized witness).  Each
+instances of block k as (checked up to it, serialized witness).  B' and C
+share their intermediates: the traces of the non-collinear pairs,
+bit-packed once per space, and the count of contained traces kept on each
+arising hyperplane by the first sweep that reaches it, so C sweeps only
+the hyperplanes B' stopped before; a failing hyperplane's pairs are read
+from the packed traces.  Each
 checker scans the blocks in canonical order and stops at the first failing
 block, so failing verdicts carry the smallest witness.  Replay runs the same
 kernel on a batch holding only the witness's block and accepts any failure
@@ -22,7 +27,7 @@ import time
 import numpy as np
 
 from polarium import embed, hyperbolic, hyperplanes, linalg
-from polarium.space import PolarSpace, batches, padded_columns, pair_batches
+from polarium.space import PolarSpace, batches, chunks, padded_columns, pair_batches
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -175,7 +180,7 @@ def _most_inside(space: PolarSpace, mask) -> int:
     spf = space.subgenerators()[1].astype(np.float32)
     n = space.n_points
     return max(int((spf[:, s].T @ spf)[mask[s]].max(initial=0))
-               for s in batches(n, max(n, len(spf))))
+               for s in chunks(n, max(n, len(spf))))
 
 
 # ---------------------------------------------------------------------------
@@ -226,25 +231,16 @@ def _arising_batches(e: embed.Embedding, width: int):
 
 def _arising_kernel(space: PolarSpace, marked, **extra):
     """Block: an arising hyperplane h.  Checked: the non-collinear pairs whose
-    trace h contains.  Failing: all of them when marked(hs, outside) marks h,
-    none otherwise.  The mark depends on h alone, so the one sweep over the
-    pairs keeps the contained pairs of the marked hyperplanes for failures."""
+    trace h contains, counted once per hyperplane and kept on it, so B' and
+    C share the sweep.  Failing: all of them when marked(hs) marks h, none
+    otherwise; they are read from the packed traces when asked for."""
     def kernel(hs):
-        outside = (~np.stack([h.mask for h in hs])).astype(np.float32)
-        mark = marked(hs, outside)
-        counts = np.zeros(len(hs), dtype=np.int64)
-        kept = []  # (pairs, hyperplane) of the contained pairs of marked hyperplanes
-        for pairs in pair_batches(~space.coll, max(space.n_points, len(hs))):
-            inside = hyperbolic.traces(space.coll, pairs) @ outside.T == 0  # trace in h
-            counts += inside.sum(axis=0)
-            rows, cols = np.nonzero(inside & mark)
-            kept.append((pairs[rows], cols))
+        counts, mark = hyperplanes.contained_counts(hs), marked(hs)
 
         def failures(k):
             functional = list(hs[k].provenance[2])
-            for pairs, cols in kept:
-                for a, b in pairs[cols == k]:
-                    yield counts[k], _pair_witness(space, a, b, functional=functional, **extra)
+            return ((counts[k], _pair_witness(space, a, b, functional=functional, **extra))
+                    for a, b in (hs[k].contained_pairs() if mark[k] else ()))
         return counts, mark & (counts > 0), failures
     return kernel
 
@@ -252,7 +248,8 @@ def _arising_kernel(space: PolarSpace, marked, **extra):
 def _B_prime_kernel(space: PolarSpace):
     """Failing: an arising hyperplane containing a trace but no generator."""
     gf = space.generators_matrix().astype(np.float32)
-    return _arising_kernel(space, lambda hs, outside: (gf @ outside.T > 0).all(axis=0))
+    return _arising_kernel(space, lambda hs: (
+        gf @ (~np.stack([h.mask for h in hs])).T.astype(np.float32) > 0).all(axis=0))
 
 
 def check_B_prime(space: PolarSpace, e: embed.Embedding) -> Verdict:
@@ -268,7 +265,7 @@ def _C_kernel(space: PolarSpace):
     point.  A deepest point p has h = p^perp, and p lies on {a,b}^perpperp
     exactly when {a,b}^perp is inside p^perp = h, so every contained pair
     fails when h has no deepest point and none fails otherwise."""
-    return _arising_kernel(space, lambda hs, outside: np.array(
+    return _arising_kernel(space, lambda hs: np.array(
         [h.deepest_point() is None for h in hs], dtype=bool), deepest_point=None)
 
 

@@ -6,8 +6,10 @@ by array calls, carry coordinates, build their lines by field-table
 gathers and rank each generator by its size; combinatorial spaces are given
 by explicit point and line lists (grids, Payne derivations, duals, induced
 perp-spaces).  Collinearity is cached as a dense symmetric boolean matrix
-(diagonal True, so perps are "collinear-or-equal" sets); its rows as
-Python ints drive the maximal-clique search used for generators.
+(diagonal True, so perps are "collinear-or-equal" sets).  Generators come
+from sub-generators, since a generator is its own perp; the rows of the
+matrix as Python ints drive the Bron-Kerbosch clique search, which serves
+only max_singular_rank.
 """
 
 from __future__ import annotations
@@ -37,12 +39,26 @@ def batches(total: int, width: int):
         size = min(2 * size, cap)
 
 
+def chunks(total: int, width: int):
+    """Slices over `total` items in fixed chunks of BATCH_ELEMENTS // width
+    items (at least one), for full sweeps, which never stop early."""
+    step = max(1, BATCH_ELEMENTS // width)
+    return (slice(lo, min(lo + step, total)) for lo in range(0, total, step))
+
+
 def pair_batches(mask: np.ndarray, width: int):
     """The pairs a < b with mask[a, b], in row-major order, as (m, 2) index
     arrays in `batches`."""
     pairs = np.argwhere(np.triu(mask, 1))
     for s in batches(len(pairs), width):
         yield pairs[s]
+
+
+def pair_chunks(mask: np.ndarray, width: int):
+    """The pairs a < b with mask[a, b], in row-major order, as (m, 2) index
+    arrays in `chunks`."""
+    pairs = np.argwhere(np.triu(mask, 1))
+    return (pairs[s] for s in chunks(len(pairs), width))
 
 
 def pair_codes(n: int, members) -> np.ndarray:
@@ -123,6 +139,7 @@ class PolarSpace:
         self._generators_matrix = None
         self._subgenerators = None
         self._packed_perps = None
+        self._packed_traces = None
         if validate:
             self.validate()
 
@@ -145,7 +162,7 @@ class PolarSpace:
         # smallest points, so lines come out sorted
         pts, codes = list(map(tuple, vecs.tolist())), linalg.point_codes(field.q, vecs)
         lines = []
-        for pairs in pair_batches(coll, (field.q + 1) * form.dim):
+        for pairs in pair_chunks(coll, (field.q + 1) * form.dim):
             members = linalg.line_points(field, vecs[pairs[:, 0]], vecs[pairs[:, 1]])
             idx = np.searchsorted(codes, members).clip(max=len(pts) - 1)
             if (codes[idx] != members).any():
@@ -160,15 +177,17 @@ class PolarSpace:
     def combinatorial(cls, name, labels, lines, *, rank=None, grid_family=False,
                       provenance=None, validate=True) -> "PolarSpace":
         n = len(labels)
-        coll = np.zeros((n, n), dtype=bool)
-        np.fill_diagonal(coll, True)
-        for line in lines:
-            idx = np.fromiter(line, dtype=np.int64)
-            coll[np.ix_(idx, idx)] = True
-        space = cls(name, labels, lines, coll, rank if rank is not None else 0,
-                    grid_family=grid_family, provenance=provenance, validate=validate)
-        if rank is None:
-            space.rank = max(g.rank for g in space.generators())
+        ks, valid = padded_columns(_membership(lines, n))
+        a, b = np.divmod(pair_codes(n, np.where(valid, ks, n)), n)
+        coll = np.eye(n, dtype=bool)
+        coll[a, b] = coll[b, a] = True  # on a common line
+        inferred = rank is None
+        if inferred:
+            rank = 2 if lines else 1
+        space = cls(name, labels, lines, coll, rank, grid_family=grid_family,
+                    provenance=provenance, validate=validate)
+        if inferred:
+            space.generators()  # a singular set larger than a line raises
         return space
 
     @property
@@ -187,11 +206,7 @@ class PolarSpace:
     @property
     def lines_matrix(self) -> np.ndarray:
         if self._lines_matrix is None:
-            m = np.zeros((len(self.lines), self.n_points), dtype=bool)
-            rows = np.repeat(np.arange(len(self.lines)), [len(l) for l in self.lines])
-            m[rows, np.fromiter(itertools.chain.from_iterable(self.lines), dtype=np.intp,
-                                count=len(rows))] = True
-            self._lines_matrix = m
+            self._lines_matrix = _membership(self.lines, self.n_points)
         return self._lines_matrix
 
     @property
@@ -228,8 +243,7 @@ class PolarSpace:
         # one-or-all axiom, exhaustive: counts[k, p] = |p^perp cap line k|,
         # in full chunks, since a valid space runs every line
         collt = self.coll.T.astype(np.float32)
-        step = max(1, BATCH_ELEMENTS // n)
-        for s in (slice(lo, lo + step) for lo in range(0, len(self.lines), step)):
+        for s in chunks(len(self.lines), n):
             lm = self.lines_matrix[s]
             counts = lm.astype(np.float32) @ collt
             bad = ~lm & (counts != 1) & (counts != lm.sum(axis=1, keepdims=True))
@@ -261,6 +275,21 @@ class PolarSpace:
             self._packed_perps = (nbr, bits)
         return self._packed_perps
 
+    def noncollinear_pairs(self) -> np.ndarray:
+        """The non-collinear pairs a < b in row-major order, as (m, 2) rows."""
+        return np.argwhere(np.triu(~self.coll, 1))
+
+    def packed_traces(self) -> np.ndarray:
+        """The traces {a,b}^perp of the non-collinear pairs, one bit-packed
+        row per pair of noncollinear_pairs(), built once (read-only): the
+        AND of the packed perps of a and b."""
+        if self._packed_traces is None:
+            a, b = self.noncollinear_pairs().T
+            perps = self.packed_perps()[1]
+            self._packed_traces = perps[a] & perps[b]
+            self._packed_traces.flags.writeable = False
+        return self._packed_traces
+
     def perp_mask(self, idxs) -> np.ndarray:
         idxs = list(idxs)
         if not idxs:
@@ -284,29 +313,43 @@ class PolarSpace:
         return self._adj_bits
 
     def generators(self) -> list:
-        """All maximal singular subspaces, deterministically ordered."""
+        """All maximal singular subspaces, sorted by point tuple.
+
+        A generator is its own perp, so the generators through a
+        sub-generator S are the sets S^perp cap x^perp over x in
+        S^perp outside S (S itself when S^perp = S).  Rank 1 takes S empty.
+        """
         if self._generators is None:
-            full = (1 << self.n_points) - 1
-            cliques = _bron_kerbosch(self.adj_bits, full)
-            gens = [self._as_singular(c) for c in sorted(cliques)]
+            if self.rank < 2:
+                sg = np.zeros((1, self.n_points), dtype=bool)
+                sp = ~sg
+            else:
+                sg, sp = self.subgenerators()
+            rows = _sorted_rows(_generators_through(self.coll, sg, sp))
+            cols, sizes = np.nonzero(rows)[1].tolist(), rows.sum(axis=1).tolist()
+            pts = [tuple(cols[end - k:end]) for end, k in zip(itertools.accumulate(sizes), sizes)]
             if self.is_form_backed:
                 size = (self.field.q ** self.rank - 1) // (self.field.q - 1)
-                for g in gens:
-                    if len(g.points) != size:
-                        raise SpaceError(f"{self.name}: generator of {len(g.points)} "
+                for g in pts:
+                    if len(g) != size:
+                        raise SpaceError(f"{self.name}: generator of {len(g)} "
                                          f"points, expected rank {self.rank} with {size}")
-            self._generators = gens
+                gens = [SingularSubspace(g, self.rank) for g in pts]
+            else:
+                lines = set(self.lines)
+                for g in pts:
+                    if len(g) > 1 and g not in lines:
+                        raise SpaceError(f"{self.name}: generator {g} through a "
+                                         "point is neither a point nor a line")
+                gens = [SingularSubspace(g, min(len(g), 2)) for g in pts]
+            rows.flags.writeable = False
+            self._generators, self._generators_matrix = gens, rows
         return self._generators
 
     def generators_matrix(self) -> np.ndarray:
         """Membership rows of the generators, built once (read-only)."""
         if self._generators_matrix is None:
-            gens = self.generators()
-            m = np.zeros((len(gens), self.n_points), dtype=bool)
-            for k, g in enumerate(gens):
-                m[k, list(g.points)] = True
-            m.flags.writeable = False
-            self._generators_matrix = m
+            self.generators()
         return self._generators_matrix
 
     def subgenerators(self):
@@ -316,35 +359,72 @@ class PolarSpace:
         A set X lies in some S_k^perp exactly when S_k is in X^perp, so this
         one matrix answers "does X^perp contain a sub-generator?" at every
         rank.  Rank 2 uses the points, rank 3 the lines; from rank 4 on, the
-        sub-generators are the largest intersections of two generators (each
-        lies in at least two generators, and distinct generators meet in
-        rank < n).
+        sub-generators are closed under flips from one generator: the
+        hyperplanes of each generator found, and the generators through each
+        new one, until no new sub-generator appears.  Two generators are
+        joined by a path of generators meeting in sub-generators, so this
+        reaches them all.
         """
         if self._subgenerators is None:
             if self.rank < 2:
                 raise SpaceError(f"{self.name}: rank {self.rank} < 2 has no "
                                  "sub-generators")
             if self.rank == 2:
-                subs = [(i,) for i in range(self.n_points)]
+                sg = np.eye(self.n_points, dtype=bool)
             elif self.rank == 3:
-                subs = sorted(self.lines)
+                sg = _sorted_rows(self.lines_matrix)
             else:
-                gm = self.generators_matrix()
-                meet = gm.astype(np.float32) @ gm.T.astype(np.float32)
-                np.fill_diagonal(meet, 0)
-                i, j = np.nonzero(np.triu(meet == meet.max(), 1))
-                subs = sorted({tuple(np.flatnonzero(gm[x] & gm[y]).tolist())
-                               for x, y in zip(i, j)})
-            if len({len(sub) for sub in subs}) != 1:
+                sg = _sorted_rows(self._flip_closure())
+            if len(set(sg.sum(axis=1).tolist())) != 1:
                 raise SpaceError(f"{self.name}: sub-generators of unequal size")
-            idx = np.array(subs)
-            sg = np.zeros((len(subs), self.n_points), dtype=bool)
-            sg[np.arange(len(subs))[:, None], idx] = True
-            sp = self.coll[idx[:, 0]]  # S^perp: collinear with every point of S
-            for col in idx.T[1:]:
-                sp = sp & self.coll[col]
-            self._subgenerators = (sg, sp)
+            self._subgenerators = (sg, self._perps(sg))
         return self._subgenerators
+
+    def _flip_closure(self) -> np.ndarray:
+        """The sub-generators as membership rows, from rank 4 on (see
+        subgenerators), starting from a maximal clique grown greedily from
+        point 0, which is a generator."""
+        gen, left = np.zeros(self.n_points, dtype=bool), np.ones(self.n_points, dtype=bool)
+        while left.any():
+            x = np.argmax(left)
+            gen[x] = True
+            left &= self.coll[x] & ~gen
+        seen_gens, seen_subs, subs = set(), set(), []
+        frontier = _new_rows(gen[None], seen_gens)
+        while len(frontier):
+            new = _new_rows(self._hyperplanes(frontier), seen_subs)
+            subs.append(new)
+            frontier = _new_rows(_generators_through(self.coll, new, self._perps(new)),
+                                 seen_gens)
+        return np.concatenate(subs)
+
+    def _hyperplanes(self, gens) -> np.ndarray:
+        """The hyperplanes M cap y^perp (y outside M) of each generator row M,
+        each once per M.  The y that give one hyperplane H are the points of
+        H^perp outside M, so the smallest y left gives a new H and removing
+        H^perp leaves the y of the others."""
+        out = [np.empty((0, self.n_points), dtype=bool)]
+        for s in chunks(len(gens), self.n_points):
+            g, left = gens[s], ~gens[s]
+            rows = np.flatnonzero(left.any(axis=1))
+            while len(rows):
+                h = g[rows] & self.coll[np.argmax(left[rows], axis=1)]
+                out.append(h)
+                left[rows] &= ~self._perps(h)
+                rows = rows[left[rows].any(axis=1)]
+        return np.concatenate(out)
+
+    def _perps(self, rows) -> np.ndarray:
+        """Rows X^perp of the point sets X given as membership rows: the AND
+        of the bit-packed perps of X's points."""
+        n = self.n_points
+        bits = self.packed_perps()[1]
+        ks, valid = padded_columns(rows)
+        members = np.where(valid, ks, n)  # row n of bits is all ones
+        out = [np.empty((0, bits.shape[1]), dtype=np.uint8)]
+        for s in chunks(len(rows), max(1, members.shape[1]) * bits.shape[1]):
+            out.append(np.bitwise_and.reduce(bits[members[s]], axis=1))
+        return np.unpackbits(np.concatenate(out), axis=1, count=n).view(bool)
 
     def _as_singular(self, pts) -> SingularSubspace:
         pts = tuple(sorted(pts))
@@ -415,10 +495,60 @@ class PolarSpace:
 
 # ---------------------------------------------------------------------------
 
+def _membership(rows, n: int) -> np.ndarray:
+    """m[k, i]: point i lies in rows[k], a sequence of point indices."""
+    m = np.zeros((len(rows), n), dtype=bool)
+    at = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    m[at, np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=len(at))] = True
+    return m
+
+
 def _freeze(label):
     if isinstance(label, list):
         return tuple(_freeze(x) for x in label)
     return label
+
+
+def _generators_through(coll, sg, sp) -> np.ndarray:
+    """The generators through the sub-generators S (rows sg, perps sp) as
+    membership rows: S^perp cap x^perp for each x of S^perp outside S with
+    no smaller such point collinear with it, and S itself when S^perp = S.
+    Two points of S^perp outside S are collinear exactly when one generator
+    through S holds both, so these x are found by taking the smallest point
+    left and removing its generator, until none is left.  Each generator
+    comes once per sub-generator in it."""
+    out = [sg[:0]]
+    for s in chunks(len(sg), coll.shape[0]):
+        perp, left = sp[s], sp[s] & ~sg[s]
+        out.append(sg[s][~left.any(axis=1)])
+        rows = np.flatnonzero(left.any(axis=1))
+        while len(rows):
+            gen = perp[rows] & coll[np.argmax(left[rows], axis=1)]
+            out.append(gen)
+            left[rows] &= ~gen
+            rows = rows[left[rows].any(axis=1)]
+    return np.concatenate(out)
+
+
+def _row_keys(rows) -> np.ndarray:
+    """One fixed-size bytes key per boolean row: its complement bit-packed.
+    Keys sort as the rows' point tuples where no row's set holds another's,
+    as for generators, lines and sub-generators."""
+    packed = ~np.packbits(rows, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def _sorted_rows(rows) -> np.ndarray:
+    """The distinct rows of a boolean matrix, sorted by point tuple."""
+    return rows[np.unique(_row_keys(rows), return_index=True)[1]]
+
+
+def _new_rows(rows, seen: set) -> np.ndarray:
+    """The distinct rows whose keys are not yet in `seen`; adds them."""
+    keys, first = np.unique(_row_keys(rows), return_index=True)
+    keep = [i for i, key in zip(first.tolist(), keys.tolist()) if key not in seen]
+    seen.update(keys.tolist())
+    return rows[keep]
 
 
 def _bron_kerbosch(adj, full) -> list:

@@ -87,6 +87,24 @@ def test_minimal_embeddings(space_for):
     assert m.dim == 4 and m.images == natural_embedding(w).images
 
 
+@pytest.mark.parametrize("name", ["W(3,2)", "Q(4,2)", "Q(4,3)", "Q(6,2)", "H(3,4)"])
+def test_minimal_embedding_reduces_once(space_for, monkeypatch, name):
+    # one Rad(f) per minimal embedding; is_minimal is passed in, never
+    # recomputed, so it must still say whether the form's radical is trivial
+    s = space_for(name)
+    calls = []
+    radical = Form.radical
+    monkeypatch.setattr(Form, "radical", lambda f: calls.append(f) or radical(f))
+    m = minimal_embedding(s)
+    assert len(calls) == 1 and m.is_minimal
+    monkeypatch.undo()
+    nat = natural_embedding(s)
+    rad = nat.bilinear.radical()
+    for e in (m, nat, quotient_embedding(nat, span(nat.field, nat.dim, [])),
+              quotient_embedding(nat, rad)):
+        assert e.is_minimal == (e.bilinear.radical().rank == 0), e
+
+
 def test_universal_embedding_w32(space_for):
     w32 = space_for("W(3,2)")
     uni = universal_embedding_sp_char2(w32)
@@ -224,6 +242,7 @@ def test_images_match_scalar_recomputation(space_for, name):
         quo = quotient_embedding(padded, x)
         want = _scalar_quotient(padded, x)
         assert (quo.images, quo.bilinear.matrix, quo.quadratic.matrix) == want
+        assert not quo.is_minimal and quo.bilinear.radical().rank == 1  # the nucleus is left
         e = natural_embedding(s)
     rad = e.bilinear.radical()
     quo = quotient_embedding(e, rad)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from polarium import embed, hyperplanes, linalg
+from polarium import space as space_module
+from polarium.catalog import build_space
 from polarium.hyperbolic import all_hyperbolic_lines
 from polarium.hyperplanes import (Hyperplane, OVOID, SINGULAR, arising_hyperplanes,
                                   find_inducing_functional, hyperplane_from_functional,
@@ -206,3 +208,22 @@ def test_char_not2_contrast_w33(space_for):
         assert h.classification() == SINGULAR
         for hl in hlines:
             assert h.mask[list(hl.points)].any()
+
+
+@pytest.mark.parametrize("batch", ["default", "small"])
+@pytest.mark.parametrize("name", ["W(3,2)", "Q(4,3)", "W(5,2)"])
+def test_contained_counts_match_bruteforce(monkeypatch, name, batch):
+    # the pairs a < b, not collinear, with {a,b}^perp inside h, pair by pair;
+    # a small batch puts chunk boundaries inside the trace and pair sweeps
+    if batch == "small":
+        monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 64)
+    space = build_space(name)
+    coll = space.coll
+    traces = {(a, b): coll[a] & coll[b] for a, b in itertools.combinations(range(space.n_points), 2)
+              if not coll[a, b]}
+    hs = arising_hyperplanes(embed.natural_embedding(space))
+    counts = hyperplanes.contained_counts(hs[:5])  # a first sweep, then the rest
+    counts = hyperplanes.contained_counts(hs)
+    for h, count in zip(hs, counts):
+        want = [pair for pair, trace in traces.items() if not (trace & ~h.mask).any()]
+        assert count == len(want) and h.contained_pairs().tolist() == [list(p) for p in want]

@@ -7,7 +7,7 @@ import pytest
 
 from polarium import embed, hyperbolic, hyperplanes, props
 from polarium import space as space_module
-from polarium.catalog import CATALOG
+from polarium.catalog import CATALOG, build_space
 from polarium.cli import main
 from polarium.props import (FAILS, HOLDS, SKIPPED, check_A, check_B_prime,
                             check_C, check_D, check_centric_triads,
@@ -217,6 +217,22 @@ def test_single_checkers_agree_with_report(space_for, report_for):
     assert check_B_prime(s, e).status == rep.verdicts["B_prime"].status
     assert check_C(s, e).status == rep.verdicts["C"].status
     assert is_symplectic(s).status == rep.verdicts["symplectic"].status
+
+
+@pytest.mark.parametrize("name", ["W(3,2)", "Q-(5,2)", "Q+(3,3)", "Q(4,3)"])
+def test_C_reuses_the_contained_counts_of_B_prime(monkeypatch, name):
+    # B' and C count contained traces over the same arising hyperplanes: C
+    # sweeps the pairs only for hyperplanes B' stopped before
+    space = build_space(name)
+    e = embed.natural_embedding(space)
+    swept, sweep = [], hyperplanes._count_contained
+    monkeypatch.setattr(hyperplanes, "_count_contained", lambda hs: swept.extend(hs) or sweep(hs))
+    b_prime = check_B_prime(space, e)
+    by_b_prime, swept[:] = set(map(id, swept)), []
+    check_C(space, e)
+    assert not by_b_prime & set(map(id, swept))
+    assert b_prime.status == FAILS or not swept
+    assert len(by_b_prime) + len(swept) <= len(hyperplanes.arising_hyperplanes(e))
 
 
 # rank 4 and rank 3 past the catalog: sub-generators are planes in Q+(7,2)

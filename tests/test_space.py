@@ -7,11 +7,15 @@ import weakref
 import numpy as np
 import pytest
 
-from polarium.catalog import build_space, parse_space_spec, SpecParseError
+from polarium.catalog import CATALOG, build_space, parse_space_spec, SpecParseError
 from polarium.forms import CanonicalSpaceSpec
 from polarium import space as space_module
 from polarium.linalg import BoundExceeded
 from polarium.space import are_opposite, ideal_subgenerator, PolarSpace, SpaceError
+
+
+# the spaces of the benchmark's stretch workload
+STRETCH = ["W(3,5)", "Q(4,4)", "Q(4,5)", "Q-(5,3)", "H(4,4)", "Q+(5,3)"]
 
 
 def q_of(space):
@@ -222,6 +226,54 @@ def test_generators_counts(space_for):
     g0 = set(gens[0].points)
     same = [g for g in gens if not g0 & set(g.points) or g is gens[0]]
     assert len(same) == 4
+
+
+def _bron_kerbosch_oracle(space):
+    """Generators as the Bron-Kerbosch maximal cliques, and sub-generators as
+    their hyperplanes M cap y^perp (y outside M), as sorted point tuples."""
+    cliques = sorted(space_module._bron_kerbosch(space.adj_bits, (1 << space.n_points) - 1))
+    subs = set()
+    for m in cliques:
+        sees = space.coll[:, list(m)]
+        subs.update(tuple(np.array(m)[row]) for row in sees[~sees.all(axis=1)])
+    return cliques, sorted(subs)
+
+
+def _check_against_bron_kerbosch(space):
+    gens, subs = _bron_kerbosch_oracle(space)
+    assert [g.points for g in space.generators()] == gens
+    assert [tuple(np.flatnonzero(row)) for row in space.generators_matrix()] == gens
+    sg, sp = space.subgenerators()
+    assert [tuple(np.flatnonzero(row)) for row in sg] == subs
+    assert (sp == np.stack([space.perp_mask(np.flatnonzero(row)) for row in sg])).all()
+
+
+@pytest.mark.parametrize("name", [*CATALOG, *STRETCH, "Q+(7,2)", "Q-(7,2)"])
+def test_generators_match_bron_kerbosch(space_for, name):
+    # the generators come from the sub-generators (at rank >= 4 by flips),
+    # never from a clique search
+    _check_against_bron_kerbosch(space_for(name))
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("name,count", [("W(5,3)", 4 * 10 * 28), ("W(7,2)", 3 * 5 * 9 * 17)])
+def test_generators_match_bron_kerbosch_heavy(name, count):
+    # (q+1)(q^2+1)(q^3+1) and (q+1)(q^2+1)(q^3+1)(q^4+1) generators of W(2n-1, q)
+    space = build_space(name)
+    assert len(space.generators()) == count
+    _check_against_bron_kerbosch(space)
+
+
+def test_combinatorial_rank_inference():
+    w = build_space("W(3,2)")
+    gq = PolarSpace.combinatorial("gq", w.points, w.lines)
+    assert gq.rank == 2 and [g.points for g in gq.generators()] == sorted(w.lines)
+    bare = PolarSpace.combinatorial("bare", ["x", "y", "z"], [])
+    assert bare.rank == 1 and [g.points for g in bare.generators()] == [(0,), (1,), (2,)]
+    # W(5,2) has planes: the perp of a line is no line, so rank 2 is refused
+    w52 = build_space("W(5,2)")
+    with pytest.raises(SpaceError, match="neither a point nor a line"):
+        PolarSpace.combinatorial("planes", w52.points, w52.lines)
 
 
 def test_generators_deterministic(space_for):
