@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from polarium.space import PolarSpace, SpaceError, pair_chunks, pair_counts, padded_columns
+from polarium.space import PolarSpace, SpaceError, chunks, pair_counts, padded_columns
 
 # set bits of each byte value (np.bitwise_count needs NumPy 2), and the
 # np.packbits mask of each bit position within a byte
@@ -141,7 +141,9 @@ def all_hyperbolic_lines(space: PolarSpace) -> HyperbolicLines:
     below = np.packbits(np.tri(n, k=-1, dtype=bool), axis=1)  # row b: the points < b
     width = max(space.packed_perps()[0].shape[1], (n + 7) // 8)
     kept = [HyperbolicLines(space, np.empty((0, 2), dtype=np.intp), np.empty((0, 0), dtype=np.intp))]
-    for pairs in pair_chunks(~space.coll, width):
+    noncollinear = space.noncollinear_pairs()
+    for s in chunks(len(noncollinear), width):
+        pairs = noncollinear[s]
         dp = packed_double_perps(space, pairs)
         a = pairs[:, 0]
         rest = dp & below[pairs[:, 1]]

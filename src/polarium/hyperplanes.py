@@ -58,14 +58,15 @@ class Hyperplane:
             self._searched = True
         return self._deepest
 
-    def contained_pairs(self) -> np.ndarray:
-        """The non-collinear pairs a < b whose trace {a,b}^perp lies inside
-        the hyperplane, as (m, 2) rows: no packed trace bit outside it."""
+    def contained_pairs(self):
+        """The non-collinear pairs [a, b], a < b, whose trace {a,b}^perp lies
+        inside the hyperplane, in row-major order: no packed trace bit
+        outside it.  The traces are read one chunk at a time, so a reader
+        that stops at the first pair reads only the chunks up to it."""
         bits, outside = self.space.packed_traces(), np.packbits(~self.mask)
-        inside = np.zeros(len(bits), dtype=bool)
+        pairs = self.space.noncollinear_pairs()
         for s in chunks(len(bits), len(outside)):
-            inside[s] = ~(bits[s] & outside).any(axis=1)
-        return self.space.noncollinear_pairs()[inside]
+            yield from pairs[s][~(bits[s] & outside).any(axis=1)].tolist()
 
     def rank(self) -> int:
         """n if a generator lies inside, else n - 1: every generator meets a
@@ -93,9 +94,7 @@ def contained_counts(hs) -> np.ndarray:
     of `hs` (of one space), memoised on the hyperplane: those not yet
     counted share one sweep."""
     todo = [h for h in hs if h._contained is None]
-    if len(todo) == 1:  # its pairs cost less than a sweep
-        todo[0]._contained = len(todo[0].contained_pairs())
-    elif todo:
+    if todo:
         for h, count in zip(todo, _count_contained(todo).tolist()):
             h._contained = count
     return np.array([h._contained for h in hs], dtype=np.int64)

@@ -11,11 +11,13 @@ share their intermediates: the traces of the non-collinear pairs,
 bit-packed once per space, and the count of contained traces kept on each
 arising hyperplane by the first sweep that reaches it, so C sweeps only
 the hyperplanes B' stopped before; a failing hyperplane's pairs are read
-from the packed traces.  Each
-checker scans the blocks in canonical order and stops at the first failing
-block, so failing verdicts carry the smallest witness.  Replay runs the same
-kernel on a batch holding only the witness's block and accepts any failure
-of that block.  Witnesses use canonical point labels, never indices.
+from the packed traces one chunk at a time, up to the first one asked for.
+Each checker scans the blocks in canonical order and stops at the first
+failing block, so failing verdicts carry the smallest witness.  Replay runs
+the same kernel on a batch holding only the witness's block and accepts any
+failure of that block: for B' and C, one count sweep of that hyperplane and
+the chunks of its pairs up to the witness.  Witnesses use canonical point
+labels, never indices.
 full_report runs the whole battery and asserts the theorem matrix: any
 violated biconditional raises EquivalenceViolation.
 """
@@ -129,7 +131,7 @@ def check_A(space: PolarSpace) -> Verdict:
     hyperplane of M then M must meet the hyperbolic line {a,b}^perpperp."""
     t0 = time.perf_counter()
     width = max(space.n_points, len(space.generators_matrix()))
-    return _scan(pair_batches(~space.coll, width), _A_kernel(space), t0)
+    return _scan(pair_batches(space.noncollinear_pairs(), width), _A_kernel(space), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +173,7 @@ def check_regular_pairs(space: PolarSpace) -> Verdict:
     n = space.n_points
     k_max = _most_inside(space, ~space.coll)
     width = max(len(space.subgenerators()[1]), k_max * max(n, k_max))
-    return _scan(pair_batches(~space.coll, width), _regular_pairs_kernel(space), t0)
+    return _scan(pair_batches(space.noncollinear_pairs(), width), _regular_pairs_kernel(space), t0)
 
 
 def _most_inside(space: PolarSpace, mask) -> int:
@@ -217,7 +219,8 @@ def check_centric_triads(space: PolarSpace) -> Verdict:
     distinct = ~np.eye(n, dtype=bool)
     packed = (n + 7) // 8  # bytes per bit-packed S_k^perp row
     width = max(len(space.subgenerators()[1]), n, _most_inside(space, distinct) * packed)
-    return _scan(pair_batches(distinct, width), _triads_kernel(space), t0)
+    pairs = np.argwhere(np.triu(distinct, 1))
+    return _scan(pair_batches(pairs, width), _triads_kernel(space), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +236,7 @@ def _arising_kernel(space: PolarSpace, marked, **extra):
     """Block: an arising hyperplane h.  Checked: the non-collinear pairs whose
     trace h contains, counted once per hyperplane and kept on it, so B' and
     C share the sweep.  Failing: all of them when marked(hs) marks h, none
-    otherwise; they are read from the packed traces when asked for."""
+    otherwise; they are read from the packed traces as they are asked for."""
     def kernel(hs):
         counts, mark = hyperplanes.contained_counts(hs), marked(hs)
 

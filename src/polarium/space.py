@@ -46,19 +46,9 @@ def chunks(total: int, width: int):
     return (slice(lo, min(lo + step, total)) for lo in range(0, total, step))
 
 
-def pair_batches(mask: np.ndarray, width: int):
-    """The pairs a < b with mask[a, b], in row-major order, as (m, 2) index
-    arrays in `batches`."""
-    pairs = np.argwhere(np.triu(mask, 1))
-    for s in batches(len(pairs), width):
-        yield pairs[s]
-
-
-def pair_chunks(mask: np.ndarray, width: int):
-    """The pairs a < b with mask[a, b], in row-major order, as (m, 2) index
-    arrays in `chunks`."""
-    pairs = np.argwhere(np.triu(mask, 1))
-    return (pairs[s] for s in chunks(len(pairs), width))
+def pair_batches(pairs: np.ndarray, width: int):
+    """The rows of an (m, 2) pair array in `batches`."""
+    return (pairs[s] for s in batches(len(pairs), width))
 
 
 def pair_codes(n: int, members) -> np.ndarray:
@@ -139,7 +129,9 @@ class PolarSpace:
         self._generators_matrix = None
         self._subgenerators = None
         self._packed_perps = None
+        self._noncollinear_pairs = None
         self._packed_traces = None
+        self._flip = None
         if validate:
             self.validate()
 
@@ -161,8 +153,9 @@ class PolarSpace:
         # vecs are in code order; each line is kept at the pair of its two
         # smallest points, so lines come out sorted
         pts, codes = list(map(tuple, vecs.tolist())), linalg.point_codes(field.q, vecs)
-        lines = []
-        for pairs in pair_chunks(coll, (field.q + 1) * form.dim):
+        collinear, lines = np.argwhere(np.triu(coll, 1)), []
+        for s in chunks(len(collinear), (field.q + 1) * form.dim):
+            pairs = collinear[s]
             members = linalg.line_points(field, vecs[pairs[:, 0]], vecs[pairs[:, 1]])
             idx = np.searchsorted(codes, members).clip(max=len(pts) - 1)
             if (codes[idx] != members).any():
@@ -276,8 +269,13 @@ class PolarSpace:
         return self._packed_perps
 
     def noncollinear_pairs(self) -> np.ndarray:
-        """The non-collinear pairs a < b in row-major order, as (m, 2) rows."""
-        return np.argwhere(np.triu(~self.coll, 1))
+        """The non-collinear pairs a < b in row-major order, as (m, 2) rows,
+        built once (read-only): the blocks of the pair scans, the order of
+        the hyperbolic lines and the rows of packed_traces."""
+        if self._noncollinear_pairs is None:
+            self._noncollinear_pairs = np.argwhere(np.triu(~self.coll, 1))
+            self._noncollinear_pairs.flags.writeable = False
+        return self._noncollinear_pairs
 
     def packed_traces(self) -> np.ndarray:
         """The traces {a,b}^perp of the non-collinear pairs, one bit-packed
@@ -317,15 +315,18 @@ class PolarSpace:
 
         A generator is its own perp, so the generators through a
         sub-generator S are the sets S^perp cap x^perp over x in
-        S^perp outside S (S itself when S^perp = S).  Rank 1 takes S empty.
+        S^perp outside S (S itself when S^perp = S).  Rank 1 takes S empty;
+        from rank 4 on, the flip closure that finds the sub-generators has
+        met every generator on its way.
         """
         if self._generators is None:
             if self.rank < 2:
                 sg = np.zeros((1, self.n_points), dtype=bool)
-                sp = ~sg
+                rows = _sorted_rows(_generators_through(self.coll, sg, ~sg))
+            elif self.rank < 4:
+                rows = _sorted_rows(_generators_through(self.coll, *self.subgenerators()))
             else:
-                sg, sp = self.subgenerators()
-            rows = _sorted_rows(_generators_through(self.coll, sg, sp))
+                rows = self._flip_closure()[0]
             cols, sizes = np.nonzero(rows)[1].tolist(), rows.sum(axis=1).tolist()
             pts = [tuple(cols[end - k:end]) for end, k in zip(itertools.accumulate(sizes), sizes)]
             if self.is_form_backed:
@@ -374,29 +375,32 @@ class PolarSpace:
             elif self.rank == 3:
                 sg = _sorted_rows(self.lines_matrix)
             else:
-                sg = _sorted_rows(self._flip_closure())
+                sg = self._flip_closure()[1]
             if len(set(sg.sum(axis=1).tolist())) != 1:
                 raise SpaceError(f"{self.name}: sub-generators of unequal size")
             self._subgenerators = (sg, self._perps(sg))
         return self._subgenerators
 
-    def _flip_closure(self) -> np.ndarray:
-        """The sub-generators as membership rows, from rank 4 on (see
-        subgenerators), starting from a maximal clique grown greedily from
-        point 0, which is a generator."""
-        gen, left = np.zeros(self.n_points, dtype=bool), np.ones(self.n_points, dtype=bool)
-        while left.any():
-            x = np.argmax(left)
-            gen[x] = True
-            left &= self.coll[x] & ~gen
-        seen_gens, seen_subs, subs = set(), set(), []
-        frontier = _new_rows(gen[None], seen_gens)
-        while len(frontier):
-            new = _new_rows(self._hyperplanes(frontier), seen_subs)
-            subs.append(new)
-            frontier = _new_rows(_generators_through(self.coll, new, self._perps(new)),
-                                 seen_gens)
-        return np.concatenate(subs)
+    def _flip_closure(self) -> tuple:
+        """(generators, sub-generators) as membership rows sorted by point
+        tuple, from rank 4 on (see subgenerators), built once, starting from
+        a maximal clique grown greedily from point 0, which is a generator."""
+        if self._flip is None:
+            gen, left = np.zeros(self.n_points, dtype=bool), np.ones(self.n_points, dtype=bool)
+            while left.any():
+                x = np.argmax(left)
+                gen[x] = True
+                left &= self.coll[x] & ~gen
+            seen_gens, seen_subs, gens, subs = set(), set(), [], []
+            frontier = _new_rows(gen[None], seen_gens)
+            while len(frontier):
+                gens.append(frontier)
+                subs.append(_new_rows(self._hyperplanes(frontier), seen_subs))
+                frontier = _new_rows(_generators_through(self.coll, subs[-1],
+                                                         self._perps(subs[-1])), seen_gens)
+            self._flip = (_sorted_rows(np.concatenate(gens)),
+                          _sorted_rows(np.concatenate(subs)))
+        return self._flip
 
     def _hyperplanes(self, gens) -> np.ndarray:
         """The hyperplanes M cap y^perp (y outside M) of each generator row M,

@@ -226,4 +226,4 @@ def test_contained_counts_match_bruteforce(monkeypatch, name, batch):
     counts = hyperplanes.contained_counts(hs)
     for h, count in zip(hs, counts):
         want = [pair for pair, trace in traces.items() if not (trace & ~h.mask).any()]
-        assert count == len(want) and h.contained_pairs().tolist() == [list(p) for p in want]
+        assert count == len(want) and list(h.contained_pairs()) == [list(p) for p in want]

@@ -235,6 +235,29 @@ def test_C_reuses_the_contained_counts_of_B_prime(monkeypatch, name):
     assert len(by_b_prime) + len(swept) <= len(hyperplanes.arising_hyperplanes(e))
 
 
+@pytest.mark.parametrize("name, prop", [("Q(4,3)", "C"), ("Q+(3,3)", "B_prime"), ("H(3,4)", "B_prime")])
+def test_replay_counts_once_and_reads_pairs_up_to_the_witness(monkeypatch, name, prop):
+    # replaying a B' or C witness sweeps its hyperplane's count once, then
+    # reads the packed traces only up to the chunk holding the witness pair
+    monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 64)
+    space = build_space(name)
+    checker = check_B_prime if prop == "B_prime" else check_C
+    witness = checker(space, embed.natural_embedding(space)).witness
+    fresh = build_space(name)
+    nbytes = (fresh.n_points + 7) // 8
+    swept, sweep = [], hyperplanes._count_contained
+    monkeypatch.setattr(hyperplanes, "_count_contained",
+                        lambda hs: swept.append(len(hs)) or sweep(hs))
+    read, chunks = [], hyperplanes.chunks
+    monkeypatch.setattr(hyperplanes, "chunks", lambda total, width: (
+        (width == nbytes and read.append(s)) or s for s in chunks(total, width)))
+    assert validate_witness(fresh, prop, witness)
+    pair = [fresh.index_of(witness[k]) for k in "ab"]
+    at = fresh.noncollinear_pairs().tolist().index(pair)
+    step = space_module.BATCH_ELEMENTS // nbytes
+    assert swept == [1] and read[-1].start <= at < read[-1].stop and len(read) == at // step + 1
+
+
 # rank 4 and rank 3 past the catalog: sub-generators are planes in Q+(7,2)
 RANK4 = {
     "Q+(7,2)": dict(A=(HOLDS, 259200), regular_pairs=(HOLDS, 518400),
