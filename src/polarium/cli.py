@@ -23,7 +23,7 @@ from polarium import hyperbolic, props
 from polarium.catalog import SpecParseError, build_space, parse_space_spec
 from polarium.linalg import BoundExceeded
 from polarium.props import EquivalenceViolation, full_report, validate_witness
-from polarium.space import SpaceError
+from polarium.space import DEFAULT_MAX_POINTS, SpaceError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
                        help="golden report; exit 4 if any verdict differs")
     check.add_argument("--out", metavar="FILE", help="write the JSON report here")
     check.add_argument("--format", choices=["json", "table"], default="json")
-    check.add_argument("--max-points", type=int, default=2000)
+    check.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS)
     check.add_argument("--seed", type=int, default=0,
                        help="seed for the sampled perp-invariant self-check")
     check.add_argument("--timings", action="store_true",

@@ -102,9 +102,7 @@ def payne_a_failure_witness(space: PolarSpace) -> dict:
         y = int(y)
         if y == x:
             continue
-        xy_line = base.line_of_pair.get(tuple(sorted((x, y))))
-        ell = next(k for k, line in enumerate(base.lines)
-                   if y in line and k != xy_line and x not in line)
+        ell = next(k for k, line in enumerate(base.lines) if y in line and x not in line)
         h = None
         for z in np.flatnonzero(~base.perp_mask([y])):
             cand = hyperbolic.hyperbolic_line(base, y, int(z))

@@ -1,14 +1,15 @@
 """Double perps, hyperbolic lines, and the enriched linear space L(S).
 
 A hyperbolic line is the double perp {a,b}^perpperp of a non-collinear
-pair; its members are pairwise non-collinear.  Double perps are computed by
-a bit-packed gather: the AND of the packed perps of the trace members.  The
-lines of a space are stored as arrays, one row per line: the pair that
-keeps it (its two smallest members) and its members in ascending order,
-padded with n.  Indexing those arrays gives HyperbolicLine objects, keyed by
-their sorted member tuple.  Adjoining all hyperbolic lines to the ordinary
-lines yields a linear space: any two points lie on exactly one joining line
-(verified at build).
+pair; its members are pairwise non-collinear.  The lines take their double
+perps bit-packed, as `PolarSpace.perps` of the traces; A, regular pairs and
+the CLI self-check take them dense (`traces`, `double_perps`), since they
+feed them to further BLAS products.  The lines of a space are stored as
+arrays, one row per line: the pair that keeps it (its two smallest members)
+and its members in ascending order, padded with n.  Indexing those arrays
+gives HyperbolicLine objects, keyed by their sorted member tuple.
+Adjoining all hyperbolic lines to the ordinary lines yields a linear space:
+any two points lie on exactly one joining line (verified at build).
 """
 
 from __future__ import annotations
@@ -86,17 +87,12 @@ def double_perps(trace, collf) -> np.ndarray:
 
 def packed_double_perps(space: PolarSpace, pairs) -> np.ndarray:
     """Bit-packed rows {a_i,b_i}^perpperp for an (m, 2) array of non-collinear
-    pairs: the AND of the packed perps of the trace members, which are looked
-    up in a_i^perp and padded with the all-ones row n."""
-    nbr, bits = space.packed_perps()
+    pairs: the perps of the traces, whose members are looked up in a_i^perp
+    and padded with n."""
     n = space.n_points
-    cand = nbr[pairs[:, 0]]
+    cand = space.packed_perps()[0][pairs[:, 0]]
     ks, valid = padded_columns(space.coll.ravel().take(pairs[:, 1, None] * n + cand))
-    trace = np.where(valid, np.take_along_axis(cand, ks, axis=1), n)
-    dp = np.full((len(pairs), bits.shape[1]), 255, dtype=np.uint8)
-    for col in trace.T:
-        dp &= bits[col]
-    return dp
+    return space.perps(np.where(valid, np.take_along_axis(cand, ks, axis=1), n))
 
 
 def _lines(space: PolarSpace, pairs, dp) -> HyperbolicLines:

@@ -42,12 +42,12 @@ class EquivalenceViolation(Exception):
 class Verdict:
     __slots__ = ("status", "witness", "checked", "reason", "millis")
 
-    def __init__(self, status, witness=None, checked=0, reason=None, millis=0.0):
+    def __init__(self, status, witness=None, checked=0, reason=None):
         self.status = status
         self.witness = witness
         self.checked = checked
         self.reason = reason
-        self.millis = millis
+        self.millis = 0.0  # set by full_report
 
     @property
     def holds(self):
@@ -85,7 +85,7 @@ def _jsonable(label):
     return label
 
 
-def _scan(block_batches, kernel, t0) -> Verdict:
+def _scan(block_batches, kernel) -> Verdict:
     """Run the kernel over the blocks in canonical order and stop at the
     first failing block.  `checked` counts the instances of the blocks before
     it plus the failing block's count up to its first failure."""
@@ -95,10 +95,9 @@ def _scan(block_batches, kernel, t0) -> Verdict:
         if np.any(fails):
             k = int(np.argmax(fails))
             upto, witness = next(failures(k))
-            return Verdict(FAILS, witness, checked + int(np.sum(counts[:k])) + int(upto),
-                           millis=_ms(t0))
+            return Verdict(FAILS, witness, checked + int(np.sum(counts[:k])) + int(upto))
         checked += int(np.sum(counts))
-    return Verdict(HOLDS, checked=checked, millis=_ms(t0))
+    return Verdict(HOLDS, checked=checked)
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +128,8 @@ def _A_kernel(space: PolarSpace):
 def check_A(space: PolarSpace) -> Verdict:
     """For non-collinear a, b and generator M: if M cap {a,b}^perp is a
     hyperplane of M then M must meet the hyperbolic line {a,b}^perpperp."""
-    t0 = time.perf_counter()
     width = max(space.n_points, len(space.generators_matrix()))
-    return _scan(pair_batches(space.noncollinear_pairs(), width), _A_kernel(space), t0)
+    return _scan(pair_batches(space.noncollinear_pairs(), width), _A_kernel(space))
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +167,10 @@ def _regular_pairs_kernel(space: PolarSpace):
 def check_regular_pairs(space: PolarSpace) -> Verdict:
     """Every pair of opposite points a, b must be regular: N^perp cap N'^perp
     = {a,b}^perpperp for all opposite generators N, N' of the trace."""
-    t0 = time.perf_counter()
     n = space.n_points
     k_max = _most_inside(space, ~space.coll)
     width = max(len(space.subgenerators()[1]), k_max * max(n, k_max))
-    return _scan(pair_batches(space.noncollinear_pairs(), width), _regular_pairs_kernel(space), t0)
+    return _scan(pair_batches(space.noncollinear_pairs(), width), _regular_pairs_kernel(space))
 
 
 def _most_inside(space: PolarSpace, mask) -> int:
@@ -214,13 +211,12 @@ def _triads_kernel(space: PolarSpace):
 def check_centric_triads(space: PolarSpace) -> Verdict:
     """Every triple of distinct points must have a sub-generator in its
     common perp (a point when n = 2)."""
-    t0 = time.perf_counter()
     n = space.n_points
     distinct = ~np.eye(n, dtype=bool)
     packed = (n + 7) // 8  # bytes per bit-packed S_k^perp row
     width = max(len(space.subgenerators()[1]), n, _most_inside(space, distinct) * packed)
     pairs = np.argwhere(np.triu(distinct, 1))
-    return _scan(pair_batches(pairs, width), _triads_kernel(space), t0)
+    return _scan(pair_batches(pairs, width), _triads_kernel(space))
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +254,8 @@ def _B_prime_kernel(space: PolarSpace):
 def check_B_prime(space: PolarSpace, e: embed.Embedding) -> Verdict:
     """Every arising hyperplane containing the trace of a non-collinear pair
     must contain a generator (equivalently have rank n)."""
-    t0 = time.perf_counter()
     return _scan(_arising_batches(e, max(space.n_points, len(space.generators_matrix()))),
-                 _B_prime_kernel(space), t0)
+                 _B_prime_kernel(space))
 
 
 def _C_kernel(space: PolarSpace):
@@ -275,8 +270,7 @@ def _C_kernel(space: PolarSpace):
 def check_C(space: PolarSpace, e: embed.Embedding) -> Verdict:
     """Every arising hyperplane containing a trace must be singular, with
     deepest point on the hyperbolic line of the pair."""
-    t0 = time.perf_counter()
-    return _scan(_arising_batches(e, space.n_points), _C_kernel(space), t0)
+    return _scan(_arising_batches(e, space.n_points), _C_kernel(space))
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +298,9 @@ def _D_kernel(space: PolarSpace):
 
 def check_D(space: PolarSpace) -> Verdict:
     """Every singular hyperplane x^perp must meet every hyperbolic line."""
-    t0 = time.perf_counter()
     hlines = hyperbolic.all_hyperbolic_lines(space)
     return _scan((hlines[s] for s in batches(len(hlines), space.n_points)),
-                 _D_kernel(space), t0)
+                 _D_kernel(space))
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +324,9 @@ def _symplectic_kernel(space: PolarSpace):
 def is_symplectic(space: PolarSpace) -> Verdict:
     """Compute the minimal embedding: the space is symplectic iff the
     embedding is 2n-dimensional and onto the whole target point set."""
-    t0 = time.perf_counter()
     if not space.is_form_backed:
-        return Verdict(SKIPPED, reason="no embedding (combinatorial space)",
-                       millis=_ms(t0))
-    return _scan([[space]], _symplectic_kernel(space), t0)
+        return Verdict(SKIPPED, reason="no embedding (combinatorial space)")
+    return _scan([[space]], _symplectic_kernel(space))
 
 
 # ---------------------------------------------------------------------------
@@ -371,21 +362,29 @@ def _assert_equiv(name, space, left, right, record):
 
 
 def full_report(space: PolarSpace) -> PropertyReport:
-    """Run every checker and assert the biconditionals between the properties."""
+    """Run every checker, timing each call, and assert the biconditionals
+    between the properties."""
     verdicts = {}
-    verdicts["A"] = check_A(space)
-    verdicts["regular_pairs"] = check_regular_pairs(space)
-    verdicts["B_triads"] = check_centric_triads(space)
+
+    def run(prop, check, *args):
+        t0 = time.perf_counter()
+        verdicts[prop] = check(space, *args)
+        verdicts[prop].millis = (time.perf_counter() - t0) * 1000.0
+
+    # each checker is looked up by name at call time, so a patched one runs
+    run("A", check_A)
+    run("regular_pairs", check_regular_pairs)
+    run("B_triads", check_centric_triads)
     if space.is_form_backed:
         nat = embed.natural_embedding(space)
-        verdicts["B_prime"] = check_B_prime(space, nat)
-        verdicts["C"] = check_C(space, nat)
+        run("B_prime", check_B_prime, nat)
+        run("C", check_C, nat)
     else:
         reason = "no embedding (combinatorial space)"
         verdicts["B_prime"] = Verdict(SKIPPED, reason=reason)
         verdicts["C"] = Verdict(SKIPPED, reason=reason)
-    verdicts["D"] = check_D(space)
-    verdicts["symplectic"] = is_symplectic(space)
+    run("D", check_D)
+    run("symplectic", is_symplectic)
 
     equivalences = []
     _assert_equiv("A<=>regular_pairs", space, verdicts["A"],
@@ -454,6 +453,3 @@ def validate_witness(space: PolarSpace, prop: str, witness: dict) -> bool:
     _, _, failures = kernel(space)(block)
     return any(w == witness for _, w in failures(0))
 
-
-def _ms(t0):
-    return (time.perf_counter() - t0) * 1000.0

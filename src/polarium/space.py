@@ -2,14 +2,16 @@
 
 Two backings share one query API.  Form-backed spaces keep the projective
 points where a form vanishes and take collinearity from its values, both
-by array calls, carry coordinates, build their lines by field-table
-gathers and rank each generator by its size; combinatorial spaces are given
+by array calls, carry coordinates, build their lines by field-table gathers
+and rank each singular subspace by its size; combinatorial spaces are given
 by explicit point and line lists (grids, Payne derivations, duals, induced
 perp-spaces).  Collinearity is cached as a dense symmetric boolean matrix
-(diagonal True, so perps are "collinear-or-equal" sets).  Generators come
-from sub-generators, since a generator is its own perp; the rows of the
-matrix as Python ints drive the Bron-Kerbosch clique search, which serves
-only max_singular_rank.
+(diagonal True, so perps are "collinear-or-equal" sets) and bit-packed by
+row; `PolarSpace.perps` ANDs those rows into X^perp for point sets X, and
+serves the pair traces, double perps, sub-generator perps and spans
+X^perpperp.  Generators come from sub-generators, since a generator is its
+own perp; the largest singular subspace inside a subspace is its largest
+meet with a generator.
 """
 
 from __future__ import annotations
@@ -122,9 +124,7 @@ class PolarSpace:
         self.provenance = provenance or {}
         self.n_points = len(self.points)
         self._index = {lab: i for i, lab in enumerate(self.points)}
-        self._adj_bits = None
         self._lines_matrix = None
-        self._line_of_pair = None
         self._generators = None
         self._generators_matrix = None
         self._subgenerators = None
@@ -168,7 +168,7 @@ class PolarSpace:
 
     @classmethod
     def combinatorial(cls, name, labels, lines, *, rank=None, grid_family=False,
-                      provenance=None, validate=True) -> "PolarSpace":
+                      provenance=None) -> "PolarSpace":
         n = len(labels)
         ks, valid = padded_columns(_membership(lines, n))
         a, b = np.divmod(pair_codes(n, np.where(valid, ks, n)), n)
@@ -178,7 +178,7 @@ class PolarSpace:
         if inferred:
             rank = 2 if lines else 1
         space = cls(name, labels, lines, coll, rank, grid_family=grid_family,
-                    provenance=provenance, validate=validate)
+                    provenance=provenance)
         if inferred:
             space.generators()  # a singular set larger than a line raises
         return space
@@ -201,17 +201,6 @@ class PolarSpace:
         if self._lines_matrix is None:
             self._lines_matrix = _membership(self.lines, self.n_points)
         return self._lines_matrix
-
-    @property
-    def line_of_pair(self) -> dict:
-        if self._line_of_pair is None:
-            pair_line = {}
-            for k, line in enumerate(self.lines):
-                for a, b in itertools.combinations(line, 2):
-                    if pair_line.setdefault((a, b), k) != k:
-                        raise SpaceError(f"{self.name}: two lines through points {a},{b}")
-            self._line_of_pair = pair_line
-        return self._line_of_pair
 
     # -- validation ------------------------------------------------------------
 
@@ -277,14 +266,21 @@ class PolarSpace:
             self._noncollinear_pairs.flags.writeable = False
         return self._noncollinear_pairs
 
+    def perps(self, members) -> np.ndarray:
+        """Bit-packed rows X^perp for the point sets X given as rows of point
+        indices padded with n: the AND of the packed perps of X's points,
+        one column at a time.  A row of padding alone gives every point."""
+        bits = self.packed_perps()[1]
+        out = np.full((len(members), bits.shape[1]), 255, dtype=np.uint8)
+        for col in np.asarray(members).T:
+            out &= bits[col]
+        return out
+
     def packed_traces(self) -> np.ndarray:
         """The traces {a,b}^perp of the non-collinear pairs, one bit-packed
-        row per pair of noncollinear_pairs(), built once (read-only): the
-        AND of the packed perps of a and b."""
+        row per pair of noncollinear_pairs(), built once (read-only)."""
         if self._packed_traces is None:
-            a, b = self.noncollinear_pairs().T
-            perps = self.packed_perps()[1]
-            self._packed_traces = perps[a] & perps[b]
+            self._packed_traces = self.perps(self.noncollinear_pairs())
             self._packed_traces.flags.writeable = False
         return self._packed_traces
 
@@ -301,14 +297,6 @@ class PolarSpace:
         return [int(i) for i in np.flatnonzero(self.perp_mask(idxs))]
 
     # -- singular subspaces ---------------------------------------------------
-
-    @property
-    def adj_bits(self):
-        if self._adj_bits is None:
-            packed = np.packbits(self.coll, axis=1, bitorder="little")
-            self._adj_bits = [int.from_bytes(row.tobytes(), "little") & ~(1 << i)
-                              for i, row in enumerate(packed)]
-        return self._adj_bits
 
     def generators(self) -> list:
         """All maximal singular subspaces, sorted by point tuple.
@@ -419,62 +407,38 @@ class PolarSpace:
         return np.concatenate(out)
 
     def _perps(self, rows) -> np.ndarray:
-        """Rows X^perp of the point sets X given as membership rows: the AND
-        of the bit-packed perps of X's points."""
-        n = self.n_points
-        bits = self.packed_perps()[1]
+        """Rows X^perp of the point sets X given as membership rows."""
         ks, valid = padded_columns(rows)
-        members = np.where(valid, ks, n)  # row n of bits is all ones
-        out = [np.empty((0, bits.shape[1]), dtype=np.uint8)]
-        for s in chunks(len(rows), max(1, members.shape[1]) * bits.shape[1]):
-            out.append(np.bitwise_and.reduce(bits[members[s]], axis=1))
-        return np.unpackbits(np.concatenate(out), axis=1, count=n).view(bool)
+        return np.unpackbits(self.perps(np.where(valid, ks, self.n_points)),
+                             axis=1, count=self.n_points).view(bool)
 
-    def _as_singular(self, pts) -> SingularSubspace:
-        pts = tuple(sorted(pts))
-        if self.is_form_backed:  # a maximal clique: a subspace of (q^r - 1)/(q - 1) points
+    def _rank(self, size: int) -> int:
+        """The rank of a singular subspace of `size` points: (q^r - 1)/(q - 1)
+        points when form-backed, a point or a line when combinatorial."""
+        if self.is_form_backed:
             q = self.field.q
-            return SingularSubspace(pts, round(math.log(len(pts) * (q - 1) + 1, q)))
-        if len(pts) == 1:
-            return SingularSubspace(pts, 1)
-        if pts in set(self.lines):
-            return SingularSubspace(pts, 2)
-        raise SpaceError(f"{self.name}: cannot rank combinatorial singular set {pts}")
+            return round(math.log(size * (q - 1) + 1, q))
+        return min(size, 2)
 
     def span_singular(self, idxs) -> SingularSubspace:
-        """Line-closure of a set of pairwise collinear points."""
+        """The singular subspace T spanned by pairwise collinear points X: as
+        X^perp = T^perp and a non-degenerate polar space has Rad(T^perp) = T,
+        it is X^perpperp."""
         idxs = sorted(set(idxs))
-        for a, b in itertools.combinations(idxs, 2):
-            if not self.coll[a, b]:
-                raise ValueError(f"points {a} and {b} are not collinear")
-        if self.is_form_backed:
-            sub = linalg.span(self.field, self.form.dim, [self.vectors[i] for i in idxs])
-            members = tuple(sorted(self.index_of(p) for p in linalg.enumerate_points(sub)))
-            return SingularSubspace(members, sub.rank)
-        current = set(idxs)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in itertools.combinations(sorted(current), 2):
-                k = self.line_of_pair.get((a, b))
-                if k is not None and not set(self.lines[k]) <= current:
-                    current |= set(self.lines[k])
-                    changed = True
-        return self._as_singular(tuple(current))
+        apart = np.argwhere(~self.coll[np.ix_(idxs, idxs)])
+        if len(apart):
+            a, b = apart[0]
+            raise ValueError(f"points {idxs[a]} and {idxs[b]} are not collinear")
+        x = np.zeros((1, self.n_points), dtype=bool)
+        x[0, idxs] = True
+        pts = np.flatnonzero(self._perps(self._perps(x))[0]).tolist()
+        return SingularSubspace(pts, self._rank(len(pts)))
 
     def max_singular_rank(self, mask) -> int:
-        """Largest rank of a singular subspace inside a subspace point-mask."""
-        members = np.flatnonzero(mask)
-        if len(members) == 0:
-            return 0
-        if not self.is_form_backed:
-            sub = self.coll[np.ix_(members, members)]
-            return 2 if (sub.sum() > len(members)) else 1
-        restricted = 0
-        for i in members:
-            restricted |= 1 << int(i)
-        return max(self._as_singular(clique).rank
-                   for clique in _bron_kerbosch(self.adj_bits, restricted))
+        """Largest rank of a singular subspace inside a subspace point-mask:
+        each lies in a generator M, and M cap mask is singular, so it is the
+        rank of the largest such meet."""
+        return self._rank(int((self.generators_matrix() & mask).sum(axis=1).max(initial=0)))
 
     # -- derived incidence queries ---------------------------------------------
 
@@ -553,41 +517,6 @@ def _new_rows(rows, seen: set) -> np.ndarray:
     keep = [i for i, key in zip(first.tolist(), keys.tolist()) if key not in seen]
     seen.update(keys.tolist())
     return rows[keep]
-
-
-def _bron_kerbosch(adj, full) -> list:
-    """All maximal cliques of the bitmask adjacency, with pivoting."""
-    cliques = []
-
-    def popcount(x):
-        return x.bit_count()
-
-    def bits(x):
-        while x:
-            b = x & -x
-            yield b.bit_length() - 1
-            x ^= b
-
-    def expand(r, p, x):
-        if not p and not x:
-            cliques.append(tuple(bits_list(r)))
-            return
-        pivot, best = -1, -1
-        for u in bits(p | x):
-            c = popcount(p & adj[u])
-            if c > best:
-                best, pivot = c, u
-        for v in bits(p & ~adj[pivot]):
-            bv = 1 << v
-            expand(r | bv, p & adj[v], x & adj[v])
-            p &= ~bv
-            x |= bv
-
-    def bits_list(x):
-        return list(bits(x))
-
-    expand(0, full, 0)
-    return cliques
 
 
 # -- module-level operations on spaces ---------------------------------------

@@ -12,6 +12,7 @@ from polarium.hyperplanes import (Hyperplane, OVOID, SINGULAR, arising_hyperplan
                                   singular_hyperplane)
 from polarium.props import is_symplectic
 from polarium.space import SpaceError
+from test_space import adjacency, max_clique_rank
 
 
 def test_singular_hyperplane_sizes(space_for):
@@ -112,9 +113,11 @@ def test_batched_sections_match_reference(space_for, name, kind):
 def test_rank_matches_clique_search(space_for, name):
     # n or n - 1 from the generators, against the Bron-Kerbosch search
     space = space_for(name)
+    adj = adjacency(space)
     for e in (embed.natural_embedding(space), embed.minimal_embedding(space)):
         for h in arising_hyperplanes(e):
-            assert h.rank() == space.max_singular_rank(h.mask), (e.kind, h.provenance)
+            want = max_clique_rank(space, h.mask, adj)
+            assert h.rank() == space.max_singular_rank(h.mask) == want, (e.kind, h.provenance)
 
 
 def test_grid_transversal_is_ovoid(space_for):

@@ -12,6 +12,7 @@ from polarium.cli import main
 from polarium.props import (FAILS, HOLDS, SKIPPED, check_A, check_B_prime,
                             check_C, check_D, check_centric_triads,
                             check_regular_pairs, is_symplectic, validate_witness)
+from test_space import max_clique_rank
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -285,7 +286,8 @@ def test_rank4_verdicts_and_replay(space_for, tmp_path, capsys):
     q = space_for("Q+(7,2)")
     triads = json.loads(out.read_text())[0]["properties"]["B_triads"]["witness"]
     assert [q.index_of(triads[k]) for k in "abc"] == [0, 1, 8]
-    assert q.max_singular_rank(q.perp_mask([0, 1, 8])) < 3  # Bron-Kerbosch oracle
+    mask = q.perp_mask([0, 1, 8])
+    assert q.max_singular_rank(mask) == max_clique_rank(q, mask) < 3
     sg, sp = q.subgenerators()
     assert sg.shape == (2025, q.n_points) and set(sg.sum(axis=1)) == {7}
 

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 import re
 import weakref
@@ -9,6 +10,7 @@ import pytest
 
 from polarium.catalog import CATALOG, build_space, parse_space_spec, SpecParseError
 from polarium.forms import CanonicalSpaceSpec
+from polarium import linalg
 from polarium import space as space_module
 from polarium.linalg import BoundExceeded
 from polarium.space import are_opposite, ideal_subgenerator, PolarSpace, SpaceError
@@ -190,20 +192,6 @@ def test_two_lines_through_a_pair_named():
         PolarSpace("graph", list(range(8)), lines, np.ones((8, 8), dtype=bool), 2)
 
 
-@pytest.mark.parametrize("name", ["W(3,2)", "Q-(5,2)", "H(3,4)", "grid(4)", "P(W(3,5))"])
-def test_adj_bits_match_loop(space_for, name):
-    s = space_for(name)
-    s._adj_bits = None
-    want = []
-    for i in range(s.n_points):
-        row = 0
-        for j in np.flatnonzero(s.coll[i]):
-            if j != i:
-                row |= 1 << int(j)
-        want.append(row)
-    assert s.adj_bits == want
-
-
 def test_generators_counts(space_for):
     w32 = space_for("W(3,2)")
     gens = w32.generators()
@@ -228,10 +216,50 @@ def test_generators_counts(space_for):
     assert len(same) == 4
 
 
+def adjacency(space) -> list:
+    """Row i of the collinearity matrix as a Python int, without bit i."""
+    return [sum(1 << int(j) for j in np.flatnonzero(row) if j != i)
+            for i, row in enumerate(space.coll)]
+
+
+def bron_kerbosch(adj, full) -> list:
+    """All maximal cliques of the bitmask adjacency inside the bitmask
+    `full`, as sorted point tuples, by Bron-Kerbosch with pivoting."""
+    cliques = []
+
+    def bits(x):
+        while x:
+            b = x & -x
+            yield b.bit_length() - 1
+            x ^= b
+
+    def expand(r, p, x):
+        if not p and not x:
+            cliques.append(tuple(bits(r)))
+            return
+        pivot = max(bits(p | x), key=lambda u: (p & adj[u]).bit_count())
+        for v in bits(p & ~adj[pivot]):
+            expand(r | 1 << v, p & adj[v], x & adj[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    expand(0, full, 0)
+    return cliques
+
+
+def max_clique_rank(space, mask, adj=None) -> int:
+    """Oracle for max_singular_rank on a form-backed space: the largest rank
+    (q^r - 1)/(q - 1) -> r of a maximal clique inside the mask."""
+    q = space.field.q
+    full = sum(1 << int(i) for i in np.flatnonzero(mask))
+    cliques = bron_kerbosch(adj or adjacency(space), full)
+    return max(round(math.log(len(c) * (q - 1) + 1, q)) for c in cliques)
+
+
 def _bron_kerbosch_oracle(space):
     """Generators as the Bron-Kerbosch maximal cliques, and sub-generators as
     their hyperplanes M cap y^perp (y outside M), as sorted point tuples."""
-    cliques = sorted(space_module._bron_kerbosch(space.adj_bits, (1 << space.n_points) - 1))
+    cliques = sorted(bron_kerbosch(adjacency(space), (1 << space.n_points) - 1))
     subs = set()
     for m in cliques:
         sees = space.coll[:, list(m)]
@@ -303,6 +331,68 @@ def test_span_singular(space_for):
             break
     else:
         raise AssertionError("no spanning triple found in a generator")
+
+
+def _random_cliques(space, count, seed):
+    """Seeded pairwise collinear point lists of 1 to rank + 1 draws."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        clique = [rng.randrange(space.n_points)]
+        for _ in range(rng.randrange(space.rank + 1)):
+            clique.append(rng.choice(np.flatnonzero(space.perp_mask(clique)).tolist()))
+        yield clique
+
+
+def _line_closure(space, idxs) -> tuple:
+    """Oracle: add every line that meets the set in two points, until none."""
+    current, grown = set(idxs), True
+    while grown:
+        grown = False
+        for line in map(set, space.lines):
+            if len(line & current) > 1 and not line <= current:
+                current |= line
+                grown = True
+    return tuple(sorted(current))
+
+
+@pytest.mark.parametrize("name", ["W(3,2)", "Q(4,3)", "Q-(5,2)", "H(3,4)", "W(5,2)", "Q(6,2)"])
+def test_span_singular_matches_linear_span(space_for, name):
+    s = space_for(name)
+    for clique in _random_cliques(s, 60, name):
+        sub = linalg.span(s.field, s.form.dim, [s.vectors[i] for i in clique])
+        want = tuple(sorted(s.index_of(p) for p in linalg.enumerate_points(sub)))
+        got = s.span_singular(clique)
+        assert (got.points, got.rank) == (want, sub.rank), clique
+
+
+@pytest.mark.parametrize("name", ["grid(4)", "P(W(3,5))", "dual(H(4,4))"])
+def test_span_singular_matches_line_closure(space_for, name):
+    s = space_for(name)
+    for clique in _random_cliques(s, 60, name):
+        got = s.span_singular(clique)
+        want = _line_closure(s, clique)
+        assert (got.points, got.rank) == (want, min(len(want), 2)), clique
+
+
+@pytest.mark.parametrize("name", ["W(3,2)", "Q-(5,2)", "H(3,4)", "W(5,2)", "grid(4)", "P(W(3,5))"])
+def test_perps_match_dense_and(space_for, name):
+    s = space_for(name)
+    n = s.n_points
+    members = np.sort(np.random.default_rng(5).integers(0, n + 1, size=(40, 4)), axis=1)
+    members[0] = n  # padding alone: every point
+    got = np.unpackbits(s.perps(members), axis=1, count=n).view(bool)
+    want = np.stack([s.coll[row[row < n]].all(axis=0) for row in members])
+    assert want[0].all() and (got == want).all()
+
+
+def test_max_singular_rank_combinatorial(space_for):
+    # a point set with a collinear pair holds a line
+    s = space_for("P(W(3,5))")
+    line, far = s.lines[0], np.flatnonzero(~s.coll[s.lines[0][0]])[0]
+    for pts, rank in [((), 0), ((far,), 1), (line[:2], 2), ((line[0], far), 1)]:
+        mask = np.zeros(s.n_points, dtype=bool)
+        mask[list(pts)] = True
+        assert s.max_singular_rank(mask) == rank, pts
 
 
 def test_are_opposite(space_for):
