@@ -2,12 +2,13 @@
 
 A hyperbolic line is the double perp {a,b}^perpperp of a non-collinear
 pair; its members are pairwise non-collinear.  The lines take their double
-perps bit-packed, as `PolarSpace.perps` of the traces; A, regular pairs and
-the CLI self-check take them dense (`traces`, `double_perps`), since they
-feed them to further BLAS products.  The lines of a space are stored as
-arrays, one row per line: the pair that keeps it (its two smallest members)
-and its members in ascending order, padded with n.  Indexing those arrays
-gives HyperbolicLine objects, keyed by their sorted member tuple.
+perps bit-packed, as `PolarSpace.perps` of the traces; the CLI self-check
+takes them dense (`double_perps`), where packed perps measured slower.  The
+lines of a space are built once and memoised on it, as arrays, one row per
+line: the pair that keeps it (its two smallest members), its members in
+ascending order, padded with n, and the line of every non-collinear pair.
+A, regular pairs and D all read that one build.  Indexing the arrays gives
+HyperbolicLine objects, keyed by their sorted member tuple.
 Adjoining all hyperbolic lines to the ordinary lines yields a linear space:
 any two points lie on exactly one joining line (verified at build).
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from polarium.space import PolarSpace, SpaceError, chunks, pair_counts, padded_columns
+from polarium.space import PolarSpace, SpaceError, chunks, pair_codes, pair_counts, padded_columns
 
 # set bits of each byte value (np.bitwise_count needs NumPy 2), and the
 # np.packbits mask of each bit position within a byte
@@ -47,15 +48,18 @@ class HyperbolicLine:
 
 class HyperbolicLines:
     """Hyperbolic lines as arrays: line k is the double perp of pairs[k], and
-    members[k] holds its points in ascending order, padded with n.  An int
-    index gives a HyperbolicLine, a slice another HyperbolicLines."""
+    members[k] holds its points in ascending order, padded with n.  The lines
+    of a whole space also carry of_pair: of_pair[i] is the line of the i-th
+    pair of noncollinear_pairs().  An int index gives a HyperbolicLine, a
+    slice another HyperbolicLines (without of_pair)."""
 
-    __slots__ = ("space", "pairs", "members")
+    __slots__ = ("space", "pairs", "members", "of_pair")
 
-    def __init__(self, space, pairs, members):
+    def __init__(self, space, pairs, members, of_pair=None):
         self.space = space
         self.pairs = pairs
         self.members = members
+        self.of_pair = of_pair
 
     def __len__(self):
         return len(self.pairs)
@@ -70,18 +74,21 @@ class HyperbolicLines:
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-
-def traces(coll, pairs) -> np.ndarray:
-    """Rows {a_i,b_i}^perp for an (m, 2) array of pairs, in float32 for BLAS."""
-    return (coll[pairs[:, 0]] & coll[pairs[:, 1]]).astype(np.float32)
+    def rows(self) -> np.ndarray:
+        """Membership rows: rows()[k, x] says that x lies on line k."""
+        n = self.space.n_points
+        out = np.zeros((len(self), n + 1), dtype=bool)  # column n: padding
+        out[np.arange(len(self))[:, None], self.members] = True
+        return out[:, :n]
 
 
 def double_perps(trace, collf) -> np.ndarray:
-    """Rows {a_i,b_i}^perpperp from trace rows: the points collinear with all
-    of the trace, by one BLAS product on `collf`, the collinearity matrix in
-    float32.  A and regular pairs use this form, since they feed the rows to
-    further BLAS products; a packed gather there measured slower.  Hyperbolic
-    lines use `packed_double_perps`, whose cost follows the trace size, not n."""
+    """Rows {a_i,b_i}^perpperp from float32 trace rows {a_i,b_i}^perp (or the
+    perp of any point-set rows): the points collinear with all of the trace,
+    by one BLAS product on `collf`, the collinearity matrix in float32.  The
+    CLI self-check uses this form, where packed perps measured slower.
+    Hyperbolic lines use `packed_double_perps`, whose cost follows the trace
+    size, not n."""
     return trace @ collf == trace.sum(axis=1, keepdims=True)
 
 
@@ -128,11 +135,26 @@ def hyperbolic_line(space: PolarSpace, a: int, b: int) -> HyperbolicLine:
 
 
 def all_hyperbolic_lines(space: PolarSpace) -> HyperbolicLines:
+    """All hyperbolic lines of the space with their of_pair, built once by
+    `_build_lines` and memoised on the space as read-only arrays, which hold
+    no reference back to it."""
+    if space._hyperbolic_lines is None:
+        lines = _build_lines(space)
+        memo = (lines.pairs, lines.members, lines.of_pair)
+        for a in memo:
+            a.flags.writeable = False
+        space._hyperbolic_lines = memo
+    return HyperbolicLines(space, *space._hyperbolic_lines)
+
+
+def _build_lines(space: PolarSpace) -> HyperbolicLines:
     """All hyperbolic lines, ordered by member tuple: the double perps of the
     non-collinear pairs a < b, in chunks, each kept at the pair of its two
-    smallest members.  The lines must partition the non-collinear pairs; as
-    c, d in {a,b}^perpperp puts {c,d}^perpperp inside it, this also asserts
-    that any two points of a line span that same line."""
+    smallest members.  The lines must partition the non-collinear pairs:
+    sorted, the codes of their pairs are those of noncollinear_pairs(), and
+    the same sort gives of_pair.  As c, d in {a,b}^perpperp puts
+    {c,d}^perpperp inside it, this also asserts that any two points of a
+    line span that same line."""
     n = space.n_points
     below = np.packbits(np.tri(n, k=-1, dtype=bool), axis=1)  # row b: the points < b
     width = max(space.packed_perps()[0].shape[1], (n + 7) // 8)
@@ -147,17 +169,17 @@ def all_hyperbolic_lines(space: PolarSpace) -> HyperbolicLines:
         first = ~rest.any(axis=1)  # a is the only member below b
         kept.append(_lines(space, pairs[first], dp[first]))
     w = max(h.members.shape[1] for h in kept)
-    lines = HyperbolicLines(space, np.concatenate([h.pairs for h in kept]), np.concatenate(
-        [np.pad(h.members, ((0, 0), (0, w - h.members.shape[1])), constant_values=n)
-         for h in kept]))
-    counts = pair_counts(n, lines.members)
-    bad = np.argwhere(counts != ~space.coll)
-    if len(bad):
-        i, j = bad[0]
+    members = np.concatenate([np.pad(h.members, ((0, 0), (0, w - h.members.shape[1])),
+                                     constant_values=n) for h in kept])
+    codes, at = pair_codes(n, members, rows=True)
+    order = np.argsort(codes)
+    if not np.array_equal(codes[order], noncollinear[:, 0] * n + noncollinear[:, 1]):
+        counts = pair_counts(n, members)
+        i, j = np.argwhere(counts != ~space.coll)[0]
         kind = "collinear" if space.coll[i, j] else "non-collinear"
         raise SpaceError(f"{space.name}: {kind} pair {i},{j} lies on {counts[i, j]} "
                          "hyperbolic lines")
-    return lines
+    return HyperbolicLines(space, np.concatenate([h.pairs for h in kept]), members, at[order])
 
 
 class LinearSpaceL:

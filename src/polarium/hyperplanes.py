@@ -31,7 +31,7 @@ class Hyperplane:
     def __init__(self, space: PolarSpace, points, provenance):
         mask = np.zeros(space.n_points, dtype=bool)
         mask[list(points)] = True
-        _verify_axiom(space, mask[None])
+        _verify_axiom(space, mask[None], _line_columns(space))
         self._set(space, mask, provenance)
 
     def _set(self, space, mask, provenance) -> "Hyperplane":
@@ -113,17 +113,24 @@ def _count_contained(hs) -> np.ndarray:
     return counts
 
 
-def _verify_axiom(space: PolarSpace, masks: np.ndarray):
+def _line_columns(space: PolarSpace) -> tuple:
+    """(columns, sizes) for `_verify_axiom`: the lines as float32 membership
+    columns, and their sizes."""
+    return space.lines_matrix.T.astype(np.float32), space.lines_matrix.sum(axis=1)
+
+
+def _verify_axiom(space: PolarSpace, masks: np.ndarray, lines: tuple):
     """Every row of `masks` must be a proper nonempty point set that each line
-    meets in exactly one point or lies inside."""
+    meets in exactly one point or lies inside; `lines` is
+    `_line_columns(space)`, built once by the caller."""
     sizes = np.count_nonzero(masks, axis=1)
     if ((sizes == 0) | (sizes == space.n_points)).any():
         raise SpaceError(f"{space.name}: hyperplane must be a proper nonempty subspace")
     if not space.lines:
         return
-    lm = space.lines_matrix
-    meet = masks.astype(np.float32) @ lm.T.astype(np.float32)
-    bad = np.argwhere((meet != 1) & (meet != lm.sum(axis=1)))
+    columns, sizes = lines
+    meet = masks.astype(np.float32) @ columns
+    bad = np.argwhere((meet != 1) & (meet != sizes))
     if len(bad):
         h, k = bad[0]
         if meet[h, k] == 0:
@@ -156,10 +163,10 @@ def _arising(e: Embedding) -> tuple:
     if e._arising is None:
         space = e.source
         duals = linalg.dual_hyperplanes(e.field, e.dim)
-        blocks = []
+        blocks, lines = [], _line_columns(space)
         for s in chunks(len(duals), max(space.n_points, len(space.lines))):
             blocks.append(_sections(e, duals[s]))
-            _verify_axiom(space, blocks[-1])
+            _verify_axiom(space, blocks[-1], lines)
         sections = np.concatenate(blocks)
         out, seen = [], {}
         for phi, row in zip(duals, sections):

@@ -1,22 +1,27 @@
 """The characterization predicates and their cross-equivalences.
 
-Each property is one kernel over a batch of blocks: non-collinear pairs for
-A and regular pairs, pairs of distinct points for centric triads, arising
-hyperplanes for B' and C, hyperbolic lines for D and the whole space for
-the symplectic test.  A kernel gives, by chunked float32 BLAS products or
-bit-packed gathers, each block's instance count and whether it fails, and
-`failures(k)`, which reads the same intermediates to yield the failing
-instances of block k as (checked up to it, serialized witness).  B' and C
-share their intermediates: the traces of the non-collinear pairs,
-bit-packed once per space, and the count of contained traces kept on each
-arising hyperplane by the first sweep that reaches it, so C sweeps only
-the hyperplanes B' stopped before; a failing hyperplane's pairs are read
-from the packed traces one chunk at a time, up to the first one asked for.
+Each property is one kernel over a batch of blocks: hyperbolic lines for A,
+regular pairs and D, pairs of distinct points for centric triads, arising
+hyperplanes for B' and C, and the whole space for the symplectic test.  A
+kernel gives, by chunked float32 BLAS products or bit-packed gathers, each
+block's instance count and whether it fails, and `failures(k)`, which reads
+the same intermediates to yield the failing instances of block k as
+(checked up to it, serialized witness).  A and regular pairs range over
+non-collinear pairs (a, b) but read one only through {a,b}^perp = l^perp
+and its line l = {a,b}^perpperp, so every pair of a line has the line's
+count and failures; the memoised lines map each pair to its line, which
+keeps checked_count pair-major.  B' and C share their intermediates: the
+traces of the non-collinear pairs, bit-packed once per space, and the count
+of contained traces kept on each arising hyperplane by the first sweep that
+reaches it, so C sweeps only the hyperplanes B' stopped before; a failing
+hyperplane's pairs are read from the packed traces one chunk at a time, up
+to the first one asked for.
 Each checker scans the blocks in canonical order and stops at the first
 failing block, so failing verdicts carry the smallest witness.  Replay runs
 the same kernel on a batch holding only the witness's block and accepts any
-failure of that block: for B' and C, one count sweep of that hyperplane and
-the chunks of its pairs up to the witness.  Witnesses use canonical point
+failure of that block: for A, regular pairs and D, the one line of the
+witness's pair; for B' and C, one count sweep of that hyperplane and the
+chunks of its pairs up to the witness.  Witnesses use canonical point
 labels, never indices.
 full_report runs the whole battery and asserts the theorem matrix: any
 violated biconditional raises EquivalenceViolation.
@@ -85,41 +90,62 @@ def _jsonable(label):
     return label
 
 
-def _scan(block_batches, kernel) -> Verdict:
+def _scan(block_batches, kernel, checked=np.sum) -> Verdict:
     """Run the kernel over the blocks in canonical order and stop at the
-    first failing block.  `checked` counts the instances of the blocks before
-    it plus the failing block's count up to its first failure."""
-    checked = 0
+    first failing block.  `checked(counts)` gives the instances of the
+    blocks scanned before the failing one (or of all blocks) from their
+    counts, by default their sum; a failing verdict adds the failing block's
+    count up to its first failure."""
+    seen = [np.zeros(0, dtype=np.int64)]
     for blocks in block_batches:
         counts, fails, failures = kernel(blocks)
         if np.any(fails):
             k = int(np.argmax(fails))
             upto, witness = next(failures(k))
-            return Verdict(FAILS, witness, checked + int(np.sum(counts[:k])) + int(upto))
-        checked += int(np.sum(counts))
-    return Verdict(HOLDS, checked=checked)
+            return Verdict(FAILS, witness, int(checked(np.concatenate([*seen, counts[:k]])))
+                           + int(upto))
+        seen.append(counts)
+    return Verdict(HOLDS, checked=int(checked(np.concatenate(seen))))
+
+
+def _line_scan(space: PolarSpace, kernel, width: int) -> Verdict:
+    """Scan a property of non-collinear pairs (a, b) that reads a pair only
+    through {a,b}^perp = l^perp and its hyperbolic line l = {a,b}^perpperp,
+    so every pair of l has l's count and failures: the blocks are the
+    lines.  checked_count stays pair-major.  A line's first pair in
+    row-major order is its own `pair`, so the first failing pair is the
+    first failing line's pair, and the pairs before it lie on earlier lines
+    and count those lines' counts."""
+    lines = hyperbolic.all_hyperbolic_lines(space)
+    of_pair = lines.of_pair
+
+    def checked(counts):
+        # line k's own pair is the first pair on a line >= k
+        later = np.flatnonzero(of_pair >= len(counts))
+        return counts[of_pair[:later[0] if len(later) else len(of_pair)]].sum()
+    return _scan((lines[s] for s in batches(len(lines), width)), kernel, checked)
 
 
 # ---------------------------------------------------------------------------
 # property (A)
 
 def _A_kernel(space: PolarSpace):
-    """Block: a non-collinear pair (a, b).  Checked: the generators M with
-    M cap {a,b}^perp a hyperplane of M.  Failing: those missing {a,b}^perpperp."""
+    """Block: a hyperbolic line l, with its pair (a, b).  Checked: the
+    generators M with M cap l^perp a hyperplane of M.  Failing: those
+    missing l."""
     gm = space.generators_matrix()
     gf = gm.astype(np.float32)
     size = int(space.subgenerators()[0][0].sum())
-    collf = space.coll.astype(np.float32)
+    n = space.n_points
 
-    def kernel(pairs):
-        trace = hyperbolic.traces(space.coll, pairs)
-        dperp = hyperbolic.double_perps(trace, collf).astype(np.float32)
+    def kernel(lines):
+        trace = np.unpackbits(space.perps(lines.members), axis=1, count=n).astype(np.float32)
         cand = trace @ gf.T == size
-        bad = cand & (dperp @ gf.T == 0)
+        bad = cand & (lines.rows().astype(np.float32) @ gf.T == 0)
         counts = cand.sum(axis=1)
 
         def failures(k):
-            return ((counts[k], _pair_witness(space, *pairs[k], generator=_labels(
+            return ((counts[k], _pair_witness(space, *lines.pairs[k], generator=_labels(
                 space, np.flatnonzero(gm[g])))) for g in np.flatnonzero(bad[k]))
         return counts, bad.any(axis=1), failures
     return kernel
@@ -129,33 +155,38 @@ def check_A(space: PolarSpace) -> Verdict:
     """For non-collinear a, b and generator M: if M cap {a,b}^perp is a
     hyperplane of M then M must meet the hyperbolic line {a,b}^perpperp."""
     width = max(space.n_points, len(space.generators_matrix()))
-    return _scan(pair_batches(space.noncollinear_pairs(), width), _A_kernel(space))
+    return _line_scan(space, _A_kernel(space), width)
 
 
 # ---------------------------------------------------------------------------
 # regular pairs
 
 def _regular_pairs_kernel(space: PolarSpace):
-    """Block: a non-collinear pair (a, b).  Checked: the opposite pairs N, N'
-    of sub-generators inside {a,b}^perp (the generators of the trace), in
-    row-major order.  Failing: those with N^perp cap N'^perp != {a,b}^perpperp."""
+    """Block: a hyperbolic line l, with its pair (a, b).  Checked: the
+    opposite pairs N, N' of sub-generators inside l^perp (the generators of
+    the trace), in row-major order.  Failing: those with
+    N^perp cap N'^perp != l.  As N and N' lie in l^perp, l lies in
+    N^perp cap N'^perp, so it fails exactly when it has more points than l."""
     sg, sp = space.subgenerators()
     sgf, spf, spt = sg.astype(np.float32), sp.astype(np.float32), np.ascontiguousarray(sp.T)
-    collf = space.coll.astype(np.float32)
+    n = space.n_points
 
-    def kernel(pairs):
-        ks, valid = padded_columns(spt[pairs[:, 0]] & spt[pairs[:, 1]])  # S_k inside {a,b}^perp
-        upper = np.triu(valid[:, :, None] & valid[:, None, :], 1)
+    def kernel(lines):
+        pairs = lines.pairs
+        ks, valid = padded_columns(spt[pairs[:, 0]] & spt[pairs[:, 1]])  # S_k inside l^perp
+        order = np.arange(ks.shape[1])
+        upper = (order[:, None] < order) & valid[:, None, :]  # x < y, both real
         perps = spf[ks]
         opp = upper & (perps @ sgf[ks].transpose(0, 2, 1) == 0)
-        far = ~hyperbolic.double_perps(hyperbolic.traces(space.coll, pairs), collf)
-        bad = opp & ((perps * far[:, None, :]) @ perps.transpose(0, 2, 1) > 0)
+        size = (lines.members < n).sum(axis=1)
+        bad = opp & (perps @ perps.transpose(0, 2, 1) > size[:, None, None])
 
         def failures(k):
             upto = np.cumsum(opp[k]).reshape(opp[k].shape)
+            far = ~lines.rows()[k]
             for x, y in zip(*np.nonzero(bad[k])):
                 kx, ky = ks[k, x], ks[k, y]
-                extra = np.flatnonzero(sp[kx] & sp[ky] & far[k])[0]
+                extra = np.flatnonzero(sp[kx] & sp[ky] & far)[0]
                 yield upto[x, y], _pair_witness(
                     space, *pairs[k], N=_labels(space, np.flatnonzero(sg[kx])),
                     N_prime=_labels(space, np.flatnonzero(sg[ky])),
@@ -170,7 +201,7 @@ def check_regular_pairs(space: PolarSpace) -> Verdict:
     n = space.n_points
     k_max = _most_inside(space, ~space.coll)
     width = max(len(space.subgenerators()[1]), k_max * max(n, k_max))
-    return _scan(pair_batches(space.noncollinear_pairs(), width), _regular_pairs_kernel(space))
+    return _line_scan(space, _regular_pairs_kernel(space), width)
 
 
 def _most_inside(space: PolarSpace, mask) -> int:
@@ -283,9 +314,7 @@ def _D_kernel(space: PolarSpace):
     collf = space.coll.astype(np.float32)
 
     def kernel(lines):
-        members = np.zeros((len(lines), n + 1), dtype=np.float32)  # column n: padding
-        members[np.arange(len(lines))[:, None], lines.members] = 1
-        missed = members[:, :n] @ collf == 0
+        missed = lines.rows().astype(np.float32) @ collf == 0
 
         def failures(k):
             h = lines[k]
@@ -400,9 +429,12 @@ def full_report(space: PolarSpace) -> PropertyReport:
     return PropertyReport(space, verdicts, equivalences)
 
 
-def _pair_block(space, witness):
-    a, b = space.index_of(witness["a"]), space.index_of(witness["b"])
-    return None if space.collinear(a, b) else np.array([[a, b]])
+def _line_block(space, a, b):
+    return None if space.collinear(a, b) else hyperbolic.hyperbolic_lines(space, np.array([[a, b]]))
+
+
+def _pair_line_block(space, witness):
+    return _line_block(space, space.index_of(witness["a"]), space.index_of(witness["b"]))
 
 
 def _triad_block(space, witness):
@@ -419,15 +451,14 @@ def _arising_block(space, witness):
 
 
 def _hyperbolic_block(space, witness):
-    a, b = (space.index_of(p) for p in witness["pair"])
-    return None if space.collinear(a, b) else hyperbolic.hyperbolic_lines(space, np.array([[a, b]]))
+    return _line_block(space, *(space.index_of(p) for p in witness["pair"]))
 
 
 # property -> (witness -> a batch of its one block, or None if the scan has
 #              no such block; space -> the checker's kernel)
 _REPLAY = {
-    "A": (_pair_block, _A_kernel),
-    "regular_pairs": (_pair_block, _regular_pairs_kernel),
+    "A": (_pair_line_block, _A_kernel),
+    "regular_pairs": (_pair_line_block, _regular_pairs_kernel),
     "B_triads": (_triad_block, _triads_kernel),
     "B_prime": (_arising_block, _B_prime_kernel),
     "C": (_arising_block, _C_kernel),

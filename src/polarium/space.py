@@ -53,18 +53,21 @@ def pair_batches(pairs: np.ndarray, width: int):
     return (pairs[s] for s in batches(len(pairs), width))
 
 
-def pair_codes(n: int, members) -> np.ndarray:
+def pair_codes(n: int, members, rows: bool = False):
     """The codes a * n + b of the pairs a < b in each row of `members`, point
-    indices in ascending order padded with n.  Rows are taken in groups of
-    equal size k, so a row costs k(k - 1)/2 codes, not width^2."""
+    indices in ascending order padded with n, and with rows=True also the
+    row each code comes from.  Rows are taken in groups of equal size k, so
+    a row costs k(k - 1)/2 codes, not width^2."""
     sizes = (members < n).sum(axis=1)
-    codes = [np.empty(0, dtype=np.int64)]
+    codes, at = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.intp)]
     for k in set(sizes.tolist()):
         pairs = np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp)
         a, b = pairs.reshape(-1, 2).T
         m = members[sizes == k]
         codes.append((m[:, a] * n + m[:, b]).ravel())
-    return np.concatenate(codes)
+        at.append(np.repeat(np.flatnonzero(sizes == k), len(a)))
+    codes = np.concatenate(codes)
+    return (codes, np.concatenate(at)) if rows else codes
 
 
 def pair_counts(n: int, members) -> np.ndarray:
@@ -131,6 +134,7 @@ class PolarSpace:
         self._packed_perps = None
         self._noncollinear_pairs = None
         self._packed_traces = None
+        self._hyperbolic_lines = None  # memo of hyperbolic.all_hyperbolic_lines
         self._flip = None
         if validate:
             self.validate()

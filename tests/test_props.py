@@ -12,7 +12,7 @@ from polarium.cli import main
 from polarium.props import (FAILS, HOLDS, SKIPPED, check_A, check_B_prime,
                             check_C, check_D, check_centric_triads,
                             check_regular_pairs, is_symplectic, validate_witness)
-from test_space import max_clique_rank
+from test_space import STRETCH, max_clique_rank
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -362,13 +362,13 @@ def test_kernel_failures_do_not_depend_on_the_batch(space_for):
     # give the count, verdict and failures it gives in a batch of its own,
     # and fail exactly when it has failures
     space = space_for("Q(4,3)")
-    pairs = np.argwhere(np.triu(~space.coll, 1))
+    lines = hyperbolic.all_hyperbolic_lines(space)
     arising = hyperplanes.arising_hyperplanes(embed.natural_embedding(space))
     for make, blocks in [
-            (props._A_kernel, pairs), (props._regular_pairs_kernel, pairs),
+            (props._A_kernel, lines), (props._regular_pairs_kernel, lines),
             (props._triads_kernel, np.argwhere(np.triu(~np.eye(space.n_points, dtype=bool), 1))),
             (props._B_prime_kernel, arising), (props._C_kernel, arising),
-            (props._D_kernel, hyperbolic.all_hyperbolic_lines(space))]:
+            (props._D_kernel, lines)]:
         kernel = make(space)
         counts, fails, failures = kernel(blocks)
         assert np.any(fails), make.__name__
@@ -378,3 +378,131 @@ def test_kernel_failures_do_not_depend_on_the_batch(space_for):
             assert (counts[k], bool(fails[k]), got) == (one_counts[0], bool(one_fails[0]),
                                                        list(one_failures(0))), (make.__name__, k)
             assert bool(fails[k]) == bool(got), (make.__name__, k)
+
+
+# A and regular pairs scan hyperbolic lines: the one-pair kernels below are
+# the pair-by-pair scan they replaced, kept as the oracle.  Each reads the
+# pair's trace {a,b}^perp and double perp {a,b}^perpperp directly.
+
+def _pair_A_oracle(space):
+    gm = space.generators_matrix()
+    gf = gm.astype(np.float32)
+    size = int(space.subgenerators()[0][0].sum())
+    collf = space.coll.astype(np.float32)
+
+    def kernel(pairs):
+        trace = (space.coll[pairs[:, 0]] & space.coll[pairs[:, 1]]).astype(np.float32)
+        dperp = (trace @ collf == trace.sum(axis=1, keepdims=True)).astype(np.float32)
+        cand = trace @ gf.T == size
+        bad = cand & (dperp @ gf.T == 0)
+        counts = cand.sum(axis=1)
+
+        def failures(k):
+            return ((counts[k], props._pair_witness(space, *pairs[k], generator=props._labels(
+                space, np.flatnonzero(gm[g])))) for g in np.flatnonzero(bad[k]))
+        return counts, bad.any(axis=1), failures
+    return kernel
+
+
+def _pair_regular_pairs_oracle(space):
+    sg, sp = space.subgenerators()
+    sgf, spf, spt = sg.astype(np.float32), sp.astype(np.float32), np.ascontiguousarray(sp.T)
+    collf = space.coll.astype(np.float32)
+
+    def kernel(pairs):
+        ks, valid = space_module.padded_columns(spt[pairs[:, 0]] & spt[pairs[:, 1]])
+        upper = np.triu(valid[:, :, None] & valid[:, None, :], 1)
+        perps = spf[ks]
+        opp = upper & (perps @ sgf[ks].transpose(0, 2, 1) == 0)
+        trace = (space.coll[pairs[:, 0]] & space.coll[pairs[:, 1]]).astype(np.float32)
+        far = ~(trace @ collf == trace.sum(axis=1, keepdims=True))
+        bad = opp & ((perps * far[:, None, :]) @ perps.transpose(0, 2, 1) > 0)
+
+        def failures(k):
+            upto = np.cumsum(opp[k]).reshape(opp[k].shape)
+            for x, y in zip(*np.nonzero(bad[k])):
+                kx, ky = ks[k, x], ks[k, y]
+                extra = np.flatnonzero(sp[kx] & sp[ky] & far[k])[0]
+                yield upto[x, y], props._pair_witness(
+                    space, *pairs[k], N=props._labels(space, np.flatnonzero(sg[kx])),
+                    N_prime=props._labels(space, np.flatnonzero(sg[ky])),
+                    extra_point=props._label(space, int(extra)))
+        return opp.sum(axis=(1, 2)), bad.any(axis=(1, 2)), failures
+    return kernel
+
+
+def _every_block(kernel, blocks):
+    """(counts, fails) of every block, in batches of 64 blocks."""
+    out = [kernel(blocks[lo:lo + 64])[:2] for lo in range(0, len(blocks), 64)]
+    return np.concatenate([c for c, _ in out]), np.concatenate([f for _, f in out])
+
+
+@pytest.mark.parametrize("batch", ["default", "small"])
+@pytest.mark.parametrize("name", [*CATALOG, *STRETCH])
+def test_line_kernels_match_the_pair_oracle(space_for, monkeypatch, name, batch):
+    # every non-collinear pair has its line's count and verdict, and the line
+    # scan gives the oracle's first failing pair, witness and checked_count
+    if batch == "small":
+        monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 512)
+        space = build_space(name)  # lines built at this batch size too
+    else:
+        space = space_for(name)
+    pairs = space.noncollinear_pairs()
+    lines = hyperbolic.all_hyperbolic_lines(space)
+    for oracle, line_kernel, check in [
+            (_pair_A_oracle, props._A_kernel, check_A),
+            (_pair_regular_pairs_oracle, props._regular_pairs_kernel, check_regular_pairs)]:
+        counts, fails = _every_block(oracle(space), pairs)
+        line_counts, line_fails = _every_block(line_kernel(space), lines)
+        assert (counts == line_counts[lines.of_pair]).all(), line_kernel.__name__
+        assert (fails == line_fails[lines.of_pair]).all(), line_kernel.__name__
+        # the pair scan: stop at the first failing pair, counting the pairs before it
+        if fails.any():
+            p = int(np.argmax(fails))
+            upto, witness = next(oracle(space)(pairs[p:p + 1])[2](0))
+            want = {"verdict": FAILS, "checked_count": int(counts[:p].sum() + upto),
+                    "witness": witness}
+        else:
+            want = {"verdict": HOLDS, "checked_count": int(counts.sum())}
+        assert check(space).to_dict() == want, line_kernel.__name__
+
+
+def test_line_witness_replays_from_any_pair_of_its_line(space_for, report_for):
+    # H(4,4) fails A and regular pairs on 3-point lines: every pair of the
+    # witness's line has the same failures, so replay accepts the witness
+    # with (a, b) replaced by another pair of that line
+    space = space_for("H(4,4)")
+    for prop in ("A", "regular_pairs"):
+        witness = report_for("H(4,4)").verdicts[prop].witness
+        line = hyperbolic.hyperbolic_line(space, space.index_of(witness["a"]),
+                                          space.index_of(witness["b"]))
+        assert len(line) == 3
+        for c, d in [line.points[1:], line.points[::-2]]:
+            moved = {**witness, "a": props._label(space, c), "b": props._label(space, d)}
+            assert validate_witness(space, prop, moved), (prop, c, d)
+
+
+def test_full_report_builds_the_lines_once(monkeypatch):
+    # A, regular pairs and D read one memoised line build per space
+    built = []
+    build = hyperbolic._build_lines
+    monkeypatch.setattr(hyperbolic, "_build_lines", lambda space: built.append(space.name)
+                        or build(space))
+    for name in ["W(3,2)", "Q(4,3)", "H(4,4)"]:
+        props.full_report(build_space(name))
+    assert built == ["W(3,2)", "Q(4,3)", "H(4,4)"]
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("name, A, regular_pairs", [
+    ("W(3,7)", 4390400, 1920800), ("W(5,3)", 7076160, 23882040),
+    ("W(7,2)", 6609600, 70502400)])
+def test_line_scans_heavy(name, A, regular_pairs):
+    # the counts of the pair-by-pair scan.  E.g. W(3,7) has 68600
+    # non-collinear pairs; each trace is 8 pairwise non-collinear points on 8
+    # lines each (A = 68600 * 8 * 8), and its 28 point pairs are all opposite
+    # (regular pairs = 68600 * 28)
+    space = build_space(name)
+    assert check_A(space).to_dict() == {"verdict": HOLDS, "checked_count": A}
+    assert check_regular_pairs(space).to_dict() == {"verdict": HOLDS,
+                                                    "checked_count": regular_pairs}
