@@ -6,7 +6,7 @@ properties (A), (B), (C), (D), regular pairs and centric triads."""
 from polarium.gf import Field
 from polarium.linalg import Subspace, enumerate_points, intersect, normalize, span
 from polarium.forms import CanonicalSpaceSpec, Form, witt_index
-from polarium.space import PolarSpace, SingularSubspace, are_opposite
+from polarium.space import PolarSpace
 from polarium.catalog import CATALOG, build_space, parse_space_spec
 from polarium.hyperbolic import all_hyperbolic_lines, hyperbolic_line, linear_space
 from polarium.embed import (Embedding, minimal_embedding, natural_embedding,
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Field", "Subspace", "normalize", "span", "intersect", "enumerate_points",
     "Form", "witt_index", "CanonicalSpaceSpec",
-    "PolarSpace", "SingularSubspace", "are_opposite",
+    "PolarSpace",
     "build_space", "parse_space_spec", "CATALOG",
     "hyperbolic_line", "all_hyperbolic_lines", "linear_space",
     "Embedding", "natural_embedding", "minimal_embedding",

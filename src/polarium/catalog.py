@@ -63,7 +63,10 @@ def build_space(spec, *, max_points: int = DEFAULT_MAX_POINTS) -> PolarSpace:
         return derived.payne_derive(base, 0)
     if spec.family == "dual":
         base = build_space(spec.inner, max_points=max_points)
-        return derived.dualize(base)
+        try:
+            return derived.dualize(base)
+        except ValueError as exc:
+            raise SpecParseError(str(exc)) from exc
     try:
         form = canonical_form(spec)
     except ValueError as exc:

@@ -240,6 +240,9 @@ def cmd_info(args) -> int:
     except BoundExceeded as exc:
         print(f"polarium: bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND
+    except SpaceError as exc:
+        print(f"polarium: space error: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
     info = {"space": space.name, "points": space.n_points,
             "lines": len(space.lines), "rank": space.rank}
     sys.stdout.write(json.dumps(info, sort_keys=True, indent=2) + "\n")

@@ -71,7 +71,7 @@ class Hyperplane:
     def rank(self) -> int:
         """n if a generator lies inside, else n - 1: every generator meets a
         hyperplane in itself or in a hyperplane of itself."""
-        outside = self.space.generators_matrix() & ~self.mask
+        outside = self.space.generators() & ~self.mask
         return self.space.rank - bool(outside.any(axis=1).all())
 
     def is_singular(self) -> bool:

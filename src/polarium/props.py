@@ -34,7 +34,7 @@ import time
 import numpy as np
 
 from polarium import embed, hyperbolic, hyperplanes, linalg
-from polarium.space import PolarSpace, batches, chunks, padded_columns, pair_batches
+from polarium.space import PolarSpace, batches, chunks, padded_columns
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -123,7 +123,7 @@ def _line_scan(space: PolarSpace, kernel, width: int) -> Verdict:
         # line k's own pair is the first pair on a line >= k
         later = np.flatnonzero(of_pair >= len(counts))
         return counts[of_pair[:later[0] if len(later) else len(of_pair)]].sum()
-    return _scan((lines[s] for s in batches(len(lines), width)), kernel, checked)
+    return _scan(batches(lines, width), kernel, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def _A_kernel(space: PolarSpace):
     """Block: a hyperbolic line l, with its pair (a, b).  Checked: the
     generators M with M cap l^perp a hyperplane of M.  Failing: those
     missing l."""
-    gm = space.generators_matrix()
+    gm = space.generators()
     gf = gm.astype(np.float32)
     size = int(space.subgenerators()[0][0].sum())
     n = space.n_points
@@ -154,7 +154,7 @@ def _A_kernel(space: PolarSpace):
 def check_A(space: PolarSpace) -> Verdict:
     """For non-collinear a, b and generator M: if M cap {a,b}^perp is a
     hyperplane of M then M must meet the hyperbolic line {a,b}^perpperp."""
-    width = max(space.n_points, len(space.generators_matrix()))
+    width = max(space.n_points, len(space.generators()))
     return _line_scan(space, _A_kernel(space), width)
 
 
@@ -247,17 +247,11 @@ def check_centric_triads(space: PolarSpace) -> Verdict:
     packed = (n + 7) // 8  # bytes per bit-packed S_k^perp row
     width = max(len(space.subgenerators()[1]), n, _most_inside(space, distinct) * packed)
     pairs = np.argwhere(np.triu(distinct, 1))
-    return _scan(pair_batches(pairs, width), _triads_kernel(space))
+    return _scan(batches(pairs, width), _triads_kernel(space))
 
 
 # ---------------------------------------------------------------------------
 # properties (B') and (C) over arising hyperplanes
-
-def _arising_batches(e: embed.Embedding, width: int):
-    """The arising hyperplanes of e, in `batches`."""
-    arising = hyperplanes.arising_hyperplanes(e)
-    return (arising[s] for s in batches(len(arising), width))
-
 
 def _arising_kernel(space: PolarSpace, marked, **extra):
     """Block: an arising hyperplane h.  Checked: the non-collinear pairs whose
@@ -277,7 +271,7 @@ def _arising_kernel(space: PolarSpace, marked, **extra):
 
 def _B_prime_kernel(space: PolarSpace):
     """Failing: an arising hyperplane containing a trace but no generator."""
-    gf = space.generators_matrix().astype(np.float32)
+    gf = space.generators().astype(np.float32)
     return _arising_kernel(space, lambda hs: (
         gf @ (~np.stack([h.mask for h in hs])).T.astype(np.float32) > 0).all(axis=0))
 
@@ -285,8 +279,8 @@ def _B_prime_kernel(space: PolarSpace):
 def check_B_prime(space: PolarSpace, e: embed.Embedding) -> Verdict:
     """Every arising hyperplane containing the trace of a non-collinear pair
     must contain a generator (equivalently have rank n)."""
-    return _scan(_arising_batches(e, max(space.n_points, len(space.generators_matrix()))),
-                 _B_prime_kernel(space))
+    width = max(space.n_points, len(space.generators()))
+    return _scan(batches(hyperplanes.arising_hyperplanes(e), width), _B_prime_kernel(space))
 
 
 def _C_kernel(space: PolarSpace):
@@ -301,7 +295,7 @@ def _C_kernel(space: PolarSpace):
 def check_C(space: PolarSpace, e: embed.Embedding) -> Verdict:
     """Every arising hyperplane containing a trace must be singular, with
     deepest point on the hyperbolic line of the pair."""
-    return _scan(_arising_batches(e, space.n_points), _C_kernel(space))
+    return _scan(batches(hyperplanes.arising_hyperplanes(e), space.n_points), _C_kernel(space))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +321,7 @@ def _D_kernel(space: PolarSpace):
 
 def check_D(space: PolarSpace) -> Verdict:
     """Every singular hyperplane x^perp must meet every hyperbolic line."""
-    hlines = hyperbolic.all_hyperbolic_lines(space)
-    return _scan((hlines[s] for s in batches(len(hlines), space.n_points)),
+    return _scan(batches(hyperbolic.all_hyperbolic_lines(space), space.n_points),
                  _D_kernel(space))
 
 

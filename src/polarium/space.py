@@ -8,8 +8,8 @@ by explicit point and line lists (grids, Payne derivations, duals, induced
 perp-spaces).  Collinearity is cached as a dense symmetric boolean matrix
 (diagonal True, so perps are "collinear-or-equal" sets) and bit-packed by
 row; `PolarSpace.perps` ANDs those rows into X^perp for point sets X, and
-serves the pair traces, double perps, sub-generator perps and spans
-X^perpperp.  Generators come from sub-generators, since a generator is its
+serves the pair traces, double perps and sub-generator perps.  Generators
+are membership rows that come from sub-generators, since a generator is its
 own perp; the largest singular subspace inside a subspace is its largest
 meet with a generator.
 """
@@ -29,14 +29,14 @@ DEFAULT_MAX_POINTS = 2000
 BATCH_ELEMENTS = 1 << 16  # scratch matrix elements per batch in batched kernels
 
 
-def batches(total: int, width: int):
-    """Slices over `total` items for a kernel with `width` scratch elements
-    per item: one item first, then doubling until a batch holds
-    BATCH_ELEMENTS elements, so a scan that stops early stays cheap."""
+def batches(items, width: int):
+    """`items` in slices for a kernel with `width` scratch elements per item:
+    one item first, then doubling until a batch holds BATCH_ELEMENTS
+    elements, so a scan that stops early stays cheap."""
     cap = max(1, BATCH_ELEMENTS // width)
     lo, size = 0, 1
-    while lo < total:
-        yield slice(lo, min(lo + size, total))
+    while lo < len(items):
+        yield items[lo:lo + size]
         lo += size
         size = min(2 * size, cap)
 
@@ -46,11 +46,6 @@ def chunks(total: int, width: int):
     items (at least one), for full sweeps, which never stop early."""
     step = max(1, BATCH_ELEMENTS // width)
     return (slice(lo, min(lo + step, total)) for lo in range(0, total, step))
-
-
-def pair_batches(pairs: np.ndarray, width: int):
-    """The rows of an (m, 2) pair array in `batches`."""
-    return (pairs[s] for s in batches(len(pairs), width))
 
 
 def pair_codes(n: int, members, rows: bool = False):
@@ -91,25 +86,6 @@ class SpaceError(Exception):
     """A polar-space axiom failed to hold for the constructed structure."""
 
 
-class SingularSubspace:
-    """A singular subspace: pairwise collinear, closed under lines."""
-
-    __slots__ = ("points", "rank")
-
-    def __init__(self, points, rank):
-        self.points = tuple(sorted(points))
-        self.rank = rank
-
-    def __eq__(self, other):
-        return isinstance(other, SingularSubspace) and self.points == other.points
-
-    def __hash__(self):
-        return hash(self.points)
-
-    def __repr__(self):
-        return f"SingularSubspace(rank={self.rank}, points={self.points})"
-
-
 class PolarSpace:
     """A non-degenerate polar space of finite rank with cached collinearity."""
 
@@ -129,7 +105,6 @@ class PolarSpace:
         self._index = {lab: i for i, lab in enumerate(self.points)}
         self._lines_matrix = None
         self._generators = None
-        self._generators_matrix = None
         self._subgenerators = None
         self._packed_perps = None
         self._noncollinear_pairs = None
@@ -302,8 +277,9 @@ class PolarSpace:
 
     # -- singular subspaces ---------------------------------------------------
 
-    def generators(self) -> list:
-        """All maximal singular subspaces, sorted by point tuple.
+    def generators(self) -> np.ndarray:
+        """All maximal singular subspaces as membership rows, sorted by point
+        tuple, built once (read-only).
 
         A generator is its own perp, so the generators through a
         sub-generator S are the sets S^perp cap x^perp over x in
@@ -319,31 +295,23 @@ class PolarSpace:
                 rows = _sorted_rows(_generators_through(self.coll, *self.subgenerators()))
             else:
                 rows = self._flip_closure()[0]
-            cols, sizes = np.nonzero(rows)[1].tolist(), rows.sum(axis=1).tolist()
-            pts = [tuple(cols[end - k:end]) for end, k in zip(itertools.accumulate(sizes), sizes)]
+            sizes = rows.sum(axis=1)
             if self.is_form_backed:
                 size = (self.field.q ** self.rank - 1) // (self.field.q - 1)
-                for g in pts:
-                    if len(g) != size:
-                        raise SpaceError(f"{self.name}: generator of {len(g)} "
-                                         f"points, expected rank {self.rank} with {size}")
-                gens = [SingularSubspace(g, self.rank) for g in pts]
+                wrong = np.flatnonzero(sizes != size)
+                if len(wrong):
+                    raise SpaceError(f"{self.name}: generator of {sizes[wrong[0]]} "
+                                     f"points, expected rank {self.rank} with {size}")
             else:
-                lines = set(self.lines)
-                for g in pts:
-                    if len(g) > 1 and g not in lines:
+                big, lines = np.flatnonzero(sizes > 1), set(_row_keys(self.lines_matrix).tolist())
+                for k, key in zip(big.tolist(), _row_keys(rows[big]).tolist()):
+                    if key not in lines:
+                        g = tuple(np.flatnonzero(rows[k]).tolist())
                         raise SpaceError(f"{self.name}: generator {g} through a "
                                          "point is neither a point nor a line")
-                gens = [SingularSubspace(g, min(len(g), 2)) for g in pts]
             rows.flags.writeable = False
-            self._generators, self._generators_matrix = gens, rows
+            self._generators = rows
         return self._generators
-
-    def generators_matrix(self) -> np.ndarray:
-        """Membership rows of the generators, built once (read-only)."""
-        if self._generators_matrix is None:
-            self.generators()
-        return self._generators_matrix
 
     def subgenerators(self):
         """(SG, SP): every rank-(n-1) singular subspace S_k, sorted by point
@@ -424,25 +392,11 @@ class PolarSpace:
             return round(math.log(size * (q - 1) + 1, q))
         return min(size, 2)
 
-    def span_singular(self, idxs) -> SingularSubspace:
-        """The singular subspace T spanned by pairwise collinear points X: as
-        X^perp = T^perp and a non-degenerate polar space has Rad(T^perp) = T,
-        it is X^perpperp."""
-        idxs = sorted(set(idxs))
-        apart = np.argwhere(~self.coll[np.ix_(idxs, idxs)])
-        if len(apart):
-            a, b = apart[0]
-            raise ValueError(f"points {idxs[a]} and {idxs[b]} are not collinear")
-        x = np.zeros((1, self.n_points), dtype=bool)
-        x[0, idxs] = True
-        pts = np.flatnonzero(self._perps(self._perps(x))[0]).tolist()
-        return SingularSubspace(pts, self._rank(len(pts)))
-
     def max_singular_rank(self, mask) -> int:
         """Largest rank of a singular subspace inside a subspace point-mask:
         each lies in a generator M, and M cap mask is singular, so it is the
         rank of the largest such meet."""
-        return self._rank(int((self.generators_matrix() & mask).sum(axis=1).max(initial=0)))
+        return self._rank(int((self.generators() & mask).sum(axis=1).max(initial=0)))
 
     # -- derived incidence queries ---------------------------------------------
 
@@ -521,27 +475,3 @@ def _new_rows(rows, seen: set) -> np.ndarray:
     keep = [i for i, key in zip(first.tolist(), keys.tolist()) if key not in seen]
     seen.update(keys.tolist())
     return rows[keep]
-
-
-# -- module-level operations on spaces ---------------------------------------
-
-def are_opposite(space: PolarSpace, x: SingularSubspace, y: SingularSubspace) -> bool:
-    """Opposite singular subspaces of equal rank: X^perp misses Y."""
-    if x.rank != y.rank:
-        raise ValueError(f"rank mismatch: {x.rank} vs {y.rank}")
-    mask = space.perp_mask(x.points)
-    return not mask[list(y.points)].any()
-
-
-def ideal_subgenerator(space: PolarSpace, sub: SingularSubspace, ambient) -> bool:
-    """True iff every generator through the sub-generator stays in `ambient`."""
-    if sub.rank != space.rank - 1:
-        raise ValueError(f"sub-generator must have rank {space.rank - 1}")
-    ambient = set(ambient)
-    if not set(sub.points) <= ambient:
-        raise ValueError("sub-generator does not lie in the ambient set")
-    sub_set = set(sub.points)
-    for g in space.generators():
-        if sub_set <= set(g.points) and not set(g.points) <= ambient:
-            return False
-    return True

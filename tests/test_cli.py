@@ -282,6 +282,23 @@ def test_replay_witness_missing_key(capsys, tmp_path):
     assert code == 3 and "malformed" in err
 
 
+@pytest.mark.parametrize("spec,reason", [
+    ("Q-(1,2)", "no vanishing points"), ("P(W(3,2))", "thin line")])
+def test_info_space_error(capsys, spec, reason):
+    # info reports a space that fails to build as check does, not by a traceback
+    for command in ("info", "check"):
+        code, out, err = run(capsys, command, spec)
+        assert (code, out) == (3, "") and err.startswith("polarium: space error:")
+        assert reason in err
+
+
+def test_dual_of_higher_rank_is_a_spec_error(capsys):
+    # dualization needs a rank-2 space: a usage error, not a ValueError
+    for command in ("info", "check"):
+        code, out, err = run(capsys, command, "dual(W(5,2))")
+        assert (code, out) == (1, "") and "rank-2" in err and "Traceback" not in err
+
+
 def test_replay_space_error(capsys, tmp_path):
     # a hand-made report on the rank-1 ovoid Q-(3,2): replay hits its SpaceError
     labels = [list(p) for p in build_space("Q-(3,2)").points[:2]]

@@ -25,14 +25,13 @@ def test_grid_isomorphic_to_hyperbolic_quadric(space_for):
     # degree sequences and collinearity spectra agree
     assert sorted(q33.coll.sum(axis=1).tolist()) == sorted(g3.coll.sum(axis=1).tolist())
     # canonical labeling through the two rulings gives a full isomorphism
-    gens = q33.generators()
-    ruling_a = [g for g in gens
-                if g is gens[0] or not set(g.points) & set(gens[0].points)]
+    gens = [tuple(np.flatnonzero(g).tolist()) for g in q33.generators()]
+    ruling_a = [g for g in gens if g is gens[0] or not set(g) & set(gens[0])]
     ruling_b = [g for g in gens if g not in ruling_a]
     mapping = {}
     for i, ga in enumerate(ruling_a):
         for j, gb in enumerate(ruling_b):
-            common = set(ga.points) & set(gb.points)
+            common = set(ga) & set(gb)
             assert len(common) == 1
             mapping[common.pop()] = g3.index_of((i, j))
     perm = np.array([mapping[p] for p in range(q33.n_points)])

@@ -123,13 +123,12 @@ def test_rank_matches_clique_search(space_for, name):
 def test_grid_transversal_is_ovoid(space_for):
     grid = space_for("Q+(3,3)")
     # 4 pairwise non-collinear points meeting every line: a diagonal
-    gens = grid.generators()
-    ruling = [g for g in gens
-              if g is gens[0] or not set(g.points) & set(gens[0].points)]
+    gens = [tuple(np.flatnonzero(g).tolist()) for g in grid.generators()]
+    ruling = [g for g in gens if g is gens[0] or not set(g) & set(gens[0])]
     other = [g for g in gens if g not in ruling]
     pts = []
     for i, g in enumerate(ruling):
-        pts.append(next(p for p in g.points if p in other[i].points))
+        pts.append(next(p for p in g if p in other[i]))
     h = Hyperplane(grid, pts, ("explicit",))
     assert h.classification() == OVOID and h.rank() == 1
 

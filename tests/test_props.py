@@ -69,7 +69,7 @@ def test_witness_negative_control(space_for, report_for):
     w["a"], w["b"] = w["b"], w["a"]  # swapped pair still fine (symmetric) ...
     assert validate_witness(space, "A", w)
     mutated = dict(rep.verdicts["A"].witness)
-    mutated["generator"] = [space.points[i] for i in space.generators()[0].points]
+    mutated["generator"] = [space.points[i] for i in np.flatnonzero(space.generators()[0])]
     if mutated["generator"] != rep.verdicts["A"].witness["generator"]:
         assert not validate_witness(space, "A", mutated)
 
@@ -332,8 +332,8 @@ def _block_failures(space, prop, w):
     trace = coll[a] & coll[b]
     dperp = coll[trace].all(axis=0)
     if prop == "A":  # lines meeting the trace in one point and missing the double perp
-        return [{**w, "generator": [label(p) for p in g.points]} for g in space.generators()
-                if trace[list(g.points)].sum() == 1 and not dperp[list(g.points)].any()]
+        return [{**w, "generator": [label(p) for p in np.flatnonzero(g)]}
+                for g in space.generators() if trace[g].sum() == 1 and not dperp[g].any()]
     if prop == "B_triads":  # no point collinear with all of a, b, c
         return [{**w, "c": label(c)} for c in range(b + 1, n) if not (trace & coll[c]).any()]
     out = []  # regular pairs: opposite x < y in the trace, x^perp cap y^perp != {a,b}^perpperp
@@ -385,7 +385,7 @@ def test_kernel_failures_do_not_depend_on_the_batch(space_for):
 # pair's trace {a,b}^perp and double perp {a,b}^perpperp directly.
 
 def _pair_A_oracle(space):
-    gm = space.generators_matrix()
+    gm = space.generators()
     gf = gm.astype(np.float32)
     size = int(space.subgenerators()[0][0].sum())
     collf = space.coll.astype(np.float32)

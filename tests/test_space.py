@@ -10,10 +10,9 @@ import pytest
 
 from polarium.catalog import CATALOG, build_space, parse_space_spec, SpecParseError
 from polarium.forms import CanonicalSpaceSpec
-from polarium import linalg
 from polarium import space as space_module
 from polarium.linalg import BoundExceeded
-from polarium.space import are_opposite, ideal_subgenerator, PolarSpace, SpaceError
+from polarium.space import PolarSpace, SpaceError
 
 
 # the spaces of the benchmark's stretch workload
@@ -43,7 +42,8 @@ def test_parse_grammar():
     assert parse_space_spec("Q-(5,2)").family == "Q-"
     assert parse_space_spec("P(W(3,5))").inner == CanonicalSpaceSpec("W", 3, 5)
     assert parse_space_spec("dual(H(4,4))").inner.family == "H"
-    for bad in ["X(3,2)", "W(4,2)", "Q(5,3)", "P(Q(4,2))", "W(3)", "grid(1)"]:
+    for bad in ["X(3,2)", "W(4,2)", "Q(5,3)", "P(Q(4,2))", "W(3)", "grid(1)",
+                "dual(W(5,2))"]:
         with pytest.raises(SpecParseError):
             s = parse_space_spec(bad)
             build_space(s)
@@ -192,11 +192,16 @@ def test_two_lines_through_a_pair_named():
         PolarSpace("graph", list(range(8)), lines, np.ones((8, 8), dtype=bool), 2)
 
 
+def point_tuples(rows) -> list:
+    """The point indices of each membership row, as a tuple."""
+    return [tuple(np.flatnonzero(row).tolist()) for row in rows]
+
+
 def test_generators_counts(space_for):
     w32 = space_for("W(3,2)")
     gens = w32.generators()
-    assert len(gens) == 15
-    assert {g.points for g in gens} == {l for l in map(tuple, w32.lines)}
+    assert len(gens) == 15 and not gens.flags.writeable
+    assert set(point_tuples(gens)) == set(map(tuple, w32.lines))
 
     w52 = space_for("W(5,2)")
     q = 2
@@ -205,15 +210,13 @@ def test_generators_counts(space_for):
         oracle *= q ** i + 1  # number of generators of W(2n-1, q), n = 3
     assert oracle == 135
     assert len(w52.generators()) == oracle
-    assert all(g.rank == 3 for g in w52.generators())
+    assert (w52.generators().sum(axis=1) == 7).all()  # planes: rank 3
 
     grid = space_for("Q+(3,3)")
     gens = grid.generators()
     assert len(gens) == 8
-    # two rulings of 4 pairwise disjoint lines
-    g0 = set(gens[0].points)
-    same = [g for g in gens if not g0 & set(g.points) or g is gens[0]]
-    assert len(same) == 4
+    # two rulings of 4 pairwise disjoint lines: 3 lines miss the first
+    assert (~(gens & gens[0]).any(axis=1)).sum() == 3
 
 
 def adjacency(space) -> list:
@@ -269,10 +272,9 @@ def _bron_kerbosch_oracle(space):
 
 def _check_against_bron_kerbosch(space):
     gens, subs = _bron_kerbosch_oracle(space)
-    assert [g.points for g in space.generators()] == gens
-    assert [tuple(np.flatnonzero(row)) for row in space.generators_matrix()] == gens
+    assert point_tuples(space.generators()) == gens
     sg, sp = space.subgenerators()
-    assert [tuple(np.flatnonzero(row)) for row in sg] == subs
+    assert point_tuples(sg) == subs
     assert (sp == np.stack([space.perp_mask(np.flatnonzero(row)) for row in sg])).all()
 
 
@@ -295,9 +297,9 @@ def test_generators_match_bron_kerbosch_heavy(name, count):
 def test_combinatorial_rank_inference():
     w = build_space("W(3,2)")
     gq = PolarSpace.combinatorial("gq", w.points, w.lines)
-    assert gq.rank == 2 and [g.points for g in gq.generators()] == sorted(w.lines)
+    assert gq.rank == 2 and point_tuples(gq.generators()) == sorted(w.lines)
     bare = PolarSpace.combinatorial("bare", ["x", "y", "z"], [])
-    assert bare.rank == 1 and [g.points for g in bare.generators()] == [(0,), (1,), (2,)]
+    assert bare.rank == 1 and point_tuples(bare.generators()) == [(0,), (1,), (2,)]
     # W(5,2) has planes: the perp of a line is no line, so rank 2 is refused
     w52 = build_space("W(5,2)")
     with pytest.raises(SpaceError, match="neither a point nor a line"):
@@ -306,72 +308,7 @@ def test_combinatorial_rank_inference():
 
 def test_generators_deterministic(space_for):
     w = build_space("W(3,3)")
-    assert [g.points for g in w.generators()] == \
-        [g.points for g in space_for("W(3,3)").generators()]
-
-
-def test_span_singular(space_for):
-    w = space_for("W(3,2)")
-    line = w.lines[0]
-    s = w.span_singular(line[:2])
-    assert s.points == tuple(sorted(line)) and s.rank == 2
-    pt = w.span_singular([5])
-    assert pt.points == (5,) and pt.rank == 1
-    with pytest.raises(ValueError):
-        e0, e1 = w.index_of((1, 0, 0, 0)), w.index_of((0, 1, 0, 0))
-        w.span_singular([e0, e1])  # non-collinear pair
-
-    w52 = space_for("W(5,2)")
-    plane = next(g for g in w52.generators())
-    # three points of the plane not on one line span the whole 7-point plane
-    for triple in itertools.combinations(plane.points, 3):
-        sp = w52.span_singular(triple)
-        if sp.rank == 3:
-            assert sp.points == plane.points
-            break
-    else:
-        raise AssertionError("no spanning triple found in a generator")
-
-
-def _random_cliques(space, count, seed):
-    """Seeded pairwise collinear point lists of 1 to rank + 1 draws."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        clique = [rng.randrange(space.n_points)]
-        for _ in range(rng.randrange(space.rank + 1)):
-            clique.append(rng.choice(np.flatnonzero(space.perp_mask(clique)).tolist()))
-        yield clique
-
-
-def _line_closure(space, idxs) -> tuple:
-    """Oracle: add every line that meets the set in two points, until none."""
-    current, grown = set(idxs), True
-    while grown:
-        grown = False
-        for line in map(set, space.lines):
-            if len(line & current) > 1 and not line <= current:
-                current |= line
-                grown = True
-    return tuple(sorted(current))
-
-
-@pytest.mark.parametrize("name", ["W(3,2)", "Q(4,3)", "Q-(5,2)", "H(3,4)", "W(5,2)", "Q(6,2)"])
-def test_span_singular_matches_linear_span(space_for, name):
-    s = space_for(name)
-    for clique in _random_cliques(s, 60, name):
-        sub = linalg.span(s.field, s.form.dim, [s.vectors[i] for i in clique])
-        want = tuple(sorted(s.index_of(p) for p in linalg.enumerate_points(sub)))
-        got = s.span_singular(clique)
-        assert (got.points, got.rank) == (want, sub.rank), clique
-
-
-@pytest.mark.parametrize("name", ["grid(4)", "P(W(3,5))", "dual(H(4,4))"])
-def test_span_singular_matches_line_closure(space_for, name):
-    s = space_for(name)
-    for clique in _random_cliques(s, 60, name):
-        got = s.span_singular(clique)
-        want = _line_closure(s, clique)
-        assert (got.points, got.rank) == (want, min(len(want), 2)), clique
+    assert np.array_equal(w.generators(), space_for("W(3,3)").generators())
 
 
 @pytest.mark.parametrize("name", ["W(3,2)", "Q-(5,2)", "H(3,4)", "W(5,2)", "grid(4)", "P(W(3,5))"])
@@ -393,41 +330,6 @@ def test_max_singular_rank_combinatorial(space_for):
         mask = np.zeros(s.n_points, dtype=bool)
         mask[list(pts)] = True
         assert s.max_singular_rank(mask) == rank, pts
-
-
-def test_are_opposite(space_for):
-    w = space_for("W(3,2)")
-    e0, e1 = w.index_of((1, 0, 0, 0)), w.index_of((0, 1, 0, 0))
-    assert are_opposite(w, w.span_singular([e0]), w.span_singular([e1]))
-    g = w.generators()[0]
-    assert not are_opposite(w, g, g)
-    with pytest.raises(ValueError):
-        are_opposite(w, g, w.span_singular([0]))
-    # verdict matches the brute-force perp test on all line pairs
-    for x, y in itertools.combinations(w.generators(), 2):
-        brute = not (set(w.perp(list(x.points))) & set(y.points))
-        assert are_opposite(w, x, y) == brute
-
-
-def test_ideal_subgenerator(space_for):
-    w = space_for("W(3,2)")
-    everything = range(w.n_points)
-    g = w.generators()[0]
-    sub = w.span_singular([g.points[0]])  # a point, rank n-1 = 1
-    assert ideal_subgenerator(w, sub, everything)
-    # inside a single generator, another generator always escapes
-    assert not ideal_subgenerator(w, sub, g.points)
-    with pytest.raises(ValueError):
-        ideal_subgenerator(w, g, everything)  # wrong rank
-    # ambient p^perp: a sub-generator {s} is ideal iff all lines through s
-    # stay inside p^perp; compare against direct enumeration
-    p = 0
-    ambient = set(w.perp([p]))
-    for s in sorted(ambient):
-        verdict = ideal_subgenerator(w, w.span_singular([s]), ambient)
-        brute = all(set(g2.points) <= ambient
-                    for g2 in w.generators() if s in g2.points)
-        assert verdict == brute
 
 
 def test_induced_subspace(space_for):
