@@ -18,12 +18,11 @@ def main():
     for name in ["W(3,2)", "W(3,3)", "Q(4,2)", "Q(4,3)", "Q-(5,2)",
                  "Q+(3,3)", "dual(H(4,4))"]:
         space = build_space(name)
-        hls = all_hyperbolic_lines(space)
-        sizes = Counter(len(h) for h in hls)
-        ls = linear_space(space)
+        hls = all_hyperbolic_lines(space).points()
+        sizes = Counter(map(len, hls))
         print(f"{name:14s} {space.n_points:4d} points, {len(space.lines):4d} lines; "
               f"{len(hls):5d} hyperbolic lines of sizes {dict(sizes)}; "
-              f"L(S) has {ls.n_lines} lines")
+              f"L(S) has {len(linear_space(space))} lines")
 
     w32 = build_space("W(3,2)")
     pg32_lines = (15 * 14 // 2) // 3

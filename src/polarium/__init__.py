@@ -8,7 +8,7 @@ from polarium.linalg import Subspace, enumerate_points, intersect, normalize, sp
 from polarium.forms import CanonicalSpaceSpec, Form, witt_index
 from polarium.space import PolarSpace
 from polarium.catalog import CATALOG, build_space, parse_space_spec
-from polarium.hyperbolic import all_hyperbolic_lines, hyperbolic_line, linear_space
+from polarium.hyperbolic import all_hyperbolic_lines, linear_space
 from polarium.embed import (Embedding, minimal_embedding, natural_embedding,
                             quotient_embedding, universal_embedding_sp_char2)
 from polarium.hyperplanes import Hyperplane, arising_hyperplanes, singular_hyperplane
@@ -21,7 +21,7 @@ __all__ = [
     "Form", "witt_index", "CanonicalSpaceSpec",
     "PolarSpace",
     "build_space", "parse_space_spec", "CATALOG",
-    "hyperbolic_line", "all_hyperbolic_lines", "linear_space",
+    "all_hyperbolic_lines", "linear_space",
     "Embedding", "natural_embedding", "minimal_embedding",
     "quotient_embedding", "universal_embedding_sp_char2",
     "Hyperplane", "singular_hyperplane", "arising_hyperplanes",

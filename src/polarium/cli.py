@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from polarium import hyperbolic, props
+from polarium import props
 from polarium.catalog import SpecParseError, build_space, parse_space_spec
 from polarium.linalg import BoundExceeded
 from polarium.props import EquivalenceViolation, full_report, validate_witness
@@ -103,11 +103,13 @@ def _sampled_perp_invariant(space, seed, samples=200):
         draws.append(sorted(rng.sample(range(n), size)))
     idxs = np.array([d + d[:1] * (width - len(d)) for d in draws])
     collf = space.coll.astype(np.float32)
+
+    def perp(rows):  # the points collinear with all of each row's point set
+        rows = rows.astype(np.float32)
+        return rows @ collf == rows.sum(axis=1, keepdims=True)
+
     first = space.coll[idxs].all(axis=1)
-    # double_perps(rows) is the perp of each row's point set
-    second = hyperbolic.double_perps(first.astype(np.float32), collf)
-    third = hyperbolic.double_perps(second.astype(np.float32), collf)
-    bad = first.any(axis=1) & (first != third).any(axis=1)
+    bad = first.any(axis=1) & (first != perp(perp(first))).any(axis=1)
     if bad.any():
         raise EquivalenceViolation(f"{space.name}: triple perp differs from perp on "
                                    f"{draws[int(np.argmax(bad))]}")
@@ -216,6 +218,9 @@ def cmd_replay(args) -> int:
     try:
         space = build_space(space_name)
         valid = validate_witness(space, prop, entry["witness"])
+    except SpecParseError as exc:  # a ValueError, so ahead of the witness errors
+        print(f"polarium: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BoundExceeded as exc:
         print(f"polarium: bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND

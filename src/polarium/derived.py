@@ -54,7 +54,7 @@ def payne_derive(base: PolarSpace, x: int) -> PolarSpace:
             raise SpaceError(f"{base.name}: line {line} meets x^perp oddly")
     ys = np.flatnonzero(keep)
     hlines = hyperbolic.hyperbolic_lines(base, np.column_stack([np.full_like(ys, x), ys]))
-    for pts in sorted({h.points for h in hlines}):
+    for pts in sorted(set(hlines.points())):
         lines.append(tuple(sorted(new_index[p] for p in pts if p != x)))
 
     space = PolarSpace.combinatorial(
@@ -103,17 +103,14 @@ def payne_a_failure_witness(space: PolarSpace) -> dict:
         if y == x:
             continue
         ell = next(k for k, line in enumerate(base.lines) if y in line and x not in line)
-        h = None
-        for z in np.flatnonzero(~base.perp_mask([y])):
-            cand = hyperbolic.hyperbolic_line(base, y, int(z))
-            inside_xperp = [p for p in cand.points if xperp[p]]
-            if x not in cand.points and inside_xperp == [y]:
-                h = cand
-                break
-        if h is None:
+        zs = np.flatnonzero(~base.perp_mask([y]))
+        hs = hyperbolic.hyperbolic_lines(base, np.column_stack([np.full_like(zs, y), zs]))
+        # y lies on each line and in x^perp: one point of x^perp is y alone, not x
+        fits = np.flatnonzero((hs.rows() & xperp).sum(axis=1) == 1)
+        if not len(fits):
             continue
         ell_y = [p for p in base.lines[ell] if p != y]
-        h_y = [p for p in h.points if p != y]
+        h_y = [p for p in hs.points()[fits[0]] if p != y]
         a, b = sorted(h_y)[:2]
         generator = sorted(space.index_of(base.points[p]) for p in ell_y)
         return {  # serialized as the checkers do: lists, sorted point sets

@@ -1,16 +1,15 @@
-"""Double perps, hyperbolic lines, and the enriched linear space L(S).
+"""Hyperbolic lines and the enriched linear space L(S).
 
 A hyperbolic line is the double perp {a,b}^perpperp of a non-collinear
-pair; its members are pairwise non-collinear.  The lines take their double
-perps bit-packed, as `PolarSpace.perps` of the traces; the CLI self-check
-takes them dense (`double_perps`), where packed perps measured slower.  The
-lines of a space are built once and memoised on it, as arrays, one row per
-line: the pair that keeps it (its two smallest members), its members in
-ascending order, padded with n, and the line of every non-collinear pair.
-A, regular pairs and D all read that one build.  Indexing the arrays gives
-HyperbolicLine objects, keyed by their sorted member tuple.
-Adjoining all hyperbolic lines to the ordinary lines yields a linear space:
-any two points lie on exactly one joining line (verified at build).
+pair; its members are pairwise non-collinear.  Double perps are bit-packed,
+the perps (`PolarSpace.perps`) of the traces.  The lines of a space are
+built once and memoised on it, as arrays, one row per line: the pair that
+keeps it (its two smallest members), its members in ascending order, padded
+with n, and the line of every non-collinear pair.  A, regular pairs and D
+all read that one build.
+Adjoining all hyperbolic lines to the ordinary lines yields a linear space
+L(S): any two points lie on exactly one joining line (`linear_space` checks
+it).
 """
 
 from __future__ import annotations
@@ -25,33 +24,12 @@ _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 _BIT = np.uint8(128) >> np.arange(8, dtype=np.uint8)
 
 
-class HyperbolicLine:
-    __slots__ = ("space", "pair", "points")
-
-    def __init__(self, space, pair, points):
-        self.space = space
-        self.pair = pair
-        self.points = tuple(sorted(points))
-
-    def __len__(self):
-        return len(self.points)
-
-    def __eq__(self, other):
-        return isinstance(other, HyperbolicLine) and self.points == other.points
-
-    def __hash__(self):
-        return hash(self.points)
-
-    def __repr__(self):
-        return f"HyperbolicLine({self.pair} -> {self.points})"
-
-
 class HyperbolicLines:
     """Hyperbolic lines as arrays: line k is the double perp of pairs[k], and
     members[k] holds its points in ascending order, padded with n.  The lines
     of a whole space also carry of_pair: of_pair[i] is the line of the i-th
-    pair of noncollinear_pairs().  An int index gives a HyperbolicLine, a
-    slice another HyperbolicLines (without of_pair)."""
+    pair of noncollinear_pairs().  A slice gives another HyperbolicLines
+    (without of_pair)."""
 
     __slots__ = ("space", "pairs", "members", "of_pair")
 
@@ -64,15 +42,13 @@ class HyperbolicLines:
     def __len__(self):
         return len(self.pairs)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return HyperbolicLines(self.space, self.pairs[key], self.members[key])
-        row = self.members[key]
-        return HyperbolicLine(self.space, tuple(self.pairs[key].tolist()),
-                              row[row < self.space.n_points].tolist())
+    def __getitem__(self, key: slice) -> HyperbolicLines:
+        return HyperbolicLines(self.space, self.pairs[key], self.members[key])
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+    def points(self) -> list:
+        """The lines as sorted point tuples."""
+        n = self.space.n_points
+        return [tuple(p for p in row if p < n) for row in self.members.tolist()]
 
     def rows(self) -> np.ndarray:
         """Membership rows: rows()[k, x] says that x lies on line k."""
@@ -80,16 +56,6 @@ class HyperbolicLines:
         out = np.zeros((len(self), n + 1), dtype=bool)  # column n: padding
         out[np.arange(len(self))[:, None], self.members] = True
         return out[:, :n]
-
-
-def double_perps(trace, collf) -> np.ndarray:
-    """Rows {a_i,b_i}^perpperp from float32 trace rows {a_i,b_i}^perp (or the
-    perp of any point-set rows): the points collinear with all of the trace,
-    by one BLAS product on `collf`, the collinearity matrix in float32.  The
-    CLI self-check uses this form, where packed perps measured slower.
-    Hyperbolic lines use `packed_double_perps`, whose cost follows the trace
-    size, not n."""
-    return trace @ collf == trace.sum(axis=1, keepdims=True)
 
 
 def packed_double_perps(space: PolarSpace, pairs) -> np.ndarray:
@@ -123,15 +89,6 @@ def hyperbolic_lines(space: PolarSpace, pairs) -> HyperbolicLines:
         a, b = pairs[np.argmin(held)].tolist()
         raise SpaceError(f"{space.name}: {{{a},{b}}}^perpperp misses {a} or {b}")
     return lines
-
-
-def hyperbolic_line(space: PolarSpace, a: int, b: int) -> HyperbolicLine:
-    """{a,b}^perpperp for a non-collinear pair."""
-    if a == b:
-        raise ValueError("hyperbolic line needs two distinct points")
-    if space.collinear(a, b):
-        raise ValueError(f"points {a} and {b} are collinear")
-    return hyperbolic_lines(space, np.array([[a, b]]))[0]
 
 
 def all_hyperbolic_lines(space: PolarSpace) -> HyperbolicLines:
@@ -182,29 +139,16 @@ def _build_lines(space: PolarSpace) -> HyperbolicLines:
     return HyperbolicLines(space, np.concatenate([h.pairs for h in kept]), members, at[order])
 
 
-class LinearSpaceL:
-    """The structure (P, L u L_h): ordinary plus hyperbolic lines."""
-
-    def __init__(self, space, hyperbolic_lines):
-        self.space = space
-        self.lines = sorted(set(space.lines) | {h.points for h in hyperbolic_lines})
-        self._verify_linear()
-
-    def _verify_linear(self):
-        n = self.space.n_points
-        w = max(map(len, self.lines))
-        count = pair_counts(n, np.array([line + (n,) * (w - len(line)) for line in self.lines]))
-        np.fill_diagonal(count, 1)
-        if (count != 1).any():
-            i, j = map(int, np.argwhere(count != 1)[0])
-            raise SpaceError(
-                f"{self.space.name}: points {i},{j} lie on {int(count[i, j])} "
-                "joining lines; L(S) is not a linear space")
-
-    @property
-    def n_lines(self):
-        return len(self.lines)
-
-
-def linear_space(space: PolarSpace) -> LinearSpaceL:
-    return LinearSpaceL(space, all_hyperbolic_lines(space))
+def linear_space(space: PolarSpace) -> list:
+    """L(S) = (P, L u L_h) as its sorted lines, ordinary and hyperbolic,
+    checked to be a linear space: each two points on exactly one line."""
+    lines = sorted(set(space.lines) | set(all_hyperbolic_lines(space).points()))
+    n = space.n_points
+    w = max(map(len, lines))
+    count = pair_counts(n, np.array([line + (n,) * (w - len(line)) for line in lines]))
+    np.fill_diagonal(count, 1)
+    if (count != 1).any():
+        i, j = map(int, np.argwhere(count != 1)[0])
+        raise SpaceError(f"{space.name}: points {i},{j} lie on {int(count[i, j])} "
+                         "joining lines; L(S) is not a linear space")
+    return lines

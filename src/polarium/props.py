@@ -311,9 +311,9 @@ def _D_kernel(space: PolarSpace):
         missed = lines.rows().astype(np.float32) @ collf == 0
 
         def failures(k):
-            h = lines[k]
-            return ((n, {"point": _label(space, int(x)), "pair": _labels(space, h.pair),
-                         "hyperbolic_line": _labels(space, h.points)})
+            line = lines.members[k]
+            return ((n, {"point": _label(space, int(x)), "pair": _labels(space, lines.pairs[k]),
+                         "hyperbolic_line": _labels(space, line[line < n])})
                     for x in np.flatnonzero(missed[k]))
         return np.full(len(lines), n), missed.any(axis=1), failures
     return kernel

@@ -110,15 +110,15 @@ def test_criterion_6_char2_sections(space_for):
             uni = embed.universal_embedding_sp_char2(space)
             sections = np.array([h.mask
                                  for h in hyperplanes.arising_hyperplanes(uni)])
-            for h in hyperbolic.all_hyperbolic_lines(space):
-                counts = sections[:, list(h.points)].sum(axis=1)
-                assert set(counts.tolist()) & {0, 2}, (name, h.points)
+            for h in hyperbolic.all_hyperbolic_lines(space).points():
+                counts = sections[:, list(h)].sum(axis=1)
+                assert set(counts.tolist()) & {0, 2}, (name, h)
         w33 = space_for("W(3,3)")
-        hlines = hyperbolic.all_hyperbolic_lines(w33)
+        hlines = hyperbolic.all_hyperbolic_lines(w33).points()
         for h in hyperplanes.arising_hyperplanes(embed.natural_embedding(w33)):
             assert h.classification() == hyperplanes.SINGULAR
             for hl in hlines:
-                assert h.mask[list(hl.points)].any()
+                assert h.mask[list(hl)].any()
 
 
 def test_criterion_7_payne():
@@ -145,7 +145,7 @@ def test_criterion_8_dual_hermitian():
         assert {len(l) for l in d.lines} == {9}  # order (8,4)
         assert set(d.lines_matrix.sum(axis=0).tolist()) == {5}
         hls = hyperbolic.all_hyperbolic_lines(d)
-        assert {len(h) for h in hls} == {2}
+        assert {len(h) for h in hls.points()} == {2}
         rep = full_report(d)
         assert rep.verdicts["A"].status == FAILS
         assert time.perf_counter() - t0 < 60.0

@@ -309,6 +309,17 @@ def test_replay_space_error(capsys, tmp_path):
     assert code == 3 and "rank 1" in err
 
 
+@pytest.mark.parametrize("name, reason", [("Z(9,9)", "cannot parse"), ("dual(W(5,2))", "rank-2")])
+def test_replay_spec_parse_error(capsys, tmp_path, name, reason):
+    # a report whose space name does not parse: a usage error, as in check and info
+    report = tmp_path / "unparsed.json"
+    report.write_text(json.dumps([{"space": name, "properties": {"A": {
+        "verdict": "fails", "witness": {"a": [0], "b": [1], "generator": []}}}}]))
+    code, out, err = run(capsys, "replay", str(report), f"{name}/A")
+    assert (code, out) == (1, "") and err.startswith("polarium: ") and reason in err
+    assert "malformed" not in err
+
+
 def test_replay_bound_exceeded(capsys, tmp_path):
     # W(7,3) has 3280 points, above the default bound of 2000
     report = tmp_path / "oversize.json"

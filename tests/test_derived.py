@@ -119,7 +119,7 @@ def test_dualize_rejects_non_gq(space_for):
 def test_dual_h44_hyperbolic_lines_and_A(space_for, report_for):
     d = space_for("dual(H(4,4))")
     hls = hyperbolic.all_hyperbolic_lines(d)
-    assert {len(h) for h in hls} == {2}
+    assert {len(h) for h in hls.points()} == {2}
     rep = report_for("dual(H(4,4))")
     assert rep.verdicts["A"].status == "fails"
     assert rep.verdicts["B_prime"].status == "skipped"

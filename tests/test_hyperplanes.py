@@ -186,8 +186,8 @@ def _universal_section_sizes(space):
     hyperplanes arising from the universal embedding."""
     uni = embed.universal_embedding_sp_char2(space)
     sections = np.array([h.mask for h in arising_hyperplanes(uni)])
-    for h in all_hyperbolic_lines(space):
-        counts = sections[:, list(h.points)].sum(axis=1)
+    for h in all_hyperbolic_lines(space).points():
+        counts = sections[:, list(h)].sum(axis=1)
         yield h, set(counts.tolist())
 
 
@@ -197,7 +197,7 @@ def test_char2_sections_zero_or_two(space_for, name):
     # hyperplane meeting it in exactly 0 or 2 points
     space = space_for(name)
     for h, sizes in _universal_section_sizes(space):
-        assert sizes & {0, 2}, (name, h.points)
+        assert sizes & {0, 2}, (name, h)
 
 
 def test_char_not2_contrast_w33(space_for):
@@ -205,11 +205,11 @@ def test_char_not2_contrast_w33(space_for):
     # hyperplane is singular and meets every hyperbolic line
     w33 = space_for("W(3,3)")
     hs = arising_hyperplanes(embed.natural_embedding(w33))
-    hlines = all_hyperbolic_lines(w33)
+    hlines = all_hyperbolic_lines(w33).points()
     for h in hs:
         assert h.classification() == SINGULAR
         for hl in hlines:
-            assert h.mask[list(hl.points)].any()
+            assert h.mask[list(hl)].any()
 
 
 @pytest.mark.parametrize("batch", ["default", "small"])
