@@ -1,29 +1,30 @@
 """Finite classical polar spaces over small fields, their incidence-theoretic
-objects (perps, hyperbolic lines, generators, hyperplanes, embeddings and
-quotients), and mechanical checkers for the symplectic characterization
-properties (A), (B), (C), (D), regular pairs and centric triads."""
+objects (perps, hyperbolic lines, generators, arising hyperplanes as rows,
+embeddings and quotients), the classification of a hyperplane, and mechanical
+checkers for the symplectic characterization properties (A), (B), (C), (D),
+regular pairs and centric triads."""
 
 from polarium.gf import Field
-from polarium.linalg import Subspace, enumerate_points, intersect, normalize, span
+from polarium.linalg import Subspace, enumerate_points, normalize, span
 from polarium.forms import CanonicalSpaceSpec, Form, witt_index
 from polarium.space import PolarSpace
 from polarium.catalog import CATALOG, build_space, parse_space_spec
 from polarium.hyperbolic import all_hyperbolic_lines, linear_space
 from polarium.embed import (Embedding, minimal_embedding, natural_embedding,
                             quotient_embedding, universal_embedding_sp_char2)
-from polarium.hyperplanes import Hyperplane, arising_hyperplanes, singular_hyperplane
+from polarium.hyperplanes import arising_hyperplanes, classify
 from polarium.props import PropertyReport, full_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Field", "Subspace", "normalize", "span", "intersect", "enumerate_points",
+    "Field", "Subspace", "normalize", "span", "enumerate_points",
     "Form", "witt_index", "CanonicalSpaceSpec",
     "PolarSpace",
     "build_space", "parse_space_spec", "CATALOG",
     "all_hyperbolic_lines", "linear_space",
     "Embedding", "natural_embedding", "minimal_embedding",
     "quotient_embedding", "universal_embedding_sp_char2",
-    "Hyperplane", "singular_hyperplane", "arising_hyperplanes",
+    "arising_hyperplanes", "classify",
     "full_report", "PropertyReport",
 ]

@@ -40,7 +40,7 @@ class Embedding:
         self.is_minimal = (bilinear.radical().rank == 0
                            if is_minimal is None else is_minimal)
         self._preimage = {}
-        self._arising = None  # hyperplanes._arising memoises its build here
+        self._arising = None  # hyperplanes.arising_hyperplanes memoises its rows here
         for i, v in enumerate(self.images):
             if v in self._preimage:
                 raise EmbeddingError(f"images of points {self._preimage[v]} and {i} collide")

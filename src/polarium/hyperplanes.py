@@ -1,11 +1,12 @@
-"""Hyperplanes of a polar space and their classification.
+"""Hyperplanes of a polar space, held as membership rows.
 
-A hyperplane is a proper subspace meeting every line.  Singular hyperplanes
-are point perps p^perp with deepest point p; hyperplanes arising from an
-embedding are preimages of projective hyperplanes, one per canonical dual
-vector, read off as section rows: the points whose image the functional
-sends to 0, by one `linalg.gf_dot` per batch.  Classification computes the
-rank (largest singular subspace inside) and searches for a deepest point;
+A hyperplane is a proper subspace meeting every line.  The hyperplanes
+arising from an embedding are the preimages of projective hyperplanes, one
+per canonical dual vector: they are the rows of one `ArisingHyperplanes`,
+the section matrix read off by one `linalg.gf_dot` per batch, with no
+object per hyperplane.  The predicates are functions of a space and mask
+rows: the deepest point p with p^perp = h (h is singular when it has one),
+the rank (largest singular subspace inside) and the classification;
 rank-1 hyperplanes of rank-2 spaces are ovoids.
 """
 
@@ -22,95 +23,93 @@ OVOID = "ovoid"
 OTHER = "other"
 
 
-class Hyperplane:
-    """A proper subspace meeting every line, with provenance metadata."""
+class ArisingHyperplanes:
+    """The hyperplanes arising from one embedding, as rows: functionals[k]
+    induces the read-only membership row masks[k], and counts[k] is how many
+    non-collinear pairs have their trace inside it, -1 until a sweep counts
+    it.  A slice is another ArisingHyperplanes whose counts view the same
+    memo."""
 
-    __slots__ = ("space", "mask", "points", "provenance", "_deepest", "_searched",
-                 "_contained")
+    __slots__ = ("space", "functionals", "masks", "counts")
 
-    def __init__(self, space: PolarSpace, points, provenance):
-        mask = np.zeros(space.n_points, dtype=bool)
-        mask[list(points)] = True
-        _verify_axiom(space, mask[None], _line_columns(space))
-        self._set(space, mask, provenance)
-
-    def _set(self, space, mask, provenance) -> "Hyperplane":
-        """Fill the fields from a mask whose axiom check has run."""
-        mask.flags.writeable = False
+    def __init__(self, space: PolarSpace, functionals, masks, counts):
         self.space = space
-        self.mask = mask
-        self.points = tuple(np.flatnonzero(mask).tolist())
-        self.provenance = provenance
-        self._deepest = None
-        self._searched = False
-        self._contained = None
-        return self
+        self.functionals = functionals
+        self.masks = masks
+        self.counts = counts
 
-    def deepest_point(self):
-        """The unique p with H = p^perp, if one exists."""
-        if not self._searched:
-            pts = np.flatnonzero(self.mask)
-            found = pts[(self.space.coll[pts] == self.mask).all(axis=1)].tolist()
-            if len(found) > 1:
-                raise SpaceError(f"{self.space.name}: hyperplane with several "
-                                 f"deepest points {found}")
-            self._deepest = found[0] if found else None
-            self._searched = True
-        return self._deepest
+    def __len__(self):
+        return len(self.masks)
 
-    def contained_pairs(self):
-        """The non-collinear pairs [a, b], a < b, whose trace {a,b}^perp lies
-        inside the hyperplane, in row-major order: no packed trace bit
-        outside it.  The traces are read one chunk at a time, so a reader
-        that stops at the first pair reads only the chunks up to it."""
-        bits, outside = self.space.packed_traces(), np.packbits(~self.mask)
-        pairs = self.space.noncollinear_pairs()
-        for s in chunks(len(bits), len(outside)):
-            yield from pairs[s][~(bits[s] & outside).any(axis=1)].tolist()
-
-    def rank(self) -> int:
-        """n if a generator lies inside, else n - 1: every generator meets a
-        hyperplane in itself or in a hyperplane of itself."""
-        outside = self.space.generators() & ~self.mask
-        return self.space.rank - bool(outside.any(axis=1).all())
-
-    def is_singular(self) -> bool:
-        return self.deepest_point() is not None
-
-    def classification(self) -> str:
-        if self.is_singular():
-            return SINGULAR
-        if self.space.rank == 2 and self.rank() == 1:
-            return OVOID
-        return OTHER
-
-    def __repr__(self):
-        return (f"Hyperplane({self.space.name}, {len(self.points)} points, "
-                f"{self.provenance})")
+    def __getitem__(self, s: slice) -> "ArisingHyperplanes":
+        return ArisingHyperplanes(self.space, self.functionals[s], self.masks[s], self.counts[s])
 
 
-def contained_counts(hs) -> np.ndarray:
+def contained_counts(hs: ArisingHyperplanes) -> np.ndarray:
     """How many non-collinear pairs have their trace inside each hyperplane
-    of `hs` (of one space), memoised on the hyperplane: those not yet
-    counted share one sweep."""
-    todo = [h for h in hs if h._contained is None]
-    if todo:
-        for h, count in zip(todo, _count_contained(todo).tolist()):
-            h._contained = count
-    return np.array([h._contained for h in hs], dtype=np.int64)
+    of `hs`, memoised in hs.counts: those not yet counted share one sweep."""
+    if hs.counts.min(initial=0) < 0:
+        todo = hs.counts < 0
+        hs.counts[todo] = _count_contained(hs.space, hs.masks[todo])
+    return hs.counts
 
 
-def _count_contained(hs) -> np.ndarray:
-    """One sweep over the packed traces of the space of `hs`, in chunks: a
-    trace lies inside h when it has no point outside h."""
-    space = hs[0].space
+def _count_contained(space: PolarSpace, masks) -> np.ndarray:
+    """One sweep over the packed traces of the space, in chunks: a trace lies
+    inside a hyperplane when it has no point outside it."""
     n, bits = space.n_points, space.packed_traces()
-    outside = (~np.stack([h.mask for h in hs])).T.astype(np.float32)
-    counts = np.zeros(len(hs), dtype=np.int64)
-    for s in chunks(len(bits), max(n, len(hs))):
+    outside = (~masks).T.astype(np.float32)
+    counts = np.zeros(len(masks), dtype=np.int64)
+    for s in chunks(len(bits), max(n, len(masks))):
         traces = np.unpackbits(bits[s], axis=1, count=n).astype(np.float32)
         counts += np.count_nonzero(traces @ outside == 0, axis=0)
     return counts
+
+
+def contained_pairs(space: PolarSpace, mask):
+    """The non-collinear pairs [a, b], a < b, whose trace {a,b}^perp lies
+    inside the hyperplane `mask`, in row-major order: no packed trace bit
+    outside it.  The traces are read one chunk at a time, so a reader that
+    stops at the first pair reads only the chunks up to it; each chunk's
+    bytes outside the hyperplane are ORed column by column (transposed),
+    not row by row, since a row holds only (n + 7) // 8 bytes."""
+    bits, outside = space.packed_traces(), np.packbits(~mask)
+    pairs = space.noncollinear_pairs()
+    for s in chunks(len(bits), len(outside)):
+        spills = np.ascontiguousarray((bits[s] & outside).T).any(axis=0)
+        yield from pairs[s][~spills].tolist()
+
+
+def deepest_points(space: PolarSpace, masks) -> np.ndarray:
+    """For each row h of `masks`, the point p with p^perp = h, or -1 if there
+    is none: the packed perp of each point of h against h's packed row."""
+    ks, ps = masks.nonzero()
+    same = (space.packed_perps()[1][ps] == np.packbits(masks, axis=1)[ks]).all(axis=1)
+    ks, ps = ks[same], ps[same]
+    out = np.full(len(masks), -1)
+    out[ks] = ps
+    if len(ks) > np.count_nonzero(out + 1):  # a row with several
+        k = np.flatnonzero(np.bincount(ks) > 1)[0]
+        raise SpaceError(f"{space.name}: hyperplane with several deepest points "
+                         f"{ps[ks == k].tolist()}")
+    return out
+
+
+def rank(space: PolarSpace, mask) -> int:
+    """n if a generator lies inside, else n - 1: every generator meets a
+    hyperplane in itself or in a hyperplane of itself."""
+    outside = space.generators() & ~mask
+    return space.rank - bool(outside.any(axis=1).all())
+
+
+def classify(space: PolarSpace, mask) -> str:
+    """SINGULAR with a deepest point, OVOID at rank 1 in a rank-2 space,
+    else OTHER."""
+    if deepest_points(space, mask[None])[0] >= 0:
+        return SINGULAR
+    if space.rank == 2 and rank(space, mask) == 1:
+        return OVOID
+    return OTHER
 
 
 def _line_columns(space: PolarSpace) -> tuple:
@@ -139,60 +138,41 @@ def _verify_axiom(space: PolarSpace, masks: np.ndarray, lines: tuple):
                          "more than one point but not fully")
 
 
-def singular_hyperplane(space: PolarSpace, p: int) -> Hyperplane:
-    """p^perp with deepest point p."""
-    members = space.perp([p])
-    h = Hyperplane(space, members, ("singular", space.points[p]))
-    if h.deepest_point() != p:
-        raise SpaceError(f"{space.name}: the perp of {space.points[p]} has deepest "
-                         f"point {h.deepest_point()}")
-    return h
+def _sections(e: Embedding, phis, lines: tuple) -> np.ndarray:
+    """sections[k, i]: functional phis[k] vanishes on the image of point i,
+    each row checked against the hyperplane axiom (`lines` as there)."""
+    masks = linalg.gf_dot(e.field, phis[:, None], e.images) == 0
+    _verify_axiom(e.source, masks, lines)
+    return masks
 
 
-def _sections(e: Embedding, phis) -> np.ndarray:
-    """sections[k, i]: functional phis[k] vanishes on the image of point i."""
-    return linalg.gf_dot(e.field, np.asarray(phis)[:, None], e.images) == 0
-
-
-def _arising(e: Embedding) -> tuple:
-    """(functionals, sections, hyperplanes) of an embedding, built once and
-    memoised on it, in chunks of functionals, each chunk checked against
-    the hyperplane axiom.  Distinct functionals must induce distinct
-    hyperplanes (the image spans the target); a collision is reported as an
-    anomaly."""
+def arising_hyperplanes(e: Embedding) -> ArisingHyperplanes:
+    """One hyperplane per canonical dual vector of the target space, built
+    once per embedding and memoised on it, in chunks of functionals.
+    Distinct functionals must induce distinct hyperplanes (the image spans
+    the target); a collision is reported as an anomaly."""
     if e._arising is None:
         space = e.source
-        duals = linalg.dual_hyperplanes(e.field, e.dim)
-        blocks, lines = [], _line_columns(space)
-        for s in chunks(len(duals), max(space.n_points, len(space.lines))):
-            blocks.append(_sections(e, duals[s]))
-            _verify_axiom(space, blocks[-1], lines)
-        sections = np.concatenate(blocks)
-        out, seen = [], {}
-        for phi, row in zip(duals, sections):
-            first = seen.setdefault(row.tobytes(), phi)
-            if first != phi:
-                raise SpaceError(f"{space.name}: functionals {first} and {phi} "
-                                 "induce the same hyperplane (image does not span)")
-            out.append(Hyperplane.__new__(Hyperplane)._set(space, row, ("arising", e.kind, phi)))
-        e._arising = (duals, sections, out)
+        duals, lines = linalg.proj_rows(e.field, e.dim), _line_columns(space)
+        masks = np.concatenate([
+            _sections(e, duals[s], lines)
+            for s in chunks(len(duals), max(space.n_points, len(space.lines)))])
+        _, first, inverse = np.unique(np.packbits(masks, axis=1), axis=0,
+                                      return_index=True, return_inverse=True)
+        first = first[inverse.ravel()]  # the first functional with each row's section
+        again = np.flatnonzero(first != np.arange(len(masks)))
+        if len(again):
+            k = again[0]
+            raise SpaceError(f"{space.name}: functionals {tuple(duals[first[k]].tolist())} "
+                             f"and {tuple(duals[k].tolist())} induce the same hyperplane "
+                             "(image does not span)")
+        masks.flags.writeable = False
+        e._arising = ArisingHyperplanes(space, duals, masks, np.full(len(masks), -1))
     return e._arising
 
 
-def arising_hyperplanes(e: Embedding) -> list:
-    """One hyperplane per canonical dual vector of the target space, built
-    once per embedding."""
-    return _arising(e)[2]
-
-
-def hyperplane_from_functional(e: Embedding, phi) -> Hyperplane:
-    """The hyperplane one functional induces, from its section row alone."""
-    members = np.flatnonzero(_sections(e, [phi])[0])
-    return Hyperplane(e.source, members, ("arising", e.kind, tuple(phi)))
-
-
-def find_inducing_functional(e: Embedding, h: Hyperplane):
-    """A canonical dual vector whose section under e is exactly h, or None."""
-    duals, sections, _ = _arising(e)
-    hits = np.flatnonzero((sections == h.mask).all(axis=1))
-    return duals[hits[0]] if len(hits) else None
+def hyperplane_from_functional(e: Embedding, phi) -> ArisingHyperplanes:
+    """The one hyperplane a functional induces, from its section row alone."""
+    phis = np.array([phi])
+    masks = _sections(e, phis, _line_columns(e.source))
+    return ArisingHyperplanes(e.source, phis, masks, np.full(1, -1))

@@ -33,13 +33,6 @@ def vec_scale(field: Field, lam: int, v):
     return tuple(field.mul(lam, c) for c in v)
 
 
-def vec_dot(field: Field, u, v):
-    acc = 0
-    for a, b in zip(u, v):
-        acc = field.add(acc, field.mul(a, b))
-    return acc
-
-
 def is_zero(v) -> bool:
     return not any(v)
 
@@ -147,23 +140,6 @@ class Subspace:
 
 def span(field: Field, dim: int, vectors) -> Subspace:
     return Subspace(field, dim, list(vectors))
-
-
-def subspace_sum(x: Subspace, y: Subspace) -> Subspace:
-    if (x.field, x.dim) != (y.field, y.dim):
-        raise ValueError("ambient space mismatch")
-    return Subspace(x.field, x.dim, list(x.rows) + list(y.rows))
-
-
-def intersect(x: Subspace, y: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus block construction."""
-    if (x.field, x.dim) != (y.field, y.dim):
-        raise ValueError("ambient space mismatch")
-    field, d = x.field, x.dim
-    block = [list(r) + list(r) for r in x.rows] + [list(r) + [0] * d for r in y.rows]
-    reduced = rref(field, block)
-    inter = [r[d:] for r in reduced if is_zero(r[:d]) and not is_zero(r[d:])]
-    return Subspace(field, d, inter)
 
 
 # ---------------------------------------------------------------------------

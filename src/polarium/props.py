@@ -12,10 +12,11 @@ and its line l = {a,b}^perpperp, so every pair of a line has the line's
 count and failures; the memoised lines map each pair to its line, which
 keeps checked_count pair-major.  B' and C share their intermediates: the
 traces of the non-collinear pairs, bit-packed once per space, and the count
-of contained traces kept on each arising hyperplane by the first sweep that
-reaches it, so C sweeps only the hyperplanes B' stopped before; a failing
-hyperplane's pairs are read from the packed traces one chunk at a time, up
-to the first one asked for.
+of contained traces per arising hyperplane, memoised in the counts of
+`hyperplanes.ArisingHyperplanes` by the first sweep that reaches it, so C
+sweeps only the hyperplanes B' stopped before; a failing hyperplane's pairs
+are read from the packed traces one chunk at a time, up to the first one
+asked for.
 Each checker scans the blocks in canonical order and stops at the first
 failing block, so failing verdicts carry the smallest witness.  Replay runs
 the same kernel on a batch holding only the witness's block and accepts any
@@ -254,17 +255,19 @@ def check_centric_triads(space: PolarSpace) -> Verdict:
 # properties (B') and (C) over arising hyperplanes
 
 def _arising_kernel(space: PolarSpace, marked, **extra):
-    """Block: an arising hyperplane h.  Checked: the non-collinear pairs whose
-    trace h contains, counted once per hyperplane and kept on it, so B' and
-    C share the sweep.  Failing: all of them when marked(hs) marks h, none
-    otherwise; they are read from the packed traces as they are asked for."""
+    """Block: an arising hyperplane h, a row of `hyperplanes.ArisingHyperplanes`.
+    Checked: the non-collinear pairs whose trace h contains, counted once
+    per hyperplane and memoised with it, so B' and C share the sweep.
+    Failing: all of them when marked(masks) marks h, none otherwise; they
+    are read from the packed traces as they are asked for."""
     def kernel(hs):
-        counts, mark = hyperplanes.contained_counts(hs), marked(hs)
+        counts, mark = hyperplanes.contained_counts(hs), marked(hs.masks)
 
         def failures(k):
-            functional = list(hs[k].provenance[2])
+            functional = hs.functionals[k].tolist()
+            pairs = hyperplanes.contained_pairs(space, hs.masks[k]) if mark[k] else ()
             return ((counts[k], _pair_witness(space, a, b, functional=functional, **extra))
-                    for a, b in (hs[k].contained_pairs() if mark[k] else ()))
+                    for a, b in pairs)
         return counts, mark & (counts > 0), failures
     return kernel
 
@@ -272,8 +275,8 @@ def _arising_kernel(space: PolarSpace, marked, **extra):
 def _B_prime_kernel(space: PolarSpace):
     """Failing: an arising hyperplane containing a trace but no generator."""
     gf = space.generators().astype(np.float32)
-    return _arising_kernel(space, lambda hs: (
-        gf @ (~np.stack([h.mask for h in hs])).T.astype(np.float32) > 0).all(axis=0))
+    return _arising_kernel(space, lambda masks: (
+        gf @ (~masks).T.astype(np.float32) > 0).all(axis=0))
 
 
 def check_B_prime(space: PolarSpace, e: embed.Embedding) -> Verdict:
@@ -288,8 +291,8 @@ def _C_kernel(space: PolarSpace):
     point.  A deepest point p has h = p^perp, and p lies on {a,b}^perpperp
     exactly when {a,b}^perp is inside p^perp = h, so every contained pair
     fails when h has no deepest point and none fails otherwise."""
-    return _arising_kernel(space, lambda hs: np.array(
-        [h.deepest_point() is None for h in hs], dtype=bool), deepest_point=None)
+    return _arising_kernel(space, lambda masks: hyperplanes.deepest_points(space, masks) < 0,
+                           deepest_point=None)
 
 
 def check_C(space: PolarSpace, e: embed.Embedding) -> Verdict:
@@ -440,7 +443,7 @@ def _arising_block(space, witness):
     phi = tuple(witness["functional"])
     if phi not in linalg.dual_hyperplanes(e.field, e.dim):
         return None
-    return [hyperplanes.hyperplane_from_functional(e, phi)]
+    return hyperplanes.hyperplane_from_functional(e, phi)
 
 
 def _hyperbolic_block(space, witness):

@@ -8,8 +8,6 @@ import random
 import time
 from contextlib import contextmanager
 
-import numpy as np
-
 from polarium import embed, hyperbolic, hyperplanes
 from polarium.catalog import CATALOG, build_space
 from polarium.cli import main as cli_main
@@ -108,17 +106,16 @@ def test_criterion_6_char2_sections(space_for):
         for name in ["W(3,2)", "W(3,4)"]:
             space = space_for(name)
             uni = embed.universal_embedding_sp_char2(space)
-            sections = np.array([h.mask
-                                 for h in hyperplanes.arising_hyperplanes(uni)])
+            sections = hyperplanes.arising_hyperplanes(uni).masks
             for h in hyperbolic.all_hyperbolic_lines(space).points():
                 counts = sections[:, list(h)].sum(axis=1)
                 assert set(counts.tolist()) & {0, 2}, (name, h)
         w33 = space_for("W(3,3)")
         hlines = hyperbolic.all_hyperbolic_lines(w33).points()
-        for h in hyperplanes.arising_hyperplanes(embed.natural_embedding(w33)):
-            assert h.classification() == hyperplanes.SINGULAR
+        for h in hyperplanes.arising_hyperplanes(embed.natural_embedding(w33)).masks:
+            assert hyperplanes.classify(w33, h) == hyperplanes.SINGULAR
             for hl in hlines:
-                assert h.mask[list(hl)].any()
+                assert h[list(hl)].any()
 
 
 def test_criterion_7_payne():

@@ -5,71 +5,83 @@ import pytest
 
 from polarium import embed, hyperplanes, linalg
 from polarium import space as space_module
-from polarium.catalog import build_space
+from polarium.catalog import CATALOG, build_space, parse_space_spec
 from polarium.hyperbolic import all_hyperbolic_lines
-from polarium.hyperplanes import (Hyperplane, OVOID, SINGULAR, arising_hyperplanes,
-                                  find_inducing_functional, hyperplane_from_functional,
-                                  singular_hyperplane)
+from polarium.hyperplanes import (OVOID, SINGULAR, _line_columns, _verify_axiom,
+                                  arising_hyperplanes, classify, contained_pairs,
+                                  deepest_points, hyperplane_from_functional, rank)
 from polarium.props import is_symplectic
 from polarium.space import SpaceError
 from test_space import adjacency, max_clique_rank
 
 
-def test_singular_hyperplane_sizes(space_for):
+def test_point_perp_hyperplane_sizes(space_for):
     w = space_for("W(3,2)")
-    h = singular_hyperplane(w, 0)
-    assert len(h.points) == 7
-    assert h.classification() == SINGULAR and h.deepest_point() == 0
+    h = w.coll[0]  # the singular hyperplane 0^perp
+    _verify_axiom(w, h[None], _line_columns(w))
+    assert h.sum() == 7
+    assert classify(w, h) == SINGULAR and deepest_points(w, h[None]).tolist() == [0]
 
     qm = space_for("Q-(5,2)")
-    h = singular_hyperplane(qm, 4)
-    assert len(h.points) == 11  # 1 + s(t+1) = 1 + 2*5
-    assert h.rank() == qm.rank
+    h = qm.coll[4]
+    _verify_axiom(qm, h[None], _line_columns(qm))
+    assert h.sum() == 11  # 1 + s(t+1) = 1 + 2*5
+    assert rank(qm, h) == qm.rank
 
 
 def test_hyperplane_axiom_enforced(space_for):
     w = space_for("W(3,2)")
-    with pytest.raises(SpaceError):
-        Hyperplane(w, list(range(5)), ("explicit",))  # misses lines / not a subspace
-    # a perp with one point swapped meets some line in 2 of its 3 points
-    members = list(w.perp([0]))
-    outside = next(i for i in range(w.n_points) if i not in members)
-    with pytest.raises(SpaceError):
-        Hyperplane(w, members[:-1] + [outside], ("explicit",))
+    lines = _line_columns(w)
+    for mask in (np.zeros(w.n_points, dtype=bool), np.ones(w.n_points, dtype=bool)):
+        with pytest.raises(SpaceError, match="proper nonempty subspace"):
+            _verify_axiom(w, mask[None], lines)
+    one = np.zeros(w.n_points, dtype=bool)
+    one[0] = True  # every line off point 0 misses it
+    with pytest.raises(SpaceError, match="misses the hyperplane"):
+        _verify_axiom(w, one[None], lines)
+    # 0^perp and one point x outside it: every line meets it, and a line
+    # through x off 0^perp meets it in 2 of its 3 points
+    bigger = w.coll[0].copy()
+    bigger[np.flatnonzero(~bigger)[0]] = True
+    with pytest.raises(SpaceError, match="more than one point but not fully"):
+        _verify_axiom(w, bigger[None], lines)
+    # the checks read every row: a good row first does not hide a bad one
+    with pytest.raises(SpaceError, match="more than one point but not fully"):
+        _verify_axiom(w, np.stack([w.coll[0], bigger]), lines)
 
 
 def test_arising_w32_all_singular(space_for):
     w = space_for("W(3,2)")
     hs = arising_hyperplanes(embed.natural_embedding(w))
     assert len(hs) == 15
-    assert all(h.classification() == SINGULAR for h in hs)
+    assert all(classify(w, h) == SINGULAR for h in hs.masks)
 
 
 def test_arising_q42_census(space_for):
     q42 = space_for("Q(4,2)")
     hs = arising_hyperplanes(embed.natural_embedding(q42))
     assert len(hs) == 31
-    kinds = [h.classification() for h in hs]
+    kinds = [classify(q42, h) for h in hs.masks]
     assert kinds.count(SINGULAR) == 15
     assert sum(1 for k in kinds if k != SINGULAR) == 16
-    for h in hs:
-        if h.classification() != SINGULAR:
-            assert h.deepest_point() is None
+    for kind, deepest in zip(kinds, deepest_points(q42, hs.masks)):
+        if kind != SINGULAR:
+            assert deepest == -1
 
 
 def test_arising_q43_has_nonsingular(space_for):
     q43 = space_for("Q(4,3)")
     hs = arising_hyperplanes(embed.natural_embedding(q43))
     assert len(hs) == 121
-    kinds = [h.classification() for h in hs]
+    kinds = [classify(q43, h) for h in hs.masks]
     assert OVOID in kinds and kinds.count(SINGULAR) == 40
 
 
 def test_arising_hyperplane_axiom(space_for):
     w = space_for("W(3,3)")
     lm = w.lines_matrix
-    for h in arising_hyperplanes(embed.natural_embedding(w)):
-        assert (lm & h.mask).any(axis=1).all()  # every line meets it
+    for h in arising_hyperplanes(embed.natural_embedding(w)).masks:
+        assert (lm & h).any(axis=1).all()  # every line meets it
 
 
 def _reference_sections(e):
@@ -99,13 +111,17 @@ def test_batched_sections_match_reference(space_for, name, kind):
          "universal": embed.universal_embedding_sp_char2}[kind](space)
     reference = _reference_sections(e)
     hs = arising_hyperplanes(e)
-    assert [(h.provenance[2], h.points) for h in hs] == reference
-    for h, (phi, members) in zip(hs, reference):
+    assert [(tuple(phi), tuple(np.flatnonzero(h).tolist()))
+            for phi, h in zip(hs.functionals.tolist(), hs.masks)] == reference
+    for h, (phi, members) in zip(hs.masks, reference):
         mask = np.zeros(space.n_points, dtype=bool)
         mask[list(members)] = True
-        assert (h.mask == mask).all()
-        assert hyperplane_from_functional(e, phi).points == members
-        assert find_inducing_functional(e, Hyperplane(space, members, ("explicit",))) == phi
+        assert (h == mask).all()
+        one = hyperplane_from_functional(e, phi)
+        assert one.functionals.tolist() == [list(phi)] and (one.masks == mask).all()
+        # the section determines its functional
+        hits = np.flatnonzero((hs.masks == mask).all(axis=1))
+        assert [tuple(hs.functionals[k].tolist()) for k in hits] == [phi]
     assert arising_hyperplanes(e) is hs  # built once per embedding
 
 
@@ -115,9 +131,10 @@ def test_rank_matches_clique_search(space_for, name):
     space = space_for(name)
     adj = adjacency(space)
     for e in (embed.natural_embedding(space), embed.minimal_embedding(space)):
-        for h in arising_hyperplanes(e):
-            want = max_clique_rank(space, h.mask, adj)
-            assert h.rank() == space.max_singular_rank(h.mask) == want, (e.kind, h.provenance)
+        hs = arising_hyperplanes(e)
+        for phi, h in zip(hs.functionals.tolist(), hs.masks):
+            want = max_clique_rank(space, h, adj)
+            assert rank(space, h) == space.max_singular_rank(h) == want, (e.kind, phi)
 
 
 def test_grid_transversal_is_ovoid(space_for):
@@ -129,34 +146,59 @@ def test_grid_transversal_is_ovoid(space_for):
     pts = []
     for i, g in enumerate(ruling):
         pts.append(next(p for p in g if p in other[i]))
-    h = Hyperplane(grid, pts, ("explicit",))
-    assert h.classification() == OVOID and h.rank() == 1
+    h = np.zeros(grid.n_points, dtype=bool)
+    h[pts] = True
+    _verify_axiom(grid, h[None], _line_columns(grid))
+    assert classify(grid, h) == OVOID and rank(grid, h) == 1
 
 
 def test_deepest_point(space_for):
     w33 = space_for("W(3,3)")
-    assert singular_hyperplane(w33, 7).deepest_point() == 7
+    assert deepest_points(w33, w33.coll[[7]]).tolist() == [7]
     q43 = space_for("Q(4,3)")
-    ovoid = next(h for h in arising_hyperplanes(embed.natural_embedding(q43))
-                 if h.classification() == OVOID)
-    assert ovoid.deepest_point() is None
+    ovoid = next(h for h in arising_hyperplanes(embed.natural_embedding(q43)).masks
+                 if classify(q43, h) == OVOID)
+    assert deepest_points(q43, ovoid[None]).tolist() == [-1]
+
+
+def _deepest_point_oracle(space, mask):
+    """The points p of the hyperplane with p^perp equal to it, one
+    hyperplane at a time: the per-hyperplane loop the batched test replaced."""
+    pts = np.flatnonzero(mask)
+    return pts[(space.coll[pts] == mask).all(axis=1)].tolist()
+
+
+FORM_BACKED = [n for n in CATALOG if parse_space_spec(n).family in ("W", "Q", "Q+", "Q-", "H")]
+
+
+@pytest.mark.parametrize("name", FORM_BACKED + ["Q(4,4)", "H(4,4)"])
+def test_deepest_points_match_oracle(space_for, name):
+    space = space_for(name)
+    assert space.is_form_backed
+    for e in (embed.natural_embedding(space), embed.minimal_embedding(space)):
+        masks = arising_hyperplanes(e).masks
+        want = [_deepest_point_oracle(space, h) for h in masks]
+        assert all(len(found) <= 1 for found in want)
+        assert deepest_points(space, masks).tolist() == [
+            found[0] if found else -1 for found in want], e.kind
 
 
 def test_property_c_witness_path(space_for):
     # every arising hyperplane of W(3,2) containing a trace is singular with
     # deepest point on the hyperbolic line
     w = space_for("W(3,2)")
-    hs = arising_hyperplanes(embed.natural_embedding(w))
+    hs = arising_hyperplanes(embed.natural_embedding(w)).masks
+    deepest = deepest_points(w, hs)
     for a, b in itertools.combinations(range(w.n_points), 2):
         if w.collinear(a, b):
             continue
         perp = w.coll[a] & w.coll[b]
         dperp = w.coll[perp].all(axis=0)
-        for h in hs:
-            if (perp & ~h.mask).any():
+        for h, p in zip(hs, deepest):
+            if (perp & ~h).any():
                 continue
-            assert h.classification() == SINGULAR
-            assert dperp[h.deepest_point()]
+            assert classify(w, h) == SINGULAR
+            assert dperp[p]
 
 
 def test_lemma_res1_instances(space_for):
@@ -165,27 +207,27 @@ def test_lemma_res1_instances(space_for):
                  "H(3,4)"]:
         s = space_for(name)
         hs = arising_hyperplanes(embed.minimal_embedding(s))
-        all_singular = all(h.classification() == SINGULAR for h in hs)
+        all_singular = all(classify(s, h) == SINGULAR for h in hs.masks)
         assert all_singular == is_symplectic(s).holds, name
 
 
-def test_all_singular_hyperplanes_arise(space_for):
+def test_every_point_perp_arises(space_for):
     w = space_for("W(3,2)")
     for e in (embed.natural_embedding(w), embed.universal_embedding_sp_char2(w)):
+        masks = arising_hyperplanes(e).masks
         for p in range(w.n_points):
-            h = singular_hyperplane(w, p)
-            assert find_inducing_functional(e, h) is not None
+            assert (masks == w.coll[p]).all(axis=1).any()
     q42 = space_for("Q(4,2)")
-    e42 = embed.natural_embedding(q42)
+    masks = arising_hyperplanes(embed.natural_embedding(q42)).masks
     for p in range(q42.n_points):
-        assert find_inducing_functional(e42, singular_hyperplane(q42, p)) is not None
+        assert (masks == q42.coll[p]).all(axis=1).any()
 
 
 def _universal_section_sizes(space):
     """For each hyperbolic line, the set of its intersection sizes with the
     hyperplanes arising from the universal embedding."""
     uni = embed.universal_embedding_sp_char2(space)
-    sections = np.array([h.mask for h in arising_hyperplanes(uni)])
+    sections = arising_hyperplanes(uni).masks
     for h in all_hyperbolic_lines(space).points():
         counts = sections[:, list(h)].sum(axis=1)
         yield h, set(counts.tolist())
@@ -206,10 +248,10 @@ def test_char_not2_contrast_w33(space_for):
     w33 = space_for("W(3,3)")
     hs = arising_hyperplanes(embed.natural_embedding(w33))
     hlines = all_hyperbolic_lines(w33).points()
-    for h in hs:
-        assert h.classification() == SINGULAR
+    for h in hs.masks:
+        assert classify(w33, h) == SINGULAR
         for hl in hlines:
-            assert h.mask[list(hl)].any()
+            assert h[list(hl)].any()
 
 
 @pytest.mark.parametrize("batch", ["default", "small"])
@@ -224,8 +266,10 @@ def test_contained_counts_match_bruteforce(monkeypatch, name, batch):
     traces = {(a, b): coll[a] & coll[b] for a, b in itertools.combinations(range(space.n_points), 2)
               if not coll[a, b]}
     hs = arising_hyperplanes(embed.natural_embedding(space))
-    counts = hyperplanes.contained_counts(hs[:5])  # a first sweep, then the rest
+    hyperplanes.contained_counts(hs[:5])  # a first sweep, then the rest
+    assert (hs.counts[:5] >= 0).all() and (hs.counts[5:] == -1).all()  # a slice shares the memo
     counts = hyperplanes.contained_counts(hs)
-    for h, count in zip(hs, counts):
-        want = [pair for pair, trace in traces.items() if not (trace & ~h.mask).any()]
-        assert count == len(want) and list(h.contained_pairs()) == [list(p) for p in want]
+    assert counts is hs.counts  # memoised with the hyperplanes
+    for h, count in zip(hs.masks, counts):
+        want = [pair for pair, trace in traces.items() if not (trace & ~h).any()]
+        assert count == len(want) and list(contained_pairs(space, h)) == [list(p) for p in want]

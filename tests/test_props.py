@@ -166,18 +166,17 @@ def test_remark_def_trace_instances(space_for):
     # W(3,q): all arising hyperplanes are singular, so no arising ovoid can
     # contain a trace (vacuously); Q(4,3): some arising ovoid contains one
     w33 = space_for("W(3,3)")
-    for h in hyperplanes.arising_hyperplanes(embed.natural_embedding(w33)):
-        assert h.classification() == hyperplanes.SINGULAR
+    for h in hyperplanes.arising_hyperplanes(embed.natural_embedding(w33)).masks:
+        assert hyperplanes.classify(w33, h) == hyperplanes.SINGULAR
 
     q43 = space_for("Q(4,3)")
     traces = [q43.coll[a] & q43.coll[b]
               for a, b in itertools.combinations(range(q43.n_points), 2)
               if not q43.collinear(a, b)]
     found = False
-    for h in hyperplanes.arising_hyperplanes(embed.natural_embedding(q43)):
-        if h.classification() != hyperplanes.OVOID:
+    for mask in hyperplanes.arising_hyperplanes(embed.natural_embedding(q43)).masks:
+        if hyperplanes.classify(q43, mask) != hyperplanes.OVOID:
             continue
-        mask = h.mask
         if any(not (t & ~mask).any() for t in traces):
             found = True
             break
@@ -258,12 +257,13 @@ def test_C_reuses_the_contained_counts_of_B_prime(monkeypatch, name):
     # sweeps the pairs only for hyperplanes B' stopped before
     space = build_space(name)
     e = embed.natural_embedding(space)
-    swept, sweep = [], hyperplanes._count_contained
-    monkeypatch.setattr(hyperplanes, "_count_contained", lambda hs: swept.extend(hs) or sweep(hs))
+    swept, sweep = [], hyperplanes._count_contained  # the swept rows, as bytes
+    monkeypatch.setattr(hyperplanes, "_count_contained", lambda space, masks: (
+        swept.extend(map(bytes, masks)) or sweep(space, masks)))
     b_prime = check_B_prime(space, e)
-    by_b_prime, swept[:] = set(map(id, swept)), []
+    by_b_prime, swept[:] = set(swept), []
     check_C(space, e)
-    assert not by_b_prime & set(map(id, swept))
+    assert not by_b_prime & set(swept)
     assert b_prime.status == FAILS or not swept
     assert len(by_b_prime) + len(swept) <= len(hyperplanes.arising_hyperplanes(e))
 
@@ -280,7 +280,7 @@ def test_replay_counts_once_and_reads_pairs_up_to_the_witness(monkeypatch, name,
     nbytes = (fresh.n_points + 7) // 8
     swept, sweep = [], hyperplanes._count_contained
     monkeypatch.setattr(hyperplanes, "_count_contained",
-                        lambda hs: swept.append(len(hs)) or sweep(hs))
+                        lambda space, masks: swept.append(len(masks)) or sweep(space, masks))
     read, chunks = [], hyperplanes.chunks
     monkeypatch.setattr(hyperplanes, "chunks", lambda total, width: (
         (width == nbytes and read.append(s)) or s for s in chunks(total, width)))
@@ -359,10 +359,10 @@ def _block_failures(space, prop, w):
         return [{**w, "point": label(x)} for x in range(n) if not coll[x, line].any()]
     if prop in ("B_prime", "C"):  # every non-collinear pair whose trace h contains
         h = hyperplanes.hyperplane_from_functional(embed.natural_embedding(space),
-                                                   tuple(w["functional"]))
+                                                   tuple(w["functional"])).masks[0]
         return [{**w, "a": label(a), "b": label(b)}
                 for a, b in itertools.combinations(range(n), 2)
-                if not coll[a, b] and not (coll[a] & coll[b] & ~h.mask).any()]
+                if not coll[a, b] and not (coll[a] & coll[b] & ~h).any()]
     a, b = space.index_of(w["a"]), space.index_of(w["b"])
     trace = coll[a] & coll[b]
     dperp = coll[trace].all(axis=0)
