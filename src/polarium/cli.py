@@ -7,17 +7,16 @@ shaped like a check report, an --out file that cannot be written, or
 --max-points below 1); 2 enumeration bound exceeded, in check or in replay;
 3 equivalence-assertion failure, polar-space axiom failure (SpaceError),
 stale or malformed witness (one that is not an object, lacks a key or names
-no point); 4 expectation mismatch.
+no point); 4 expectation mismatch.  `main` is the one place that maps the
+file, spec-parse, bound, equivalence and space errors to these codes, for
+every command; the commands map only their own outcomes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-
-import numpy as np
 
 from polarium import props
 from polarium.catalog import SpecParseError, build_space, parse_space_spec
@@ -69,7 +68,7 @@ def _build_parser() -> _Parser:
     check.add_argument("--format", choices=["json", "table"], default="json")
     check.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS)
     check.add_argument("--seed", type=int, default=0,
-                       help="seed for the sampled perp-invariant self-check")
+                       help="accepted for compatibility; has no effect")
     check.add_argument("--timings", action="store_true",
                        help="include per-checker millis (breaks byte-for-byte "
                             "reproducibility)")
@@ -82,37 +81,6 @@ def _build_parser() -> _Parser:
     info = sub.add_parser("info", help="point/line/rank counts only")
     info.add_argument("spec")
     return parser
-
-
-def _check_one(spec_text: str, max_points: int, seed: int):
-    space = build_space(spec_text, max_points=max_points)
-    _sampled_perp_invariant(space, seed)
-    return full_report(space)
-
-
-def _sampled_perp_invariant(space, seed, samples=200):
-    """perp(perp(perp(X))) == perp(X) on seeded random point sets, all in one
-    batch: each sample is padded by repeating its first point, which leaves
-    its perp unchanged, and X^perp's with no points are skipped."""
-    rng = random.Random(f"{seed}:{space.name}")
-    n = space.n_points
-    width = min(4, n)
-    draws = []
-    for _ in range(samples):
-        size = rng.randrange(1, width + 1)
-        draws.append(sorted(rng.sample(range(n), size)))
-    idxs = np.array([d + d[:1] * (width - len(d)) for d in draws])
-    collf = space.coll.astype(np.float32)
-
-    def perp(rows):  # the points collinear with all of each row's point set
-        rows = rows.astype(np.float32)
-        return rows @ collf == rows.sum(axis=1, keepdims=True)
-
-    first = space.coll[idxs].all(axis=1)
-    bad = first.any(axis=1) & (first != perp(perp(first))).any(axis=1)
-    if bad.any():
-        raise EquivalenceViolation(f"{space.name}: triple perp differs from perp on "
-                                   f"{draws[int(np.argmax(bad))]}")
 
 
 def _render_table(reports) -> str:
@@ -150,29 +118,11 @@ def cmd_check(args) -> int:
         print(f"polarium: --max-points must be at least 1, got {args.max_points}",
               file=sys.stderr)
         return EXIT_USAGE
-    try:
-        for s in args.specs:
-            parse_space_spec(s)
-    except SpecParseError as exc:
-        print(f"polarium: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    for s in args.specs:  # a bad spec fails before any space is built
+        parse_space_spec(s)
     expected = _read_json(args.expect) if args.expect else None
-    try:
-        results = [_check_one(s, args.max_points, args.seed) for s in args.specs]
-    except SpecParseError as exc:
-        print(f"polarium: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BoundExceeded as exc:
-        print(f"polarium: bound exceeded: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except EquivalenceViolation as exc:
-        print(f"polarium: equivalence assertion failed: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
-    except SpaceError as exc:
-        print(f"polarium: space error: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
-
-    reports = [r.to_dict(include_millis=args.timings) for r in results]
+    reports = [full_report(build_space(s, max_points=args.max_points))
+               .to_dict(include_millis=args.timings) for s in args.specs]
     payload = json.dumps(reports, sort_keys=True, indent=2) + "\n"
     if args.out:
         try:
@@ -218,12 +168,8 @@ def cmd_replay(args) -> int:
     try:
         space = build_space(space_name)
         valid = validate_witness(space, prop, entry["witness"])
-    except SpecParseError as exc:  # a ValueError, so ahead of the witness errors
-        print(f"polarium: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BoundExceeded as exc:
-        print(f"polarium: bound exceeded: {exc}", file=sys.stderr)
-        return EXIT_BOUND
+    except SpecParseError:  # a ValueError, but main maps it
+        raise
     except (KeyError, TypeError, ValueError, SpaceError) as exc:
         print(f"polarium: {args.witness_id}: malformed witness or space: {exc!r}",
               file=sys.stderr)
@@ -237,17 +183,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_info(args) -> int:
-    try:
-        space = build_space(args.spec)
-    except SpecParseError as exc:
-        print(f"polarium: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BoundExceeded as exc:
-        print(f"polarium: bound exceeded: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except SpaceError as exc:
-        print(f"polarium: space error: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
+    space = build_space(args.spec)
     info = {"space": space.name, "points": space.n_points,
             "lines": len(space.lines), "rank": space.rank}
     sys.stdout.write(json.dumps(info, sort_keys=True, indent=2) + "\n")
@@ -256,15 +192,21 @@ def cmd_info(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command = {"check": cmd_check, "replay": cmd_replay, "info": cmd_info}[args.command]
     try:
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "replay":
-            return cmd_replay(args)
-        return cmd_info(args)
-    except _FileError as exc:
+        return command(args)
+    except (_FileError, SpecParseError) as exc:
         print(f"polarium: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BoundExceeded as exc:
+        print(f"polarium: bound exceeded: {exc}", file=sys.stderr)
+        return EXIT_BOUND
+    except EquivalenceViolation as exc:
+        print(f"polarium: equivalence assertion failed: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
+    except SpaceError as exc:
+        print(f"polarium: space error: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
 
 
 if __name__ == "__main__":

@@ -200,18 +200,13 @@ def check_regular_pairs(space: PolarSpace) -> Verdict:
     """Every pair of opposite points a, b must be regular: N^perp cap N'^perp
     = {a,b}^perpperp for all opposite generators N, N' of the trace."""
     n = space.n_points
-    k_max = _most_inside(space, ~space.coll)
+    # for opposite a, b, S -> <S, a> maps the sub-generators inside
+    # {a,b}^perp one to one onto the generators through a, and every point
+    # has an opposite point: the most generators through one point is the
+    # most sub-generators inside one trace, which sizes the padded stacks
+    k_max = int(space.generators().sum(axis=0).max())
     width = max(len(space.subgenerators()[1]), k_max * max(n, k_max))
     return _line_scan(space, _regular_pairs_kernel(space), width)
-
-
-def _most_inside(space: PolarSpace, mask) -> int:
-    """The most sub-generators inside one {a,b}^perp over the pairs with
-    mask[a, b]: it sizes the padded stacks of the pair kernels."""
-    spf = space.subgenerators()[1].astype(np.float32)
-    n = space.n_points
-    return max(int((spf[:, s].T @ spf)[mask[s]].max(initial=0))
-               for s in chunks(n, max(n, len(spf))))
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +235,23 @@ def _triads_kernel(space: PolarSpace):
     return kernel
 
 
+def _most_inside(space: PolarSpace) -> int:
+    """The most sub-generators inside one {a,b}^perp over the pairs of
+    distinct points: it sizes the padded stacks of the triads kernel."""
+    spf = space.subgenerators()[1].astype(np.float32)
+    n = space.n_points
+    distinct = ~np.eye(n, dtype=bool)
+    return max(int((spf[:, s].T @ spf)[distinct[s]].max(initial=0))
+               for s in chunks(n, max(n, len(spf))))
+
+
 def check_centric_triads(space: PolarSpace) -> Verdict:
     """Every triple of distinct points must have a sub-generator in its
     common perp (a point when n = 2)."""
     n = space.n_points
-    distinct = ~np.eye(n, dtype=bool)
     packed = (n + 7) // 8  # bytes per bit-packed S_k^perp row
-    width = max(len(space.subgenerators()[1]), n, _most_inside(space, distinct) * packed)
-    pairs = np.argwhere(np.triu(distinct, 1))
+    width = max(len(space.subgenerators()[1]), n, _most_inside(space) * packed)
+    pairs = np.argwhere(np.triu(~np.eye(n, dtype=bool), 1))
     return _scan(batches(pairs, width), _triads_kernel(space))
 
 

@@ -6,8 +6,9 @@ by array calls, carry coordinates, build their lines by field-table gathers
 and rank each singular subspace by its size; combinatorial spaces are given
 by explicit point and line lists (grids, Payne derivations, duals, induced
 perp-spaces).  Collinearity is cached as a dense symmetric boolean matrix
-(diagonal True, so perps are "collinear-or-equal" sets) and bit-packed by
-row; `PolarSpace.perps` ANDs those rows into X^perp for point sets X, and
+(diagonal True, so perps are "collinear-or-equal" sets; `validate` asserts
+both, exhaustively, on every build) and bit-packed by row;
+`PolarSpace.perps` ANDs those rows into X^perp for point sets X, and
 serves the pair traces, double perps and sub-generator perps.  Generators
 are membership rows that come from sub-generators, since a generator is its
 own perp; the largest singular subspace inside a subspace is its largest
@@ -187,6 +188,14 @@ class PolarSpace:
         n = self.n_points
         if n == 0:
             raise SpaceError(f"{self.name}: empty point set")
+        # every perp, trace and double perp, and the checks below, read rows
+        # of coll: it must be symmetric with a true diagonal; the first
+        # offending pair in row-major order is found only on failure
+        coll = self.coll
+        if not (np.array_equal(coll, coll.T) and coll.diagonal().all()):
+            a, b = np.argwhere((coll != coll.T) | np.diag(~coll.diagonal()))[0]
+            raise SpaceError(f"{self.name}: collinearity of points {a},{b} is not "
+                             "symmetric with a true diagonal")
         sizes = {len(l) for l in self.lines}
         if self.lines:
             if self.is_form_backed and sizes != {self.field.q + 1}:

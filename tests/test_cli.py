@@ -2,7 +2,6 @@ import importlib.util
 import itertools
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -14,8 +13,7 @@ import pytest
 from polarium import cli
 from polarium.catalog import CATALOG, build_space
 from polarium.cli import main
-from polarium.props import EquivalenceViolation
-from polarium.space import PolarSpace
+from polarium.space import PolarSpace, SpaceError
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "golden" / "catalog.json"
@@ -159,37 +157,37 @@ def test_benchmark_tracer_counts_checked(capsys, tmp_path):
     assert tracer.counts["hyperbolic.lines.count"] == 3 * lines and lines == 20 + 540
 
 
-def _first_perp_failure(space, seed, samples=200):
-    """Oracle: the per-sample loop; the first sample X with X^perp nonempty
-    and X^perpperpperp != X^perp, or None."""
-    rng = random.Random(f"{seed}:{space.name}")
-    n = space.n_points
-    for _ in range(samples):
-        size = rng.randrange(1, min(4, n) + 1)
-        idxs = sorted(rng.sample(range(n), size))
-        first = space.coll[idxs].all(axis=0)
-        third = space.coll[space.coll[first].all(axis=0)].all(axis=0)
-        if first.any() and not np.array_equal(first, third):
-            return idxs
-    return None
-
-
-def test_perp_self_check_names_first_failing_sample():
-    # X^perpperpperp = X^perp for every symmetric coll; W(3,2) with one
-    # non-collinear pair made collinear in one direction fails at samples
-    # 0 to 29 of these seeds, and the batched check must name the loop's first
+def _tampered(*flips):
+    """W(3,2), whose first non-collinear pair is (0, 1), with the entries
+    `flips` of coll negated."""
     w = build_space("W(3,2)")
-    assert _first_perp_failure(w, 0) is None
-    cli._sampled_perp_invariant(w, 0)
+    assert not w.coll[0, 1]
     coll = w.coll.copy()
-    a, b = np.argwhere(~coll)[0]
-    coll[a, b] = True
-    space = PolarSpace("tampered", w.points, [], coll, 2, validate=False)
-    for seed in range(6):
-        want = _first_perp_failure(space, seed)
-        assert want is not None
-        with pytest.raises(EquivalenceViolation, match=f"^tampered: .* on {re.escape(str(want))}$"):
-            cli._sampled_perp_invariant(space, seed)
+    for at in flips:
+        coll[at] = ~coll[at]
+    return PolarSpace("tampered", w.points, [], coll, 2)
+
+
+_TAMPERED = "tampered: collinearity of points {} is not symmetric with a true diagonal"
+
+
+@pytest.mark.parametrize("flips, at", [
+    ([(0, 1)], "0,1"), ([(1, 0)], "0,1"), ([(3, 3)], "3,3"), ([(9, 9), (5, 1)], "1,5")])
+def test_validate_names_first_bad_collinearity_pair(flips, at):
+    # collinearity is asserted exhaustively on every build: the first pair in
+    # row-major order where coll is not symmetric or its diagonal is False
+    with pytest.raises(SpaceError, match=f"^{re.escape(_TAMPERED.format(at))}$"):
+        _tampered(*flips)
+
+
+def test_bad_collinearity_exit_codes(capsys, monkeypatch):
+    # a space that fails the collinearity check is a space error in every command
+    monkeypatch.setattr(cli, "build_space", lambda spec, max_points=None: _tampered((0, 1)))
+    message = _TAMPERED.format("0,1")
+    for command in ("check", "info"):
+        assert run(capsys, command, "W(3,2)") == (3, "", f"polarium: space error: {message}\n")
+    assert run(capsys, "replay", str(GOLDEN), "Q-(5,2)/A") == (
+        3, "", f"polarium: Q-(5,2)/A: malformed witness or space: SpaceError({message!r})\n")
 
 
 def test_check_space_error(capsys):
@@ -351,3 +349,128 @@ def test_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check"])  # missing specs
     assert exc.value.code == 1
+
+
+def _golden_with(space, prop, mutate):
+    reports = json.loads(GOLDEN.read_text())
+    mutate(next(r for r in reports if r["space"] == space)["properties"][prop])
+    return reports
+
+
+def _one_entry(space, witness):
+    return [{"space": space, "properties": {"A": {"verdict": "fails", "witness": witness}}}]
+
+
+# name -> JSON payload of the report and --expect files that the error
+# paths below read from {tmp}, beside garbled.json, which is not JSON
+_ERROR_FILES = {
+    "listed.json": [1],
+    "string.json": "x",
+    "no_verdict.json": [{"space": "Q-(5,2)", "properties": {"A": {"witness": {}}}}],
+    "mismatch.json": _golden_with("W(3,3)", "A", lambda e: e.update(verdict="fails")),
+    "no_point.json": _golden_with("Q-(5,2)", "A", lambda e: e["witness"].update(a=[9] * 6)),
+    "missing_key.json": _golden_with("Q-(5,2)", "A", lambda e: e["witness"].pop("b")),
+    "not_object.json": _golden_with("Q-(5,2)", "A", lambda e: e.update(witness=[1])),
+    "stale.json": _golden_with("Q-(5,2)", "A", lambda e: e["witness"].update(
+        a=e["witness"]["b"], b=e["witness"]["generator"][0])),
+    "rank1.json": _one_entry("Q-(3,2)", {"a": [0, 0, 0, 1], "b": [0, 0, 1, 0],
+                                         "generator": []}),
+    "unparsed.json": _one_entry("Z(9,9)", {"a": [0], "b": [1], "generator": []}),
+    "dual.json": _one_entry("dual(W(5,2))", {"a": [0], "b": [1], "generator": []}),
+    "oversize.json": _one_entry("W(7,3)", {"a": [1] + [0] * 7, "b": [0, 1] + [0] * 6,
+                                           "generator": []}),
+}
+
+_ERROR_PATHS = [
+    # command line -> exit code and stderr, with nothing on stdout; {tmp}
+    # holds _ERROR_FILES
+    (["check", "nonsense"], 1,
+     "polarium: cannot parse space spec 'nonsense'\n"),
+    (["check", "W(2,2)"], 1,
+     "polarium: W requires odd projective dimension (even ambient)\n"),
+    (["check", "W(3,2)", "grid(1)"], 1,
+     "polarium: grids need order >= 2\n"),
+    (["check", "W(3,6)"], 1,
+     "polarium: 6 is not a prime power\n"),
+    (["check", "dual(W(5,2))"], 1,
+     "polarium: W(5,2): dualization needs a rank-2 space\n"),
+    (["check", "W(3,3)", "--max-points", "10"], 2,
+     "polarium: bound exceeded: W(3,3): 40 points exceed bound 10\n"),
+    (["check", "W(3,2)", "--max-points", "0"], 1,
+     "polarium: --max-points must be at least 1, got 0\n"),
+    (["check", "W(3,2)", "--max-points", "-3"], 1,
+     "polarium: --max-points must be at least 1, got -3\n"),
+    (["check", "W(3,2)", "--expect", "{tmp}/missing.json"], 1,
+     "polarium: cannot read {tmp}/missing.json: No such file or directory\n"),
+    (["check", "W(3,2)", "--expect", "{tmp}/garbled.json"], 1,
+     "polarium: {tmp}/garbled.json is not a JSON report: Expecting value: line 1 column 1 (char 0)\n"),
+    (["check", "W(3,2)", "--expect", "{tmp}/listed.json", "--out", "/dev/null"], 1,
+     "polarium: the --expect file is not a check report\n"),
+    (["check", "W(3,2)", "--out", "{tmp}"], 1,
+     "polarium: cannot write {tmp}: Is a directory\n"),
+    (["check", "W(3,3)", "--expect", "{tmp}/mismatch.json", "--out", "/dev/null"], 4,
+     "polarium: expectation mismatch: W(3,3)/A: expected fails, got holds\n"),
+    (["check", "Q-(3,2)"], 3,
+     "polarium: space error: Q-(3,2): rank 1 < 2 has no sub-generators\n"),
+    (["check", "Q-(1,2)"], 3,
+     "polarium: space error: Q-(1,2): the form has no vanishing points\n"),
+    (["check", "P(W(3,2))"], 3,
+     "polarium: space error: P(W(3,2)): thin line in a thick-lined space\n"),
+    (["info", "Z(9,9)"], 1,
+     "polarium: cannot parse space spec 'Z(9,9)'\n"),
+    (["info", "dual(W(5,2))"], 1,
+     "polarium: W(5,2): dualization needs a rank-2 space\n"),
+    (["info", "W(7,3)"], 2,
+     "polarium: bound exceeded: W(7,3): 3280 points exceed bound 2000\n"),
+    (["info", "Q-(1,2)"], 3,
+     "polarium: space error: Q-(1,2): the form has no vanishing points\n"),
+    (["info", "P(W(3,2))"], 3,
+     "polarium: space error: P(W(3,2)): thin line in a thick-lined space\n"),
+    (["replay", "{golden}", "W(3,2)"], 1,
+     'polarium: witness id must look like "W(3,2)/A"\n'),
+    (["replay", "{golden}", "W(9,9)/A"], 1,
+     "polarium: no entry for W(9,9)/A in the report\n"),
+    (["replay", "{golden}", "Q-(5,2)/E"], 1,
+     "polarium: no entry for Q-(5,2)/E in the report\n"),
+    (["replay", "{golden}", "W(3,2)/A"], 1,
+     "polarium: W(3,2)/A verdict is 'holds'; nothing to replay\n"),
+    (["replay", "{tmp}/missing.json", "Q-(5,2)/A"], 1,
+     "polarium: cannot read {tmp}/missing.json: No such file or directory\n"),
+    (["replay", "{tmp}", "Q-(5,2)/A"], 1,
+     "polarium: cannot read {tmp}: Is a directory\n"),
+    (["replay", "{tmp}/garbled.json", "Q-(5,2)/A"], 1,
+     "polarium: {tmp}/garbled.json is not a JSON report: Expecting value: line 1 column 1 (char 0)\n"),
+    (["replay", "{tmp}/listed.json", "Q-(5,2)/A"], 1,
+     "polarium: {tmp}/listed.json is not a check report\n"),
+    (["replay", "{tmp}/string.json", "Q-(5,2)/A"], 1,
+     "polarium: {tmp}/string.json is not a check report\n"),
+    (["replay", "{tmp}/no_verdict.json", "Q-(5,2)/A"], 1,
+     "polarium: {tmp}/no_verdict.json is not a check report\n"),
+    (["replay", "{tmp}/no_point.json", "Q-(5,2)/A"], 3,
+     "polarium: Q-(5,2)/A: malformed witness or space: ValueError('[9, 9, 9, 9, 9, 9] is not a point of Q-(5,2)')\n"),
+    (["replay", "{tmp}/missing_key.json", "Q-(5,2)/A"], 3,
+     "polarium: Q-(5,2)/A: malformed witness or space: KeyError('b')\n"),
+    (["replay", "{tmp}/not_object.json", "Q-(5,2)/A"], 3,
+     "polarium: Q-(5,2)/A: malformed witness or space: TypeError('list indices must be integers or slices, not str')\n"),
+    (["replay", "{tmp}/stale.json", "Q-(5,2)/A"], 3,
+     "polarium: Q-(5,2)/A: stale witness (nondeterminism or tampered report)\n"),
+    (["replay", "{tmp}/rank1.json", "Q-(3,2)/A"], 3,
+     "polarium: Q-(3,2)/A: malformed witness or space: SpaceError('Q-(3,2): rank 1 < 2 has no sub-generators')\n"),
+    (["replay", "{tmp}/unparsed.json", "Z(9,9)/A"], 1,
+     "polarium: cannot parse space spec 'Z(9,9)'\n"),
+    (["replay", "{tmp}/dual.json", "dual(W(5,2))/A"], 1,
+     "polarium: W(5,2): dualization needs a rank-2 space\n"),
+    (["replay", "{tmp}/oversize.json", "W(7,3)/A"], 2,
+     "polarium: bound exceeded: W(7,3): 3280 points exceed bound 2000\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", _ERROR_PATHS,
+                         ids=[" ".join(p[0]) for p in _ERROR_PATHS])
+def test_error_output_pinned(capsys, tmp_path, argv, code, err):
+    # every error path: the exit code, stdout and stderr, byte for byte
+    for name, payload in _ERROR_FILES.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    (tmp_path / "garbled.json").write_text("not json {")
+    argv = [a.replace("{tmp}", str(tmp_path)).replace("{golden}", str(GOLDEN)) for a in argv]
+    assert run(capsys, *argv) == (code, "", err.replace("{tmp}", str(tmp_path)))

@@ -541,3 +541,29 @@ def test_line_scans_heavy(name, A, regular_pairs):
     assert check_A(space).to_dict() == {"verdict": HOLDS, "checked_count": A}
     assert check_regular_pairs(space).to_dict() == {"verdict": HOLDS,
                                                     "checked_count": regular_pairs}
+
+
+def _regular_pairs_width_case(space, monkeypatch):
+    # oracle: the most sub-generators inside one {a,b}^perp over the
+    # non-collinear pairs, by the n x S x n product
+    spf = space.subgenerators()[1].astype(np.float32)
+    k_max = int((spf.T @ spf)[~space.coll].max())
+    assert int(space.generators().sum(axis=0).max()) == k_max
+    widths = []
+    monkeypatch.setattr(props, "_line_scan", lambda space, kernel, width: widths.append(width))
+    check_regular_pairs(space)
+    n = space.n_points
+    assert widths == [max(len(spf), k_max * max(n, k_max))]
+
+
+@pytest.mark.parametrize("name", [*CATALOG, *STRETCH])
+def test_regular_pairs_width_is_the_most_generators_through_a_point(space_for, monkeypatch, name):
+    # S -> <S, a> maps the sub-generators inside {a,b}^perp of an opposite
+    # pair one to one onto the generators through a
+    _regular_pairs_width_case(space_for(name), monkeypatch)
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("name", ["W(5,3)", "W(7,2)", "Q+(7,2)"])
+def test_regular_pairs_width_heavy(monkeypatch, name):
+    _regular_pairs_width_case(build_space(name), monkeypatch)
