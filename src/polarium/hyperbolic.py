@@ -5,8 +5,8 @@ pair; its members are pairwise non-collinear.  Double perps are bit-packed,
 the perps (`PolarSpace.perps`) of the traces.  The lines of a space are
 built once and memoised on it, as arrays, one row per line: the pair that
 keeps it (its two smallest members), its members in ascending order, padded
-with n, and the line of every non-collinear pair.  A, regular pairs and D
-all read that one build.
+with n, and the line of every non-collinear pair.  A, regular pairs,
+centric triads and D all read that one build.
 Adjoining all hyperbolic lines to the ordinary lines yields a linear space
 L(S): any two points lie on exactly one joining line (`linear_space` checks
 it).

@@ -149,23 +149,16 @@ def _sections(e: Embedding, phis, lines: tuple) -> np.ndarray:
 def arising_hyperplanes(e: Embedding) -> ArisingHyperplanes:
     """One hyperplane per canonical dual vector of the target space, built
     once per embedding and memoised on it, in chunks of functionals.
-    Distinct functionals must induce distinct hyperplanes (the image spans
-    the target); a collision is reported as an anomaly."""
+    Distinct functionals induce distinct hyperplanes when the image spans
+    the target, as a hyperplane spans its functional's kernel; when it does
+    not, some nonzero functional vanishes on every point, and `_verify_axiom`
+    rejects that section."""
     if e._arising is None:
         space = e.source
         duals, lines = linalg.proj_rows(e.field, e.dim), _line_columns(space)
         masks = np.concatenate([
             _sections(e, duals[s], lines)
             for s in chunks(len(duals), max(space.n_points, len(space.lines)))])
-        _, first, inverse = np.unique(np.packbits(masks, axis=1), axis=0,
-                                      return_index=True, return_inverse=True)
-        first = first[inverse.ravel()]  # the first functional with each row's section
-        again = np.flatnonzero(first != np.arange(len(masks)))
-        if len(again):
-            k = again[0]
-            raise SpaceError(f"{space.name}: functionals {tuple(duals[first[k]].tolist())} "
-                             f"and {tuple(duals[k].tolist())} induce the same hyperplane "
-                             "(image does not span)")
         masks.flags.writeable = False
         e._arising = ArisingHyperplanes(space, duals, masks, np.full(len(masks), -1))
     return e._arising

@@ -1,29 +1,28 @@
 """The characterization predicates and their cross-equivalences.
 
 Each property is one kernel over a batch of blocks: hyperbolic lines for A,
-regular pairs and D, pairs of distinct points for centric triads, arising
-hyperplanes for B' and C, and the whole space for the symplectic test.  A
-kernel gives, by chunked float32 BLAS products or bit-packed gathers, each
-block's instance count and whether it fails, and `failures(k)`, which reads
-the same intermediates to yield the failing instances of block k as
-(checked up to it, serialized witness).  A and regular pairs range over
-non-collinear pairs (a, b) but read one only through {a,b}^perp = l^perp
-and its line l = {a,b}^perpperp, so every pair of a line has the line's
-count and failures; the memoised lines map each pair to its line, which
-keeps checked_count pair-major.  B' and C share their intermediates: the
-traces of the non-collinear pairs, bit-packed once per space, and the count
-of contained traces per arising hyperplane, memoised in the counts of
-`hyperplanes.ArisingHyperplanes` by the first sweep that reaches it, so C
-sweeps only the hyperplanes B' stopped before; a failing hyperplane's pairs
-are read from the packed traces one chunk at a time, up to the first one
-asked for.
+regular pairs, centric triads and D, arising hyperplanes for B' and C, and
+the whole space for the symplectic test.  A kernel gives, by chunked float32
+BLAS products or bit-packed gathers, each block's instance count and whether
+it fails, and `failures(k)`, which reads the same intermediates to yield the
+failing instances of block k as (checked up to it, serialized witness).
+A, regular pairs and centric triads range over pairs (a, b), of which no
+collinear one fails, and read a non-collinear one only through {a,b}^perp =
+l^perp and its line l = {a,b}^perpperp; the memoised lines map each pair to
+its line, which keeps checked_count pair-major.  B' and C share their
+intermediates: the traces of the non-collinear pairs, bit-packed once per
+space, and the count of contained traces per arising hyperplane, memoised
+in the counts of `hyperplanes.ArisingHyperplanes` by the first sweep that
+reaches it, so C sweeps only the hyperplanes B' stopped before; a failing
+hyperplane's pairs are read from the packed traces one chunk at a time, up
+to the first one asked for.
 Each checker scans the blocks in canonical order and stops at the first
 failing block, so failing verdicts carry the smallest witness.  Replay runs
 the same kernel on a batch holding only the witness's block and accepts any
-failure of that block: for A, regular pairs and D, the one line of the
-witness's pair; for B' and C, one count sweep of that hyperplane and the
-chunks of its pairs up to the witness.  Witnesses use canonical point
-labels, never indices.
+failure of that block: for A, regular pairs, centric triads and D, the one
+line of the witness's pair; for B' and C, one count sweep of that
+hyperplane and the chunks of its pairs up to the witness.  Witnesses use
+canonical point labels, never indices.
 full_report runs the whole battery and asserts the theorem matrix: any
 violated biconditional raises EquivalenceViolation.
 """
@@ -31,11 +30,12 @@ violated biconditional raises EquivalenceViolation.
 from __future__ import annotations
 
 import time
+from math import comb
 
 import numpy as np
 
 from polarium import embed, hyperbolic, hyperplanes, linalg
-from polarium.space import PolarSpace, batches, chunks, padded_columns
+from polarium.space import PolarSpace, batches, padded_columns
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -127,6 +127,13 @@ def _line_scan(space: PolarSpace, kernel, width: int) -> Verdict:
     return _scan(batches(lines, width), kernel, checked)
 
 
+def _stack_depth(space: PolarSpace) -> int:
+    """The most generators through one point, which is the most
+    sub-generators inside one l^perp (S -> <S, a> maps those inside
+    {a,b}^perp onto the generators through a) and sizes the padded stacks."""
+    return int(space.generators().sum(axis=0).max())
+
+
 # ---------------------------------------------------------------------------
 # property (A)
 
@@ -199,12 +206,7 @@ def _regular_pairs_kernel(space: PolarSpace):
 def check_regular_pairs(space: PolarSpace) -> Verdict:
     """Every pair of opposite points a, b must be regular: N^perp cap N'^perp
     = {a,b}^perpperp for all opposite generators N, N' of the trace."""
-    n = space.n_points
-    # for opposite a, b, S -> <S, a> maps the sub-generators inside
-    # {a,b}^perp one to one onto the generators through a, and every point
-    # has an opposite point: the most generators through one point is the
-    # most sub-generators inside one trace, which sizes the padded stacks
-    k_max = int(space.generators().sum(axis=0).max())
+    n, k_max = space.n_points, _stack_depth(space)
     width = max(len(space.subgenerators()[1]), k_max * max(n, k_max))
     return _line_scan(space, _regular_pairs_kernel(space), width)
 
@@ -213,17 +215,18 @@ def check_regular_pairs(space: PolarSpace) -> Verdict:
 # centric triads (the implementation of property (B))
 
 def _triads_kernel(space: PolarSpace):
-    """Block: a pair a < b of distinct points.  Checked: every c > b.  Failing:
-    the c with no sub-generator in {a,b,c}^perp, i.e. no S_k^perp holding a, b
-    and c: the c outside the OR of the bit-packed rows S_k^perp of the
-    sub-generators inside {a,b}^perp."""
+    """Block: a hyperbolic line l, with its pair (a, b).  Checked: every
+    c > b.  Failing: the c with no sub-generator in {a,b,c}^perp, i.e. no
+    S_k^perp holding a, b and c: the c outside the OR of the bit-packed rows
+    S_k^perp of the sub-generators inside l^perp."""
     sp = space.subgenerators()[1]
     n = space.n_points
     spt, bits = np.ascontiguousarray(sp.T), np.packbits(sp, axis=1)
 
-    def kernel(pairs):
+    def kernel(lines):
+        pairs = lines.pairs
         b = pairs[:, 1]
-        ks, valid = padded_columns(spt[pairs[:, 0]] & spt[b])  # S_k inside {a,b}^perp
+        ks, valid = padded_columns(spt[pairs[:, 0]] & spt[b])  # S_k inside l^perp
         held = np.bitwise_or.reduce(bits[ks] * valid[:, :, None], axis=1)
         centric = np.unpackbits(held, axis=1, count=n).view(bool)
         acentric = ~centric & (np.arange(n) > b[:, None])
@@ -235,24 +238,25 @@ def _triads_kernel(space: PolarSpace):
     return kernel
 
 
-def _most_inside(space: PolarSpace) -> int:
-    """The most sub-generators inside one {a,b}^perp over the pairs of
-    distinct points: it sizes the padded stacks of the triads kernel."""
-    spf = space.subgenerators()[1].astype(np.float32)
-    n = space.n_points
-    distinct = ~np.eye(n, dtype=bool)
-    return max(int((spf[:, s].T @ spf)[distinct[s]].max(initial=0))
-               for s in chunks(n, max(n, len(spf))))
-
-
 def check_centric_triads(space: PolarSpace) -> Verdict:
     """Every triple of distinct points must have a sub-generator in its
-    common perp (a point when n = 2)."""
+    common perp (a point when n = 2).  If a ~ b, a generator through the
+    line ab meets c^perp in a sub-generator at least, so the blocks are the
+    lines: a pair (a', b') of line l fails at the c > b' where l's own pair
+    fails."""
     n = space.n_points
     packed = (n + 7) // 8  # bytes per bit-packed S_k^perp row
-    width = max(len(space.subgenerators()[1]), n, _most_inside(space) * packed)
-    pairs = np.argwhere(np.triu(~np.eye(n, dtype=bool), 1))
-    return _scan(batches(pairs, width), _triads_kernel(space))
+    width = max(len(space.subgenerators()[1]), n, _stack_depth(space) * packed)
+    lines = hyperbolic.all_hyperbolic_lines(space)
+
+    def checked(counts):
+        # the triples x < y < z before line k's own pair (a, b), collinear
+        # pairs (x, y) included: x < a, or x = a < y < b; past the last
+        # line, (n - 1, n) counts them all
+        k = len(counts)
+        a, b = lines.pairs[k].tolist() if k < len(lines) else (n - 1, n)
+        return comb(n, 3) - comb(n - a, 3) + comb(n - 1 - a, 2) - comb(n - b, 2)
+    return _scan(batches(lines, width), _triads_kernel(space), checked)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +442,9 @@ def _pair_line_block(space, witness):
 
 
 def _triad_block(space, witness):
+    # a triad's instances c > b depend on the order of its pair
     a, b = space.index_of(witness["a"]), space.index_of(witness["b"])
-    return np.array([[a, b]]) if a < b else None
+    return _line_block(space, a, b) if a < b else None
 
 
 def _arising_block(space, witness):

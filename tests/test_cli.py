@@ -144,17 +144,17 @@ def test_benchmark_tracer_counts_checked(capsys, tmp_path):
     for prop in reports[0]["properties"]:
         want = sum(r["properties"][prop]["checked_count"] for r in reports)
         assert tracer.counts[f"props.{prop}.checked"] == want, prop
-    # check_A, check_regular_pairs and check_D each reach
-    # hyperbolic.all_hyperbolic_lines through its module (the build runs once
-    # per space, memoised), and the tracer takes len() of every result: the
-    # distinct double perps
+    # check_A, check_regular_pairs, check_centric_triads and check_D each
+    # reach hyperbolic.all_hyperbolic_lines through its module (the build runs
+    # once per space, memoised), and the tracer takes len() of every result:
+    # the distinct double perps
     lines = 0
     for name in ["W(3,2)", "Q(4,3)"]:
         coll = build_space(name).coll
         lines += len({tuple(np.flatnonzero(coll[coll[a] & coll[b]].all(axis=0)))
                       for a, b in itertools.combinations(range(len(coll)), 2)
                       if not coll[a, b]})
-    assert tracer.counts["hyperbolic.lines.count"] == 3 * lines and lines == 20 + 540
+    assert tracer.counts["hyperbolic.lines.count"] == 4 * lines and lines == 20 + 540
 
 
 def _tampered(*flips):

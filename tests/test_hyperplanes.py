@@ -6,6 +6,7 @@ import pytest
 from polarium import embed, hyperplanes, linalg
 from polarium import space as space_module
 from polarium.catalog import CATALOG, build_space, parse_space_spec
+from polarium.forms import ALTERNATING, Form
 from polarium.hyperbolic import all_hyperbolic_lines
 from polarium.hyperplanes import (OVOID, SINGULAR, _line_columns, _verify_axiom,
                                   arising_hyperplanes, classify, contained_pairs,
@@ -82,6 +83,19 @@ def test_arising_hyperplane_axiom(space_for):
     lm = w.lines_matrix
     for h in arising_hyperplanes(embed.natural_embedding(w)).masks:
         assert (lm & h).any(axis=1).all()  # every line meets it
+
+
+def test_arising_from_a_non_spanning_image_rejected(space_for):
+    # W(3,2) padded with a zero coordinate: the functionals that differ only
+    # there share their sections, and the one that vanishes on every point
+    # has a section that is not a proper subspace, so the build stops there
+    w = space_for("W(3,2)")
+    e = embed.natural_embedding(w)
+    gram = [row + (0,) for row in e.bilinear.matrix] + [(0,) * (e.dim + 1)]
+    padded = embed.Embedding(w, [v + (0,) for v in e.images],
+                             Form(ALTERNATING, e.field, gram))
+    with pytest.raises(SpaceError, match="proper nonempty subspace"):
+        arising_hyperplanes(padded)
 
 
 def _reference_sections(e):

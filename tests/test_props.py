@@ -72,6 +72,13 @@ def test_witness_negative_control(space_for, report_for):
     mutated["generator"] = [space.points[i] for i in np.flatnonzero(space.generators()[0])]
     if mutated["generator"] != rep.verdicts["A"].witness["generator"]:
         assert not validate_witness(space, "A", mutated)
+    # ... but a triad's instances c > b depend on the order of its pair: the
+    # swapped pair's line still fails at c, which replay must not accept
+    space = space_for("Q+(3,3)")
+    w = report_for("Q+(3,3)").verdicts["B_triads"].witness
+    swapped = {**w, "a": w["b"], "b": w["a"]}
+    assert validate_witness(space, "B_triads", w)
+    assert not validate_witness(space, "B_triads", swapped)
 
 
 def _in_perp(space, *labels):
@@ -401,7 +408,7 @@ def test_kernel_failures_do_not_depend_on_the_batch(space_for):
     arising = hyperplanes.arising_hyperplanes(embed.natural_embedding(space))
     for make, blocks in [
             (props._A_kernel, lines), (props._regular_pairs_kernel, lines),
-            (props._triads_kernel, np.argwhere(np.triu(~np.eye(space.n_points, dtype=bool), 1))),
+            (props._triads_kernel, lines),
             (props._B_prime_kernel, arising), (props._C_kernel, arising),
             (props._D_kernel, lines)]:
         kernel = make(space)
@@ -415,9 +422,10 @@ def test_kernel_failures_do_not_depend_on_the_batch(space_for):
             assert bool(fails[k]) == bool(got), (make.__name__, k)
 
 
-# A and regular pairs scan hyperbolic lines: the one-pair kernels below are
-# the pair-by-pair scan they replaced, kept as the oracle.  Each reads the
-# pair's trace {a,b}^perp and double perp {a,b}^perpperp directly.
+# A, regular pairs and centric triads scan hyperbolic lines: the one-pair
+# kernels below are the pair-by-pair scan they replaced, kept as the oracle.
+# Each reads the pair's trace {a,b}^perp (and double perp {a,b}^perpperp)
+# directly; the triads oracle runs over every pair of distinct points.
 
 def _pair_A_oracle(space):
     gm = space.generators()
@@ -466,17 +474,65 @@ def _pair_regular_pairs_oracle(space):
     return kernel
 
 
+def _pair_triads_oracle(space):
+    sp = space.subgenerators()[1]
+    n = space.n_points
+    spt, bits = np.ascontiguousarray(sp.T), np.packbits(sp, axis=1)
+
+    def kernel(pairs):
+        b = pairs[:, 1]
+        ks, valid = space_module.padded_columns(spt[pairs[:, 0]] & spt[b])
+        held = np.bitwise_or.reduce(bits[ks] * valid[:, :, None], axis=1)
+        centric = np.unpackbits(held, axis=1, count=n).view(bool)
+        acentric = ~centric & (np.arange(n) > b[:, None])
+
+        def failures(k):
+            return ((c - b[k], props._pair_witness(space, *pairs[k], c=props._label(space, int(c))))
+                    for c in np.flatnonzero(acentric[k]))
+        return n - b - 1, acentric.any(axis=1), failures
+    return kernel
+
+
 def _every_block(kernel, blocks):
     """(counts, fails) of every block, in batches of 64 blocks."""
     out = [kernel(blocks[lo:lo + 64])[:2] for lo in range(0, len(blocks), 64)]
     return np.concatenate([c for c, _ in out]), np.concatenate([f for _, f in out])
 
 
+def _pair_scan(kernel, pairs):
+    """(counts, fails) of every pair, and the report of the pair scan: stop
+    at the first failing pair, counting the instances of the pairs before it."""
+    counts, fails = _every_block(kernel, pairs)
+    if not fails.any():
+        return counts, fails, {"verdict": HOLDS, "checked_count": int(counts.sum())}
+    p = int(np.argmax(fails))
+    upto, witness = next(kernel(pairs[p:p + 1])[2](0))
+    return counts, fails, {"verdict": FAILS, "checked_count": int(counts[:p].sum() + upto),
+                           "witness": witness}
+
+
+def _triads_oracle_case(space):
+    # no collinear pair fails, each line fails as its own pair does, with its
+    # pair's count, and the line scan gives the pair scan's report
+    n = space.n_points
+    pairs = np.argwhere(np.triu(~np.eye(n, dtype=bool), 1))
+    counts, fails, want = _pair_scan(_pair_triads_oracle(space), pairs)
+    assert not fails[space.coll[pairs[:, 0], pairs[:, 1]]].any()
+    lines = hyperbolic.all_hyperbolic_lines(space)
+    index = np.zeros((n, n), dtype=np.intp)
+    index[pairs[:, 0], pairs[:, 1]] = np.arange(len(pairs))
+    own = index[lines.pairs[:, 0], lines.pairs[:, 1]]
+    line_counts, line_fails = _every_block(props._triads_kernel(space), lines)
+    assert (line_counts == counts[own]).all() and (line_fails == fails[own]).all()
+    assert check_centric_triads(space).to_dict() == want
+
+
 @pytest.mark.parametrize("batch", ["default", "small"])
 @pytest.mark.parametrize("name", [*CATALOG, *STRETCH])
 def test_line_kernels_match_the_pair_oracle(space_for, monkeypatch, name, batch):
     # every non-collinear pair has its line's count and verdict, and the line
-    # scan gives the oracle's first failing pair, witness and checked_count
+    # scan gives the oracle's first failing pair, witness and checked_count;
+    # for the triads, as in _triads_oracle_case
     if batch == "small":
         monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 512)
         space = build_space(name)  # lines built at this batch size too
@@ -487,19 +543,18 @@ def test_line_kernels_match_the_pair_oracle(space_for, monkeypatch, name, batch)
     for oracle, line_kernel, check in [
             (_pair_A_oracle, props._A_kernel, check_A),
             (_pair_regular_pairs_oracle, props._regular_pairs_kernel, check_regular_pairs)]:
-        counts, fails = _every_block(oracle(space), pairs)
+        counts, fails, want = _pair_scan(oracle(space), pairs)
         line_counts, line_fails = _every_block(line_kernel(space), lines)
         assert (counts == line_counts[lines.of_pair]).all(), line_kernel.__name__
         assert (fails == line_fails[lines.of_pair]).all(), line_kernel.__name__
-        # the pair scan: stop at the first failing pair, counting the pairs before it
-        if fails.any():
-            p = int(np.argmax(fails))
-            upto, witness = next(oracle(space)(pairs[p:p + 1])[2](0))
-            want = {"verdict": FAILS, "checked_count": int(counts[:p].sum() + upto),
-                    "witness": witness}
-        else:
-            want = {"verdict": HOLDS, "checked_count": int(counts.sum())}
         assert check(space).to_dict() == want, line_kernel.__name__
+    _triads_oracle_case(space)
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("name", ["W(7,2)", "W(5,3)", "W(3,7)", "Q-(7,2)", "Q+(7,2)"])
+def test_triads_match_the_pair_oracle_heavy(name):
+    _triads_oracle_case(build_space(name))
 
 
 def test_line_witness_replays_from_any_pair_of_its_line(space_for, report_for):
@@ -518,7 +573,7 @@ def test_line_witness_replays_from_any_pair_of_its_line(space_for, report_for):
 
 
 def test_full_report_builds_the_lines_once(monkeypatch):
-    # A, regular pairs and D read one memoised line build per space
+    # A, regular pairs, centric triads and D read one memoised line build per space
     built = []
     build = hyperbolic._build_lines
     monkeypatch.setattr(hyperbolic, "_build_lines", lambda space: built.append(space.name)
@@ -545,15 +600,19 @@ def test_line_scans_heavy(name, A, regular_pairs):
 
 def _regular_pairs_width_case(space, monkeypatch):
     # oracle: the most sub-generators inside one {a,b}^perp over the
-    # non-collinear pairs, by the n x S x n product
+    # non-collinear pairs, by the n x S x n product; it sizes the padded
+    # stacks of regular pairs and of the centric triads
     spf = space.subgenerators()[1].astype(np.float32)
     k_max = int((spf.T @ spf)[~space.coll].max())
     assert int(space.generators().sum(axis=0).max()) == k_max
     widths = []
     monkeypatch.setattr(props, "_line_scan", lambda space, kernel, width: widths.append(width))
+    monkeypatch.setattr(props, "batches", lambda blocks, width: widths.append(width) or ())
     check_regular_pairs(space)
+    check_centric_triads(space)
     n = space.n_points
-    assert widths == [max(len(spf), k_max * max(n, k_max))]
+    assert widths == [max(len(spf), k_max * max(n, k_max)),
+                      max(len(spf), n, k_max * ((n + 7) // 8))]
 
 
 @pytest.mark.parametrize("name", [*CATALOG, *STRETCH])
