@@ -5,7 +5,7 @@ checkers for the symplectic characterization properties (A), (B), (C), (D),
 regular pairs and centric triads."""
 
 from polarium.gf import Field
-from polarium.linalg import Subspace, enumerate_points, normalize, span
+from polarium.linalg import Subspace, enumerate_points, span
 from polarium.forms import CanonicalSpaceSpec, Form, witt_index
 from polarium.space import PolarSpace
 from polarium.catalog import CATALOG, build_space, parse_space_spec
@@ -18,7 +18,7 @@ from polarium.props import PropertyReport, full_report
 __version__ = "0.1.0"
 
 __all__ = [
-    "Field", "Subspace", "normalize", "span", "enumerate_points",
+    "Field", "Subspace", "span", "enumerate_points",
     "Form", "witt_index", "CanonicalSpaceSpec",
     "PolarSpace",
     "build_space", "parse_space_spec", "CATALOG",

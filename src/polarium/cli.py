@@ -15,6 +15,7 @@ every command; the commands map only their own outcomes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -54,6 +55,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="polarium",
                      description="finite polar space property verification")

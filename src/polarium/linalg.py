@@ -37,13 +37,6 @@ def is_zero(v) -> bool:
     return not any(v)
 
 
-def normalize(field: Field, v) -> tuple:
-    """Canonical projective representative: leftmost nonzero coordinate is 1."""
-    if is_zero(v):
-        raise ValueError("cannot normalize the zero vector")
-    return tuple(normalize_rows(field, v).tolist())
-
-
 def gf_dot(field: Field, x, y) -> np.ndarray:
     """sum_k x[..., k] * y[..., k] in GF(q) over a nonempty last axis, the
     leading axes broadcast, by add/mul table gathers."""

@@ -9,7 +9,12 @@ failing instances of block k as (checked up to it, serialized witness).
 A, regular pairs and centric triads range over pairs (a, b), of which no
 collinear one fails, and read a non-collinear one only through {a,b}^perp =
 l^perp and its line l = {a,b}^perpperp; the memoised lines map each pair to
-its line, which keeps checked_count pair-major.  B' and C share their
+its line, which keeps checked_count pair-major.  A and regular pairs scan
+the pairs through whole-space counts, K and G (the sub-generators inside
+each trace and the generators through them, built once per space, so
+`--timings` bills them to A) and opp(a) (the pairs of generators through a
+that meet in a alone): a pair fails both exactly when G > |l| K, and their
+line kernels run only on the failing line and in replay.  B' and C share their
 intermediates: the traces of the non-collinear pairs, bit-packed once per
 space, and the count of contained traces per arising hyperplane, memoised
 in the counts of `hyperplanes.ArisingHyperplanes` by the first sweep that
@@ -35,7 +40,7 @@ from math import comb
 import numpy as np
 
 from polarium import embed, hyperbolic, hyperplanes, linalg
-from polarium.space import PolarSpace, batches, padded_columns
+from polarium.space import PolarSpace, SpaceError, batches, chunks, padded_columns
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -109,29 +114,75 @@ def _scan(block_batches, kernel, checked=np.sum) -> Verdict:
     return Verdict(HOLDS, checked=int(checked(np.concatenate(seen))))
 
 
-def _line_scan(space: PolarSpace, kernel, width: int) -> Verdict:
-    """Scan a property of non-collinear pairs (a, b) that reads a pair only
-    through {a,b}^perp = l^perp and its hyperbolic line l = {a,b}^perpperp,
-    so every pair of l has l's count and failures: the blocks are the
-    lines.  checked_count stays pair-major.  A line's first pair in
-    row-major order is its own `pair`, so the first failing pair is the
-    first failing line's pair, and the pairs before it lie on earlier lines
-    and count those lines' counts."""
-    lines = hyperbolic.all_hyperbolic_lines(space)
-    of_pair = lines.of_pair
-
-    def checked(counts):
-        # line k's own pair is the first pair on a line >= k
-        later = np.flatnonzero(of_pair >= len(counts))
-        return counts[of_pair[:later[0] if len(later) else len(of_pair)]].sum()
-    return _scan(batches(lines, width), kernel, checked)
-
-
 def _stack_depth(space: PolarSpace) -> int:
     """The most generators through one point, which is the most
     sub-generators inside one l^perp (S -> <S, a> maps those inside
     {a,b}^perp onto the generators through a) and sizes the padded stacks."""
     return int(space.generators().sum(axis=0).max())
+
+
+def _generator_counts(space: PolarSpace) -> np.ndarray:
+    """g(S), the number of generators through each sub-generator S.  They
+    cover S^perp and meet pairwise in S, so when every generator M has one
+    size, each adds |M| - |S| points: g(S) = (|S^perp| - |S|) / (|M| - |S|),
+    read from the row sums of SP."""
+    sg, sp = space.subgenerators()
+    sizes, size = space.generators().sum(axis=1), int(sg[0].sum())
+    if (sizes != sizes[0]).any():
+        raise SpaceError(f"{space.name}: generators of {sizes.min()} and {sizes.max()} points")
+    step = int(sizes[0]) - size
+    g, rest = np.divmod(sp.sum(axis=1) - size, step)
+    if rest.any():
+        k = int(np.argmax(rest))
+        raise SpaceError(f"{space.name}: sub-generator {k} has {int(sp[k].sum())} points in "
+                         f"its perp, not {size} plus a multiple of {step}")
+    return g
+
+
+def _trace_counts(space: PolarSpace) -> tuple:
+    """(K, G), n x n float32, built once per space (read-only): K[a, b]
+    counts the sub-generators S inside {a,b}^perp and G[a, b] = sum g(S)
+    over them, as SP^T SP and SP^T diag(g) SP summed over chunks of SP
+    (integer sums, exact in float32 below 2^24)."""
+    if space._trace_counts is None:
+        sp, g = space.subgenerators()[1], _generator_counts(space).astype(np.float32)
+        n = space.n_points
+        K, G = np.zeros((n, n), dtype=np.float32), np.zeros((n, n), dtype=np.float32)
+        for s in chunks(len(sp), n):
+            f = sp[s].astype(np.float32)
+            K += f.T @ f
+            G += (f * g[s, None]).T @ f
+        K.flags.writeable = G.flags.writeable = False
+        space._trace_counts = (K, G)
+    return space._trace_counts
+
+
+def _pair_scan(space: PolarSpace, count, line_kernel) -> Verdict:
+    """Scan A or regular pairs over the non-collinear pairs (a, b) in
+    row-major order.  Each sub-generator S inside l^perp = {a,b}^perp lies
+    on g(S) >= |l| generators, as the <S, p> over the points p of l are
+    distinct (a generator meets l at most once).  A fails at S exactly when
+    g(S) > |l|, and so does regular pairs, where N^perp cap N'^perp has g(N)
+    points for N' opposite N.  So G >= |l| K on every pair (asserted), and a
+    pair fails exactly when G > |l| K.  count(a, G) gives the instances of
+    the pairs with first points a.  The first failing pair is its line's own
+    pair: the line kernel line_kernel(space) runs on that line alone for its
+    instances up to the first failure and the witness."""
+    K, G = _trace_counts(space)
+    lines = hyperbolic.all_hyperbolic_lines(space)
+    a, b = space.noncollinear_pairs().T
+    g, size = G[a, b].astype(np.int64), (lines.members < space.n_points).sum(axis=1)
+    excess = g - size[lines.of_pair] * K[a, b].astype(np.int64)
+    if (excess < 0).any():
+        i = int(np.argmax(excess < 0))
+        raise SpaceError(f"{space.name}: a sub-generator in {{{a[i]},{b[i]}}}^perp lies "
+                         "on fewer generators than its hyperbolic line has points")
+    if not (excess > 0).any():
+        return Verdict(HOLDS, checked=int(count(a, g).sum()))
+    p = int(np.argmax(excess > 0))
+    line = lines.of_pair[p]
+    upto, witness = next(line_kernel(space)(lines[line:line + 1])[2](0))
+    return Verdict(FAILS, witness, int(count(a[:p], g[:p]).sum()) + int(upto))
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +212,10 @@ def _A_kernel(space: PolarSpace):
 
 def check_A(space: PolarSpace) -> Verdict:
     """For non-collinear a, b and generator M: if M cap {a,b}^perp is a
-    hyperplane of M then M must meet the hyperbolic line {a,b}^perpperp."""
-    width = max(space.n_points, len(space.generators()))
-    return _line_scan(space, _A_kernel(space), width)
+    hyperplane of M then M must meet the hyperbolic line {a,b}^perpperp.
+    Such an M meets {a,b}^perp in a sub-generator S, so the pair has
+    G[a, b] = sum g(S) of them."""
+    return _pair_scan(space, lambda a, g: g, _A_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +226,10 @@ def _regular_pairs_kernel(space: PolarSpace):
     opposite pairs N, N' of sub-generators inside l^perp (the generators of
     the trace), in row-major order.  Failing: those with
     N^perp cap N'^perp != l.  As N and N' lie in l^perp, l lies in
-    N^perp cap N'^perp, so it fails exactly when it has more points than l."""
+    N^perp cap N'^perp, which has g(N) points (each generator through N
+    meets N'^perp in one), so it fails exactly when g(N) > |l|."""
     sg, sp = space.subgenerators()
-    sgf, spf, spt = sg.astype(np.float32), sp.astype(np.float32), np.ascontiguousarray(sp.T)
+    g, spt = _generator_counts(space), np.ascontiguousarray(sp.T)
     n = space.n_points
 
     def kernel(lines):
@@ -184,10 +237,10 @@ def _regular_pairs_kernel(space: PolarSpace):
         ks, valid = padded_columns(spt[pairs[:, 0]] & spt[pairs[:, 1]])  # S_k inside l^perp
         order = np.arange(ks.shape[1])
         upper = (order[:, None] < order) & valid[:, None, :]  # x < y, both real
-        perps = spf[ks]
-        opp = upper & (perps @ sgf[ks].transpose(0, 2, 1) == 0)
+        meet = sp[ks].astype(np.float32) @ sg[ks].astype(np.float32).transpose(0, 2, 1)
+        opp = upper & (meet == 0)
         size = (lines.members < n).sum(axis=1)
-        bad = opp & (perps @ perps.transpose(0, 2, 1) > size[:, None, None])
+        bad = opp & (g[ks] > size[:, None])[:, :, None]
 
         def failures(k):
             upto = np.cumsum(opp[k]).reshape(opp[k].shape)
@@ -203,12 +256,27 @@ def _regular_pairs_kernel(space: PolarSpace):
     return kernel
 
 
+def _opposite_generators(space: PolarSpace, points: int) -> np.ndarray:
+    """opp(a) for the points a < `points`: the pairs of generators through a
+    that meet in a alone, by padded stack products over their rows, in
+    chunks of points.  S -> <S, a> maps the opposite pairs of sub-generators
+    inside l^perp onto them, for every line l through a."""
+    gm, n, k_max = space.generators(), space.n_points, _stack_depth(space)
+    gmt, out = np.ascontiguousarray(gm.T), [np.zeros(0, dtype=np.intp)]
+    for s in chunks(points, k_max * max(n, k_max)):
+        ks, valid = padded_columns(gmt[s])  # the generators through each point
+        rows = gm[ks].astype(np.float32)
+        out.append((np.triu(rows @ rows.transpose(0, 2, 1) == 1, 1) & valid[:, None, :])
+                   .sum(axis=(1, 2)))
+    return np.concatenate(out)
+
+
 def check_regular_pairs(space: PolarSpace) -> Verdict:
     """Every pair of opposite points a, b must be regular: N^perp cap N'^perp
-    = {a,b}^perpperp for all opposite generators N, N' of the trace."""
-    n, k_max = space.n_points, _stack_depth(space)
-    width = max(len(space.subgenerators()[1]), k_max * max(n, k_max))
-    return _line_scan(space, _regular_pairs_kernel(space), width)
+    = {a,b}^perpperp for all opposite generators N, N' of the trace.  The
+    pair has opp(a) such N, N'."""
+    return _pair_scan(space, lambda a, g: _opposite_generators(space, a.max(initial=-1) + 1)[a],
+                      _regular_pairs_kernel)
 
 
 # ---------------------------------------------------------------------------

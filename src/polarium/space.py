@@ -111,6 +111,7 @@ class PolarSpace:
         self._noncollinear_pairs = None
         self._packed_traces = None
         self._hyperbolic_lines = None  # memo of hyperbolic.all_hyperbolic_lines
+        self._trace_counts = None  # memo of props._trace_counts
         self._flip = None
         if validate:
             self.validate()

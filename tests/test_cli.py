@@ -351,6 +351,38 @@ def test_usage_error(capsys):
     assert exc.value.code == 1
 
 
+def test_main_calls_share_one_parser(capsys, tmp_path):
+    # main builds its parser once per process: a usage error, a check, a
+    # replay and a stale witness, called in turn, give the exit code and
+    # output each gives from a freshly built parser
+    reports = json.loads(GOLDEN.read_text())
+    w = next(r for r in reports if r["space"] == "Q-(5,2)")["properties"]["A"]["witness"]
+    w["a"], w["b"] = w["b"], w["generator"][0]
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps(reports))
+    calls = [["check"], ["check", "W(3,2)", "Q(4,3)"], ["replay", str(GOLDEN), "Q(4,3)/regular_pairs"],
+             ["replay", str(stale), "Q-(5,2)/A"]]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(call(argv))
+    cli._build_parser.cache_clear()
+    assert [call(argv) for argv in calls] == alone
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in alone] == [1, 0, 0, 3]
+    assert "required: SPEC" in alone[0][2] and "witness valid" in alone[2][1]
+    assert json.loads(alone[1][1])[1]["space"] == "Q(4,3)" and "stale" in alone[3][2]
+
+
 def _golden_with(space, prop, mutate):
     reports = json.loads(GOLDEN.read_text())
     mutate(next(r for r in reports if r["space"] == space)["properties"][prop])

@@ -9,7 +9,8 @@ from polarium.embed import (EmbeddingError, check_emb_identities, minimal_embedd
                             universal_embedding_sp_char2)
 from polarium.forms import ALTERNATING, QUADRATIC, Form, parabolic_quadric_form
 from polarium.gf import Field
-from polarium.linalg import enumerate_points, normalize, proj_points, quotient_map, span
+from polarium.linalg import enumerate_points, proj_points, quotient_map, span
+from test_linalg import normalize
 
 
 def test_natural_dimensions(space_for):

@@ -7,14 +7,24 @@ import pytest
 from polarium.gf import Field
 from polarium import linalg
 from polarium.linalg import (
-    BoundExceeded, Subspace, dual_hyperplanes, enumerate_points, gf_dot, normalize,
-    proj_points, quotient_map, span, nullspace,
+    BoundExceeded, Subspace, dual_hyperplanes, enumerate_points, gf_dot, proj_points,
+    quotient_map, span, nullspace,
 )
 
 GF2 = Field(2)
 GF3 = Field(3)
 GF4 = Field(2, 2)
 GF5 = Field(5)
+
+
+def normalize(field, v) -> tuple:
+    """Oracle for linalg.normalize_rows, one vector by scalar field
+    operations: the canonical projective representative, scaled so that its
+    leftmost nonzero coordinate is 1."""
+    lead = next((c for c in v if c), None)
+    if lead is None:
+        raise ValueError("cannot normalize the zero vector")
+    return tuple(field.mul(field.inv(lead), c) for c in v)
 
 
 def test_normalize_examples():

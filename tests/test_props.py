@@ -499,16 +499,22 @@ def _every_block(kernel, blocks):
     return np.concatenate([c for c, _ in out]), np.concatenate([f for _, f in out])
 
 
-def _pair_scan(kernel, pairs):
-    """(counts, fails) of every pair, and the report of the pair scan: stop
-    at the first failing pair, counting the instances of the pairs before it."""
-    counts, fails = _every_block(kernel, pairs)
+def _first_failure(counts, fails, failure):
+    """The report of a scan over per-pair counts and fails: stop at the
+    first failing pair p, counting the instances of the pairs before it and
+    those failure(p) gives up to its first failure."""
     if not fails.any():
-        return counts, fails, {"verdict": HOLDS, "checked_count": int(counts.sum())}
+        return {"verdict": HOLDS, "checked_count": int(counts.sum())}
     p = int(np.argmax(fails))
-    upto, witness = next(kernel(pairs[p:p + 1])[2](0))
-    return counts, fails, {"verdict": FAILS, "checked_count": int(counts[:p].sum() + upto),
-                           "witness": witness}
+    upto, witness = failure(p)
+    return {"verdict": FAILS, "checked_count": int(counts[:p].sum() + upto), "witness": witness}
+
+
+def _pair_scan(kernel, pairs):
+    """(counts, fails) of every pair, and the report of the pair scan."""
+    counts, fails = _every_block(kernel, pairs)
+    return counts, fails, _first_failure(counts, fails,
+                                         lambda p: next(kernel(pairs[p:p + 1])[2](0)))
 
 
 def _triads_oracle_case(space):
@@ -527,34 +533,95 @@ def _triads_oracle_case(space):
     assert check_centric_triads(space).to_dict() == want
 
 
+def _whole_space_case(space):
+    """The whole-space scan of A and regular pairs against the per-line
+    kernels, on every non-collinear pair: its predicate G > |l| K equals
+    the kernels' fails, its counts (G for A, opp(a) for regular pairs)
+    equal their counts, both read through of_pair, and check_A and
+    check_regular_pairs give the report of the line kernels' pair scan.
+    Returns the per-pair counts and fails, and the report, of A and of
+    regular pairs."""
+    n = space.n_points
+    a, b = space.noncollinear_pairs().T
+    lines = hyperbolic.all_hyperbolic_lines(space)
+    K, G = props._trace_counts(space)
+    size = (lines.members < n).sum(axis=1)[lines.of_pair]
+    fails = G[a, b] > size * K[a, b]
+    opp = props._opposite_generators(space, n)
+    out = []
+    for make, counts, check in [(props._A_kernel, G[a, b].astype(np.int64), check_A),
+                                (props._regular_pairs_kernel, opp[a], check_regular_pairs)]:
+        kernel = make(space)
+        line_counts, line_fails = _every_block(kernel, lines)
+        assert (counts == line_counts[lines.of_pair]).all(), make.__name__
+        assert (fails == line_fails[lines.of_pair]).all(), make.__name__
+        line = lines.of_pair
+        want = _first_failure(counts, fails, lambda p: next(
+            kernel(lines[line[p]:line[p] + 1])[2](0)))
+        report = check(space).to_dict()
+        assert report == want, make.__name__
+        out.append((counts, fails, report))
+    return out
+
+
 @pytest.mark.parametrize("batch", ["default", "small"])
-@pytest.mark.parametrize("name", [*CATALOG, *STRETCH])
+@pytest.mark.parametrize("name", [*CATALOG, *STRETCH, "dual(P(W(3,5)))"])
 def test_line_kernels_match_the_pair_oracle(space_for, monkeypatch, name, batch):
     # every non-collinear pair has its line's count and verdict, and the line
-    # scan gives the oracle's first failing pair, witness and checked_count;
-    # for the triads, as in _triads_oracle_case
+    # kernels and the whole-space scan give the oracle's first failing pair,
+    # witness and checked_count; for the triads, as in _triads_oracle_case.
+    # dual(P(W(3,5))) fails A and regular pairs on 9000 of its 9060 lines:
+    # its first pair lies on a holding line, so the scans fail past it
     if batch == "small":
         monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 512)
         space = build_space(name)  # lines built at this batch size too
     else:
         space = space_for(name)
     pairs = space.noncollinear_pairs()
-    lines = hyperbolic.all_hyperbolic_lines(space)
-    for oracle, line_kernel, check in [
-            (_pair_A_oracle, props._A_kernel, check_A),
-            (_pair_regular_pairs_oracle, props._regular_pairs_kernel, check_regular_pairs)]:
+    for oracle, scan in zip((_pair_A_oracle, _pair_regular_pairs_oracle),
+                            _whole_space_case(space)):
         counts, fails, want = _pair_scan(oracle(space), pairs)
-        line_counts, line_fails = _every_block(line_kernel(space), lines)
-        assert (counts == line_counts[lines.of_pair]).all(), line_kernel.__name__
-        assert (fails == line_fails[lines.of_pair]).all(), line_kernel.__name__
-        assert check(space).to_dict() == want, line_kernel.__name__
+        assert (counts == scan[0]).all() and (fails == scan[1]).all(), oracle.__name__
+        assert scan[2] == want, oracle.__name__
     _triads_oracle_case(space)
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("name", ["W(3,7)", "W(5,3)", "W(7,2)", "Q+(7,2)", "Q-(7,2)"])
+def test_whole_space_scan_matches_the_line_kernels_heavy(name):
+    _whole_space_case(build_space(name))
 
 
 @pytest.mark.heavy
 @pytest.mark.parametrize("name", ["W(7,2)", "W(5,3)", "W(3,7)", "Q-(7,2)", "Q+(7,2)"])
 def test_triads_match_the_pair_oracle_heavy(name):
     _triads_oracle_case(build_space(name))
+
+
+def test_trace_counts_assert_what_they_rely_on(monkeypatch):
+    # g(S) needs generators of one size: a 3 x 2 grid has rows of 2 and
+    # columns of 3 points, and its g(S) = 4 / (2 - 1) would read 4, not 2
+    labels = [(i, j) for i in range(3) for j in range(2)]
+    lines = [(0, 1), (2, 3), (4, 5), (0, 2, 4), (1, 3, 5)]
+    grid = space_module.PolarSpace.combinatorial("grid(3x2)", labels, lines, rank=2,
+                                                 grid_family=True)
+    for check in (check_A, check_regular_pairs):
+        with pytest.raises(space_module.SpaceError, match="generators of 2 and 3 points"):
+            check(grid)
+    # g(S) must be an integer: a point added to one sub-generator's perp
+    space = build_space("W(3,2)")
+    space.generators()  # built from the true perps
+    sg, sp = space.subgenerators()
+    sp = sp.copy()
+    sp[0, np.argmin(sp[0])] = True
+    space._subgenerators = (sg, sp)
+    with pytest.raises(space_module.SpaceError, match="sub-generator 0 has 8 points in its perp"):
+        check_A(space)
+    # G >= |l| K: one generator fewer through every sub-generator
+    g = props._generator_counts
+    monkeypatch.setattr(props, "_generator_counts", lambda space: g(space) - 1)
+    with pytest.raises(space_module.SpaceError, match=r"in \{0,1\}\^perp lies on fewer generators"):
+        check_A(build_space("W(3,2)"))
 
 
 def test_line_witness_replays_from_any_pair_of_its_line(space_for, report_for):
@@ -605,14 +672,24 @@ def _regular_pairs_width_case(space, monkeypatch):
     spf = space.subgenerators()[1].astype(np.float32)
     k_max = int((spf.T @ spf)[~space.coll].max())
     assert int(space.generators().sum(axis=0).max()) == k_max
-    widths = []
-    monkeypatch.setattr(props, "_line_scan", lambda space, kernel, width: widths.append(width))
-    monkeypatch.setattr(props, "batches", lambda blocks, width: widths.append(width) or ())
-    check_regular_pairs(space)
-    check_centric_triads(space)
+    widths, stacks = [], []
+    batches, chunks, columns = props.batches, props.chunks, props.padded_columns
+    monkeypatch.setattr(props, "batches", lambda blocks, width: (
+        widths.append(width) or batches(blocks, width)))
+    monkeypatch.setattr(props, "chunks", lambda total, width: (
+        widths.append(width) or chunks(total, width)))
+    monkeypatch.setattr(props, "padded_columns", lambda inside: (
+        stacks.append(columns(inside)[0].shape[1]) or columns(inside)))
     n = space.n_points
-    assert widths == [max(len(spf), k_max * max(n, k_max)),
-                      max(len(spf), n, k_max * ((n + 7) // 8))]
+    props._opposite_generators(space, n)  # opp(a) of every point, as a holding scan reads it
+    check_centric_triads(space)
+    assert widths == [k_max * max(n, k_max), max(len(spf), n, k_max * ((n + 7) // 8))]
+    assert set(stacks) == {k_max}
+    # the regular-pairs line kernel runs on one line, on the failing line of
+    # the scan and in replay: its stack holds the k_max sub-generators of l^perp
+    del stacks[:]
+    props._regular_pairs_kernel(space)(hyperbolic.all_hyperbolic_lines(space)[:1])
+    assert stacks == [k_max]
 
 
 @pytest.mark.parametrize("name", [*CATALOG, *STRETCH])
