@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from polarium import linalg
+from polarium import hyperbolic, linalg
 from polarium.embed import Embedding
 from polarium.space import PolarSpace, SpaceError, chunks
 
@@ -55,28 +55,33 @@ def contained_counts(hs: ArisingHyperplanes) -> np.ndarray:
 
 
 def _count_contained(space: PolarSpace, masks) -> np.ndarray:
-    """One sweep over the packed traces of the space, in chunks: a trace lies
-    inside a hyperplane when it has no point outside it."""
-    n, bits = space.n_points, space.packed_traces()
+    """One sweep over the hyperbolic lines of the space, in chunks.  Every
+    pair of a line l has the trace l^perp (the perp of l's own pair), and
+    the lines partition the non-collinear pairs, so l adds its
+    |l|(|l| - 1)/2 pairs to each hyperplane that l^perp has no point
+    outside, summed in float64, which is exact."""
+    n, lines = space.n_points, hyperbolic.all_hyperbolic_lines(space)
+    sizes = np.count_nonzero(lines.members < n, axis=1)
+    pairs = sizes * (sizes - 1) / 2
     outside = (~masks).T.astype(np.float32)
     counts = np.zeros(len(masks), dtype=np.int64)
-    for s in chunks(len(bits), max(n, len(masks))):
-        traces = np.unpackbits(bits[s], axis=1, count=n).astype(np.float32)
-        counts += np.count_nonzero(traces @ outside == 0, axis=0)
+    for s in chunks(len(lines), max(n, len(masks))):
+        traces = np.unpackbits(space.perps(lines.pairs[s]), axis=1, count=n).astype(np.float32)
+        counts += (pairs[s] @ (traces @ outside == 0)).astype(np.int64)
     return counts
 
 
 def contained_pairs(space: PolarSpace, mask):
     """The non-collinear pairs [a, b], a < b, whose trace {a,b}^perp lies
     inside the hyperplane `mask`, in row-major order: no packed trace bit
-    outside it.  The traces are read one chunk at a time, so a reader that
-    stops at the first pair reads only the chunks up to it; each chunk's
-    bytes outside the hyperplane are ORed column by column (transposed),
-    not row by row, since a row holds only (n + 7) // 8 bytes."""
-    bits, outside = space.packed_traces(), np.packbits(~mask)
-    pairs = space.noncollinear_pairs()
-    for s in chunks(len(bits), len(outside)):
-        spills = np.ascontiguousarray((bits[s] & outside).T).any(axis=0)
+    outside it.  Each chunk's traces are the ANDs of its pairs' packed
+    perps, built as they are read, so a reader that stops at the first pair
+    reads only the chunks up to it; each chunk's bytes outside the
+    hyperplane are ORed column by column (transposed), not row by row, since
+    a row holds only (n + 7) // 8 bytes."""
+    pairs, outside = space.noncollinear_pairs(), np.packbits(~mask)
+    for s in chunks(len(pairs), len(outside)):
+        spills = np.ascontiguousarray((space.perps(pairs[s]) & outside).T).any(axis=0)
         yield from pairs[s][~spills].tolist()
 
 
@@ -165,7 +170,9 @@ def arising_hyperplanes(e: Embedding) -> ArisingHyperplanes:
 
 
 def hyperplane_from_functional(e: Embedding, phi) -> ArisingHyperplanes:
-    """The one hyperplane a functional induces, from its section row alone."""
+    """The one hyperplane a functional induces, from its section row alone,
+    its count read from its contained pairs, not from a sweep of the lines."""
     phis = np.array([phi])
     masks = _sections(e, phis, _line_columns(e.source))
-    return ArisingHyperplanes(e.source, phis, masks, np.full(1, -1))
+    count = sum(1 for _ in contained_pairs(e.source, masks[0]))
+    return ArisingHyperplanes(e.source, phis, masks, np.array([count]))

@@ -15,19 +15,19 @@ each trace and the generators through them, built once per space, so
 `--timings` bills them to A) and opp(a) (the pairs of generators through a
 that meet in a alone): a pair fails both exactly when G > |l| K, and their
 line kernels run only on the failing line and in replay.  B' and C share their
-intermediates: the traces of the non-collinear pairs, bit-packed once per
-space, and the count of contained traces per arising hyperplane, memoised
-in the counts of `hyperplanes.ArisingHyperplanes` by the first sweep that
-reaches it, so C sweeps only the hyperplanes B' stopped before; a failing
-hyperplane's pairs are read from the packed traces one chunk at a time, up
-to the first one asked for.
+intermediates: the count of contained traces per arising hyperplane, swept
+over the memoised lines (the pairs of a line l share its trace l^perp) and
+memoised in the counts of `hyperplanes.ArisingHyperplanes` by the first
+sweep that reaches it, so C sweeps only the hyperplanes B' stopped before;
+a failing hyperplane's pairs are read from their bit-packed traces one
+chunk at a time, up to the first one asked for.
 Each checker scans the blocks in canonical order and stops at the first
 failing block, so failing verdicts carry the smallest witness.  Replay runs
 the same kernel on a batch holding only the witness's block and accepts any
 failure of that block: for A, regular pairs, centric triads and D, the one
-line of the witness's pair; for B' and C, one count sweep of that
-hyperplane and the chunks of its pairs up to the witness.  Witnesses use
-canonical point labels, never indices.
+line of the witness's pair; for B' and C, that hyperplane, counted from
+all its pairs with no line built, and the chunks of its pairs up to the
+witness.  Witnesses use canonical point labels, never indices.
 full_report runs the whole battery and asserts the theorem matrix: any
 violated biconditional raises EquivalenceViolation.
 """
@@ -335,7 +335,7 @@ def _arising_kernel(space: PolarSpace, marked, **extra):
     Checked: the non-collinear pairs whose trace h contains, counted once
     per hyperplane and memoised with it, so B' and C share the sweep.
     Failing: all of them when marked(masks) marks h, none otherwise; they
-    are read from the packed traces as they are asked for."""
+    are read chunk by chunk as they are asked for."""
     def kernel(hs):
         counts, mark = hyperplanes.contained_counts(hs), marked(hs.masks)
 

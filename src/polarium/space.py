@@ -109,7 +109,6 @@ class PolarSpace:
         self._subgenerators = None
         self._packed_perps = None
         self._noncollinear_pairs = None
-        self._packed_traces = None
         self._hyperbolic_lines = None  # memo of hyperbolic.all_hyperbolic_lines
         self._trace_counts = None  # memo of props._trace_counts
         self._flip = None
@@ -249,7 +248,7 @@ class PolarSpace:
     def noncollinear_pairs(self) -> np.ndarray:
         """The non-collinear pairs a < b in row-major order, as (m, 2) rows,
         built once (read-only): the blocks of the pair scans, the order of
-        the hyperbolic lines and the rows of packed_traces."""
+        the hyperbolic lines and of hyperplanes.contained_pairs."""
         if self._noncollinear_pairs is None:
             self._noncollinear_pairs = np.argwhere(np.triu(~self.coll, 1))
             self._noncollinear_pairs.flags.writeable = False
@@ -264,14 +263,6 @@ class PolarSpace:
         for col in np.asarray(members).T:
             out &= bits[col]
         return out
-
-    def packed_traces(self) -> np.ndarray:
-        """The traces {a,b}^perp of the non-collinear pairs, one bit-packed
-        row per pair of noncollinear_pairs(), built once (read-only)."""
-        if self._packed_traces is None:
-            self._packed_traces = self.perps(self.noncollinear_pairs())
-            self._packed_traces.flags.writeable = False
-        return self._packed_traces
 
     def perp_mask(self, idxs) -> np.ndarray:
         idxs = list(idxs)

@@ -13,7 +13,7 @@ from polarium.hyperplanes import (OVOID, SINGULAR, _line_columns, _verify_axiom,
                                   deepest_points, hyperplane_from_functional, rank)
 from polarium.props import is_symplectic
 from polarium.space import SpaceError
-from test_space import adjacency, max_clique_rank
+from test_space import STRETCH, adjacency, max_clique_rank
 
 
 def test_point_perp_hyperplane_sizes(space_for):
@@ -127,12 +127,14 @@ def test_batched_sections_match_reference(space_for, name, kind):
     hs = arising_hyperplanes(e)
     assert [(tuple(phi), tuple(np.flatnonzero(h).tolist()))
             for phi, h in zip(hs.functionals.tolist(), hs.masks)] == reference
-    for h, (phi, members) in zip(hs.masks, reference):
+    counts = hyperplanes.contained_counts(hs)
+    for h, count, (phi, members) in zip(hs.masks, counts, reference):
         mask = np.zeros(space.n_points, dtype=bool)
         mask[list(members)] = True
         assert (h == mask).all()
         one = hyperplane_from_functional(e, phi)
         assert one.functionals.tolist() == [list(phi)] and (one.masks == mask).all()
+        assert one.counts.tolist() == [count]  # from its pairs, not the line sweep
         # the section determines its functional
         hits = np.flatnonzero((hs.masks == mask).all(axis=1))
         assert [tuple(hs.functionals[k].tolist()) for k in hits] == [phi]
@@ -269,21 +271,64 @@ def test_char_not2_contrast_w33(space_for):
 
 
 @pytest.mark.parametrize("batch", ["default", "small"])
-@pytest.mark.parametrize("name", ["W(3,2)", "Q(4,3)", "W(5,2)"])
+@pytest.mark.parametrize("name", ["W(3,2)", "Q(4,3)", "W(5,2)", "H(3,4)", "Q(4,4)"])
 def test_contained_counts_match_bruteforce(monkeypatch, name, batch):
     # the pairs a < b, not collinear, with {a,b}^perp inside h, pair by pair;
-    # a small batch puts chunk boundaries inside the trace and pair sweeps
+    # a small batch puts chunk boundaries inside the line and pair sweeps.
+    # H(3,4) has 3-point hyperbolic lines, Q(4,4) 5-point ones and
+    # non-singular arising hyperplanes
     if batch == "small":
         monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 64)
     space = build_space(name)
     coll = space.coll
-    traces = {(a, b): coll[a] & coll[b] for a, b in itertools.combinations(range(space.n_points), 2)
-              if not coll[a, b]}
+    pairs = [[a, b] for a, b in itertools.combinations(range(space.n_points), 2) if not coll[a, b]]
+    traces = np.array([coll[a] & coll[b] for a, b in pairs])
     hs = arising_hyperplanes(embed.natural_embedding(space))
     hyperplanes.contained_counts(hs[:5])  # a first sweep, then the rest
     assert (hs.counts[:5] >= 0).all() and (hs.counts[5:] == -1).all()  # a slice shares the memo
     counts = hyperplanes.contained_counts(hs)
     assert counts is hs.counts  # memoised with the hyperplanes
-    for h, count in zip(hs.masks, counts):
-        want = [pair for pair, trace in traces.items() if not (trace & ~h).any()]
-        assert count == len(want) and list(contained_pairs(space, h)) == [list(p) for p in want]
+    for k, (h, count) in enumerate(zip(hs.masks, counts)):
+        want = [pair for pair, spill in zip(pairs, (traces & ~h).any(axis=1)) if not spill]
+        assert count == len(want)
+        # the pair reads on every hyperplane but the last 213 of Q(4,4)'s 341
+        assert k >= 128 or list(contained_pairs(space, h)) == want
+    if name == "Q(4,4)":
+        assert (deepest_points(space, hs.masks) < 0).any()
+
+
+def _lines_through(coll, p) -> set:
+    """The hyperbolic lines {p,b}^perpperp through p, from coll alone."""
+    bs = np.flatnonzero(~coll[p])
+    traces = (coll[p] & coll[bs]).astype(np.float32)
+    inside = coll.astype(np.float32) @ traces.T == traces.sum(axis=1)
+    return {tuple(np.flatnonzero(col)) for col in inside.T}
+
+
+@pytest.mark.parametrize("name", [name for name in [*CATALOG, *STRETCH]
+                                  if parse_space_spec(name).family not in ("payne", "dual", "grid")])
+def test_singular_counts_sum_the_lines_through_the_deepest_point(space_for, name):
+    # a trace l^perp lies inside p^perp exactly when p lies in
+    # (l^perp)^perp = l, so p^perp holds the pairs of the lines through p
+    space = space_for(name) if name in CATALOG else build_space(name)
+    hs = arising_hyperplanes(embed.natural_embedding(space))
+    counts, deepest = hyperplanes.contained_counts(hs), deepest_points(space, hs.masks)
+    assert (deepest >= 0).any()
+    for count, p in zip(counts[deepest >= 0], deepest[deepest >= 0]):
+        assert count == sum(len(line) * (len(line) - 1) // 2
+                            for line in _lines_through(space.coll, p))
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("name", ["W(5,3)", "Q-(7,2)", "Q+(7,2)"])
+def test_line_sweep_matches_the_pair_sweep_heavy(name):
+    # every non-collinear pair's own trace, against every arising hyperplane
+    space = build_space(name)
+    coll = space.coll
+    hs = arising_hyperplanes(embed.natural_embedding(space))
+    outside = (~hs.masks).T.astype(np.float32)
+    a, b = np.argwhere(np.triu(~coll, 1)).T
+    want = sum(np.count_nonzero((coll[a[s]] & coll[b[s]]).astype(np.float32) @ outside == 0,
+                                axis=0)
+               for s in space_module.chunks(len(a), space.n_points))
+    assert (hyperplanes.contained_counts(hs) == want).all()

@@ -277,8 +277,9 @@ def test_C_reuses_the_contained_counts_of_B_prime(monkeypatch, name):
 
 @pytest.mark.parametrize("name, prop", [("Q(4,3)", "C"), ("Q+(3,3)", "B_prime"), ("H(3,4)", "B_prime")])
 def test_replay_counts_once_and_reads_pairs_up_to_the_witness(monkeypatch, name, prop):
-    # replaying a B' or C witness sweeps its hyperplane's count once, then
-    # reads the packed traces only up to the chunk holding the witness pair
+    # replaying a B' or C witness sweeps no hyperbolic lines and builds none:
+    # its hyperplane's count is one read of all its contained pairs, and the
+    # witness read then stops at the chunk holding the witness pair
     monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 64)
     space = build_space(name)
     checker = check_B_prime if prop == "B_prime" else check_C
@@ -292,10 +293,13 @@ def test_replay_counts_once_and_reads_pairs_up_to_the_witness(monkeypatch, name,
     monkeypatch.setattr(hyperplanes, "chunks", lambda total, width: (
         (width == nbytes and read.append(s)) or s for s in chunks(total, width)))
     assert validate_witness(fresh, prop, witness)
-    pair = [fresh.index_of(witness[k]) for k in "ab"]
-    at = fresh.noncollinear_pairs().tolist().index(pair)
+    assert not swept and fresh._hyperbolic_lines is None
+    pairs = fresh.noncollinear_pairs()
+    at = pairs.tolist().index([fresh.index_of(witness[k]) for k in "ab"])
     step = space_module.BATCH_ELEMENTS // nbytes
-    assert swept == [1] and read[-1].start <= at < read[-1].stop and len(read) == at // step + 1
+    count = -(-len(pairs) // step)  # every chunk, for the count
+    assert read[count - 1].stop == len(pairs)
+    assert len(read) == count + at // step + 1 and read[-1].start <= at < read[-1].stop
 
 
 # rank 4 and rank 3 past the catalog: sub-generators are planes in Q+(7,2)
