@@ -2,10 +2,10 @@
 
 Two backings share one query API.  Form-backed spaces keep the projective
 points where a form vanishes and take collinearity from its values, both
-by array calls, carry coordinates, build their lines by field-table gathers
-and rank each singular subspace by its size; combinatorial spaces are given
-by explicit point and line lists (grids, Payne derivations, duals, induced
-perp-spaces).  Collinearity is cached as a dense symmetric boolean matrix
+by array calls, carry coordinates, build each line once, from its reduced
+echelon pair, by field-table gathers, and rank each singular subspace by
+its size; combinatorial spaces are given by explicit point and line lists
+(grids, Payne derivations, duals, induced perp-spaces).  Collinearity is cached as a dense symmetric boolean matrix
 (diagonal True, so perps are "collinear-or-equal" sets; `validate` asserts
 both, exhaustively, on every build) and bit-packed by row;
 `PolarSpace.perps` ANDs those rows into X^perp for point sets X, and
@@ -130,18 +130,25 @@ class PolarSpace:
         coll = form.values(vecs[:, None], vecs[None]) == 0
         np.fill_diagonal(coll, True)
 
-        # vecs are in code order; each line is kept at the pair of its two
-        # smallest points, so lines come out sorted
+        # vecs are in code order; each line is built once, from its reduced
+        # echelon pair: its smallest point a has the later pivot, and its next
+        # point b is the only one with a zero at pivot(a), so lines come out
+        # sorted; a line missing a or b is caught by the cover check below
         pts, codes = list(map(tuple, vecs.tolist())), linalg.point_codes(field.q, vecs)
-        collinear, lines = np.argwhere(np.triu(coll, 1)), []
+        leaves = f"{name}: a line through two collinear points leaves the point set"
+        upper, pivot = np.triu(coll, 1), (vecs != 0).argmax(axis=1)
+        collinear, lines = np.argwhere(upper), []
+        collinear = collinear[vecs[collinear[:, 1], pivot[collinear[:, 0]]] == 0]
         for s in chunks(len(collinear), (field.q + 1) * form.dim):
             pairs = collinear[s]
             members = linalg.line_points(field, vecs[pairs[:, 0]], vecs[pairs[:, 1]])
             idx = np.searchsorted(codes, members).clip(max=len(pts) - 1)
             if (codes[idx] != members).any():
-                raise SpaceError(f"{name}: a line through two collinear points "
-                                 "leaves the point set")
+                raise SpaceError(leaves)
             lines += idx[(idx[:, :2] == pairs).all(axis=1)].tolist()
+        covered = pair_codes(len(pts), np.array(lines, dtype=np.intp).reshape(-1, field.q + 1))
+        if not np.array_equal(np.sort(covered), np.flatnonzero(upper)):
+            raise SpaceError(leaves)
         rank = witt_index(form)
         return cls(name, pts, lines, coll, rank, field=field, form=form,
                    vectors=pts, grid_family=grid_family)

@@ -77,20 +77,108 @@ def _reference_lines(space):
     return lines
 
 
-@pytest.mark.parametrize("name", ["W(3,2)", "W(3,3)", "W(5,2)", "Q(4,2)", "Q(4,3)", "Q(6,2)",
-                                  "Q+(3,3)", "Q+(3,4)", "Q-(5,2)", "H(3,4)"])
+# the form-backed spaces of the catalog, then those of the stretch workload
+FORM_BACKED = [n for n in CATALOG if parse_space_spec(n).order] + STRETCH
+
+
+@pytest.mark.parametrize("name", [*FORM_BACKED, "H(3,9)"])
 def test_lines_match_reference(space_for, name):
     space = space_for(name)
     assert space.lines == _reference_lines(space)
 
 
-def test_form_backed_consistency_checks():
-    # a point set missing one singular point: lines through it leave the set
+@pytest.mark.heavy
+@pytest.mark.parametrize("name", ["W(3,7)", "W(5,3)", "Q-(7,2)", "Q+(7,2)"])
+def test_lines_match_reference_heavy(name):
+    space = build_space(name)
+    assert space.lines == _reference_lines(space)
+
+
+@pytest.mark.parametrize("name", FORM_BACKED)
+def test_each_line_is_built_once(monkeypatch, name):
+    # from_form gathers the points of each line from its reduced echelon
+    # pair alone, not from every collinear pair on it
+    rows, line_points = [], space_module.linalg.line_points
+
+    def counted(field, u, v):
+        rows.append(len(u))
+        return line_points(field, u, v)
+
+    monkeypatch.setattr(space_module.linalg, "line_points", counted)
+    space = build_space(name)
+    assert sum(rows) == len(space.lines)
+
+
+def _n_points(family, d, order):
+    """Points of the classical polar space of projective dimension d over
+    GF(order), by the family's formula."""
+    q = order
+    if family == "H":
+        q, sign = math.isqrt(order), (-1) ** d
+        return (q ** (d + 1) + sign) * (q ** d - sign) // (q * q - 1)
+    n = (d + 1) // 2
+    return {"W": (q ** (d + 1) - 1) // (q - 1), "Q": (q ** d - 1) // (q - 1),
+            "Q+": (q ** n - 1) * (q ** (n - 1) + 1) // (q - 1),
+            "Q-": (q ** n + 1) * (q ** (n - 1) - 1) // (q - 1)}[family]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_point_formula_at_rank_one(q):
+    # the residues of the rank-2 spaces below
+    assert _n_points("W", 1, q) == _n_points("Q", 2, q) == q + 1
+    assert (_n_points("Q+", 1, q), _n_points("Q-", 3, q)) == (2, q * q + 1)
+    assert (_n_points("H", 1, q * q), _n_points("H", 2, q * q)) == (q + 1, q ** 3 + 1)
+
+
+@pytest.mark.parametrize("name", FORM_BACKED)
+def test_point_and_line_counts_closed_form(space_for, name):
+    # each point lies on as many lines as its residue p^perp/p, the same
+    # family two projective dimensions down, has points; a line has order+1
+    spec, space = parse_space_spec(name), space_for(name)
+    family, d, order = spec.family, spec.proj_dim, spec.order
+    assert space.n_points == _n_points(family, d, order)
+    assert len(space.lines) * (order + 1) == space.n_points * _n_points(family, d - 2, order)
+
+
+def _leaving_paths():
+    """(point, path) for each point of W(3,2): 'cover' when the point is one
+    of the two smallest points of every line through it, so no line built
+    without it reaches it; 'loop' when some line built from its echelon pair
+    passes through it."""
+    w = build_space("W(3,2)")
+    return [(p, "cover" if all(i in l[:2] for l in w.lines if i in l) else "loop")
+            for i, p in enumerate(w.points)]
+
+
+_LEAVING = [pytest.param(p, path, id="".join(map(str, p)) + "-" + path)
+            for p, path in _leaving_paths()]
+
+
+@pytest.mark.parametrize("point,path", _LEAVING)
+def test_a_missing_point_leaves_the_point_set(monkeypatch, point, path):
+    # a point set missing one singular point: some line leaves the set; the
+    # line loop sees it, or, when only lines never built pass through the
+    # point, the cover check on pair_codes after the loop
     form = build_space("W(3,2)").form
     vanishing = form.vanishing
-    form.vanishing = lambda x: vanishing(x) & (x != (0, 0, 0, 1)).any(axis=-1)
+    form.vanishing = lambda x: vanishing(x) & (x != point).any(axis=-1)
+    calls, pair_codes = [], space_module.pair_codes
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pair_codes(*args, **kwargs)
+
+    monkeypatch.setattr(space_module, "pair_codes", counted)
     with pytest.raises(SpaceError, match="leaves the point set"):
         PolarSpace.from_form(form, "W(3,2) less a point")
+    assert ("cover" if calls else "loop") == path
+
+
+def test_both_leaving_paths_occur():
+    assert {path for _, path in _leaving_paths()} == {"loop", "cover"}
+
+
+def test_form_backed_consistency_checks():
     # a maximal clique whose size is not that of a rank-n subspace
     space = build_space("W(3,2)")
     space.rank = 3
