@@ -6,7 +6,7 @@ regular pairs and centric triads."""
 
 from polarium.gf import Field
 from polarium.linalg import Subspace, enumerate_points, span
-from polarium.forms import CanonicalSpaceSpec, Form, witt_index
+from polarium.forms import CanonicalSpaceSpec, Form
 from polarium.space import PolarSpace
 from polarium.catalog import CATALOG, build_space, parse_space_spec
 from polarium.hyperbolic import all_hyperbolic_lines, linear_space
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field", "Subspace", "span", "enumerate_points",
-    "Form", "witt_index", "CanonicalSpaceSpec",
+    "Form", "CanonicalSpaceSpec",
     "PolarSpace",
     "build_space", "parse_space_spec", "CATALOG",
     "all_hyperbolic_lines", "linear_space",

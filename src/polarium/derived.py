@@ -22,8 +22,7 @@ def grid(s: int) -> PolarSpace:
     labels = [(i, j) for i in range(side) for j in range(side)]
     rows = [tuple(i * side + j for j in range(side)) for i in range(side)]
     cols = [tuple(i * side + j for i in range(side)) for j in range(side)]
-    return PolarSpace.combinatorial(f"grid({s})", labels, rows + cols, rank=2,
-                                    grid_family=True,
+    return PolarSpace.combinatorial(f"grid({s})", labels, rows + cols, grid_family=True,
                                     provenance={"construction": "grid", "order": s})
 
 
@@ -58,7 +57,7 @@ def payne_derive(base: PolarSpace, x: int) -> PolarSpace:
         lines.append(tuple(sorted(new_index[p] for p in pts if p != x)))
 
     space = PolarSpace.combinatorial(
-        f"P({base.name})", labels, lines, rank=2,
+        f"P({base.name})", labels, lines,
         provenance={"construction": "payne", "base": base.name,
                     "x": base.points[x]})
     # order (q-1, q+1): q^3 points, q-point lines, q+2 lines per point
@@ -83,8 +82,7 @@ def dualize(space: PolarSpace) -> PolarSpace:
     labels = [tuple(sorted(space.points[p] for p in line)) for line in space.lines]
     dual_lines = padded_columns(space.lines_matrix.T)[0].tolist()  # the lines on each point
     return PolarSpace.combinatorial(
-        f"dual({space.name})", labels, dual_lines, rank=2,
-        grid_family=space.grid_family,
+        f"dual({space.name})", labels, dual_lines, grid_family=space.grid_family,
         provenance={"construction": "dual", "base": space.name})
 
 

@@ -6,20 +6,19 @@ forms.  Bilinear evaluation is linear in the first argument and (for
 Hermitian forms) conjugate-linear in the second, so the standard Hermitian
 form reads sum x_i * conj(y_i).  Only this module knows that convention;
 `values`, `quadratic_values` and `vanishing` apply it to arrays of vectors.
-The Witt index is computed by splitting off hyperbolic pairs and recursing
-on their perp.
+The rank of a form's polar space (its Witt index) is not computed here: the
+space takes it from its incidence structure.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from polarium.gf import Field
 from polarium import linalg
-from polarium.linalg import Subspace, nullspace, span
+from polarium.linalg import Subspace, nullspace
 
 ALTERNATING = "alternating"
 SYMMETRIC = "symmetric"
@@ -167,33 +166,12 @@ class Form:
                      for j in range(self.dim))
         return nullspace(self.field, cols, self.dim)
 
-    def quadratic_radical(self) -> Subspace:
-        """Rad(q): the singular vectors inside Rad(f_q) (a subspace in char 2)."""
-        if self.kind != QUADRATIC:
-            raise ValueError("Rad(q) applies to quadratic forms")
-        rad = self.radical()
-        singular = [v for v in linalg.enumerate_points(rad) if self.quadratic(v) == 0]
-        return span(self.field, self.dim, singular)
-
-    def is_nondegenerate(self) -> bool:
-        if self.kind == QUADRATIC:
-            return self.quadratic_radical().rank == 0
-        return self.radical().rank == 0
-
     def __repr__(self):
         return f"Form({self.kind}, GF({self.field.q}), dim={self.dim})"
 
 
 # ---------------------------------------------------------------------------
-# Witt index
-
-def _first_vanishing_point(form: Form):
-    """The first nonzero vanishing vector, which is canonical: scaled to a
-    leading 1 it still vanishes and comes no later."""
-    vectors = itertools.product(range(form.field.q), repeat=form.dim)
-    next(vectors)  # the zero vector
-    return next((v for v in vectors if form.vanishes(v)), None)
-
+# perps and restrictions
 
 def orthogonal_complement(form: Form, vectors):
     """Basis of the common perp of the given vectors w.r.t. the (polarized)
@@ -218,55 +196,6 @@ def restrict(form: Form, basis_rows) -> Form:
     G = [[form.bilinear(basis_rows[i], basis_rows[j]) for j in range(m)]
          for i in range(m)]
     return Form(form.kind, f, G)
-
-
-def _hyperbolic_partner(form: Form, v):
-    """A vanishing w with f(v, w) != 0, completing v to a hyperbolic pair."""
-    f = form.field
-    bil = form.polarization() if form.kind == QUADRATIC else form
-    w0 = None
-    for j in range(form.dim):
-        e = tuple(1 if i == j else 0 for i in range(form.dim))
-        if bil.bilinear(v, e):
-            w0 = e
-            break
-    if w0 is None:
-        return None  # v lies in the radical of the bilinear form
-    c = bil.bilinear(v, w0)
-    if form.kind == ALTERNATING:
-        return w0
-    if form.kind == QUADRATIC:
-        mu = f.neg(f.div(form.quadratic(w0), c))
-        return linalg.vec_add(f, w0, linalg.vec_scale(f, mu, v))
-    if form.kind == HERMITIAN:
-        s = form.bilinear(w0, w0)
-        t = next(t for t in f.elements if f.add(t, f.conjugate(t)) == f.neg(s))
-        mu = f.div(t, c)
-        return linalg.vec_add(f, w0, linalg.vec_scale(f, mu, v))
-    raise ValueError(f"no hyperbolic splitting for kind {form.kind}")
-
-
-def witt_index(form: Form) -> int:
-    """Common rank of maximal totally isotropic (singular) subspaces.
-
-    Splits off one hyperbolic pair at a time and recurses on its perp;
-    anisotropic forms return 0.  Requires a nondegenerate input.
-    """
-    if not form.is_nondegenerate():
-        raise ValueError("Witt index of a degenerate form")
-    current = form
-    index = 0
-    while current.dim > 0:
-        v = _first_vanishing_point(current)
-        if v is None:
-            return index
-        w = _hyperbolic_partner(current, v)
-        if w is None:
-            raise AssertionError("vanishing vector stuck in the radical")
-        perp = orthogonal_complement(current, [v, w])
-        current = restrict(current, perp.rows)
-        index += 1
-    return index
 
 
 # ---------------------------------------------------------------------------

@@ -187,9 +187,6 @@ class Field:
             raise ZeroDivisionError("inversion of zero field element")
         return int(self.inv_table[a])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             return 0 if e else 1

@@ -25,14 +25,6 @@ class BoundExceeded(Exception):
 # ---------------------------------------------------------------------------
 # vector helpers
 
-def vec_add(field: Field, u, v):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(field: Field, lam: int, v):
-    return tuple(field.mul(lam, c) for c in v)
-
-
 def is_zero(v) -> bool:
     return not any(v)
 

@@ -5,9 +5,12 @@ points where a form vanishes and take collinearity from its values, both
 by array calls, carry coordinates, build each line once, from its reduced
 echelon pair, by field-table gathers, and rank each singular subspace by
 its size; combinatorial spaces are given by explicit point and line lists
-(grids, Payne derivations, duals, induced perp-spaces).  Collinearity is cached as a dense symmetric boolean matrix
-(diagonal True, so perps are "collinear-or-equal" sets; `validate` asserts
-both, exhaustively, on every build) and bit-packed by row;
+(grids, Payne derivations, duals, induced perp-spaces).  Both take the rank
+from the incidence structure alone: that of one generator, a maximal
+clique of collinearity grown greedily.  Collinearity is cached as a dense
+symmetric boolean matrix (diagonal True, so perps are "collinear-or-equal"
+sets; `validate` asserts both, exhaustively, on every build) and
+bit-packed by row;
 `PolarSpace.perps` ANDs those rows into X^perp for point sets X, and
 serves the pair traces, double perps and sub-generator perps.  Generators
 are membership rows that come from sub-generators, since a generator is its
@@ -23,7 +26,7 @@ import math
 import numpy as np
 
 from polarium import linalg
-from polarium.forms import Form, witt_index
+from polarium.forms import Form
 from polarium.linalg import BoundExceeded
 
 DEFAULT_MAX_POINTS = 2000
@@ -88,7 +91,8 @@ class SpaceError(Exception):
 
 
 class PolarSpace:
-    """A non-degenerate polar space of finite rank with cached collinearity."""
+    """A non-degenerate polar space of finite rank with cached collinearity;
+    rank None (as both constructors pass) takes that of the greedy generator."""
 
     def __init__(self, name, labels, lines, coll, rank, *, field=None, form=None,
                  vectors=None, grid_family=False, provenance=None, validate=True):
@@ -114,6 +118,10 @@ class PolarSpace:
         self._flip = None
         if validate:
             self.validate()
+        if rank is None:  # the greedy generator's, after validate's own messages
+            gen = _greedy_generator(coll)
+            self.rank = self._rank(int(gen.sum()))
+            self._check_generators(gen[None])
 
     # -- constructors --------------------------------------------------------
 
@@ -149,26 +157,19 @@ class PolarSpace:
         covered = pair_codes(len(pts), np.array(lines, dtype=np.intp).reshape(-1, field.q + 1))
         if not np.array_equal(np.sort(covered), np.flatnonzero(upper)):
             raise SpaceError(leaves)
-        rank = witt_index(form)
-        return cls(name, pts, lines, coll, rank, field=field, form=form,
+        return cls(name, pts, lines, coll, None, field=field, form=form,
                    vectors=pts, grid_family=grid_family)
 
     @classmethod
-    def combinatorial(cls, name, labels, lines, *, rank=None, grid_family=False,
+    def combinatorial(cls, name, labels, lines, *, grid_family=False,
                       provenance=None) -> "PolarSpace":
         n = len(labels)
         ks, valid = padded_columns(_membership(lines, n))
         a, b = np.divmod(pair_codes(n, np.where(valid, ks, n)), n)
         coll = np.eye(n, dtype=bool)
         coll[a, b] = coll[b, a] = True  # on a common line
-        inferred = rank is None
-        if inferred:
-            rank = 2 if lines else 1
-        space = cls(name, labels, lines, coll, rank, grid_family=grid_family,
-                    provenance=provenance)
-        if inferred:
-            space.generators()  # a singular set larger than a line raises
-        return space
+        return cls(name, labels, lines, coll, None, grid_family=grid_family,
+                   provenance=provenance)
 
     @property
     def is_form_backed(self) -> bool:
@@ -228,12 +229,11 @@ class PolarSpace:
                 k, p = np.unravel_index(np.argmax(bad), bad.shape)
                 raise SpaceError(f"{self.name}: point {self.points[p]} sees "
                                  f"{int(counts[k, p])} points of line {self.lines[s.start + k]}")
-        if n > 1:
-            deep = self.coll.all(axis=1)
-            if deep.any():
-                p = int(np.flatnonzero(deep)[0])
-                raise SpaceError(f"{self.name}: degenerate, {self.points[p]} is "
-                                 "collinear with every point")
+        deep = self.coll.all(axis=1)
+        if deep.any():
+            p = int(np.flatnonzero(deep)[0])
+            raise SpaceError(f"{self.name}: degenerate, {self.points[p]} is "
+                             "collinear with every point")
 
     # -- perps -------------------------------------------------------------------
 
@@ -303,23 +303,29 @@ class PolarSpace:
                 rows = _sorted_rows(_generators_through(self.coll, *self.subgenerators()))
             else:
                 rows = self._flip_closure()[0]
-            sizes = rows.sum(axis=1)
-            if self.is_form_backed:
-                size = (self.field.q ** self.rank - 1) // (self.field.q - 1)
-                wrong = np.flatnonzero(sizes != size)
-                if len(wrong):
-                    raise SpaceError(f"{self.name}: generator of {sizes[wrong[0]]} "
-                                     f"points, expected rank {self.rank} with {size}")
-            else:
-                big, lines = np.flatnonzero(sizes > 1), set(_row_keys(self.lines_matrix).tolist())
-                for k, key in zip(big.tolist(), _row_keys(rows[big]).tolist()):
-                    if key not in lines:
-                        g = tuple(np.flatnonzero(rows[k]).tolist())
-                        raise SpaceError(f"{self.name}: generator {g} through a "
-                                         "point is neither a point nor a line")
+            self._check_generators(rows)
             rows.flags.writeable = False
             self._generators = rows
         return self._generators
+
+    def _check_generators(self, rows):
+        """Every generator row is a singular subspace of rank self.rank:
+        (q^r - 1)/(q - 1) points when form-backed, a point or a line when
+        combinatorial."""
+        sizes = rows.sum(axis=1)
+        if self.is_form_backed:
+            size = (self.field.q ** self.rank - 1) // (self.field.q - 1)
+            wrong = np.flatnonzero(sizes != size)
+            if len(wrong):
+                raise SpaceError(f"{self.name}: generator of {sizes[wrong[0]]} "
+                                 f"points, expected rank {self.rank} with {size}")
+        else:
+            big, lines = np.flatnonzero(sizes > 1), set(_row_keys(self.lines_matrix).tolist())
+            for k, key in zip(big.tolist(), _row_keys(rows[big]).tolist()):
+                if key not in lines:
+                    g = tuple(np.flatnonzero(rows[k]).tolist())
+                    raise SpaceError(f"{self.name}: generator {g} through a "
+                                     "point is neither a point nor a line")
 
     def subgenerators(self):
         """(SG, SP): every rank-(n-1) singular subspace S_k, sorted by point
@@ -352,15 +358,10 @@ class PolarSpace:
     def _flip_closure(self) -> tuple:
         """(generators, sub-generators) as membership rows sorted by point
         tuple, from rank 4 on (see subgenerators), built once, starting from
-        a maximal clique grown greedily from point 0, which is a generator."""
+        the greedy generator."""
         if self._flip is None:
-            gen, left = np.zeros(self.n_points, dtype=bool), np.ones(self.n_points, dtype=bool)
-            while left.any():
-                x = np.argmax(left)
-                gen[x] = True
-                left &= self.coll[x] & ~gen
             seen_gens, seen_subs, gens, subs = set(), set(), [], []
-            frontier = _new_rows(gen[None], seen_gens)
+            frontier = _new_rows(_greedy_generator(self.coll)[None], seen_gens)
             while len(frontier):
                 gens.append(frontier)
                 subs.append(_new_rows(self._hyperplanes(frontier), seen_subs))
@@ -441,6 +442,19 @@ def _freeze(label):
     if isinstance(label, list):
         return tuple(_freeze(x) for x in label)
     return label
+
+
+def _greedy_generator(coll) -> np.ndarray:
+    """A maximal clique of collinearity as a membership row, grown greedily
+    from point 0.  By the one-or-all axiom pairwise collinear points span a
+    singular subspace, so a maximal clique is a generator, and all generators
+    of a non-degenerate polar space have its rank."""
+    gen, left = np.zeros(len(coll), dtype=bool), np.ones(len(coll), dtype=bool)
+    while left.any():
+        x = np.argmax(left)
+        gen[x] = True
+        left &= coll[x] & ~gen
+    return gen
 
 
 def _generators_through(coll, sg, sp) -> np.ndarray:

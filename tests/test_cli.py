@@ -26,10 +26,15 @@ def run(capsys, *argv):
 
 
 def test_info(capsys):
-    code, out, _ = run(capsys, "info", "W(3,2)")
-    assert code == 0
-    assert json.loads(out) == {"space": "W(3,2)", "points": 15, "lines": 15,
-                               "rank": 2}
+    # ranks 1 to 4, form-backed and combinatorial
+    for space, points, lines, rank in [
+            ("W(1,3)", 4, 0, 1), ("W(3,2)", 15, 15, 2), ("W(5,2)", 63, 315, 3),
+            ("Q+(7,2)", 135, 1575, 4), ("grid(4)", 25, 10, 2),
+            ("P(W(3,5))", 125, 175, 2), ("dual(H(4,4))", 297, 165, 2)]:
+        code, out, _ = run(capsys, "info", space)
+        assert code == 0
+        assert json.loads(out) == {"space": space, "points": points, "lines": lines,
+                                   "rank": rank}
 
 
 def test_info_parse_error(capsys):

@@ -8,8 +8,9 @@ from polarium import linalg, forms
 from polarium.forms import (
     ALTERNATING, HERMITIAN, QUADRATIC, SYMMETRIC, Form,
     elliptic_quadric_form, hermitian_form, hyperbolic_quadric_form,
-    parabolic_quadric_form, symplectic_form, witt_index,
+    parabolic_quadric_form, symplectic_form,
 )
+from polarium.space import PolarSpace, SpaceError
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -84,7 +85,7 @@ def test_quadratic_examples():
     q3 = Form(QUADRATIC, GF4, [[1, 0, 0], [0, 0, 1], [0, 0, 0]])
     for x in itertools.product(range(4), repeat=3):
         for lam in range(4):
-            lx = linalg.vec_scale(GF4, lam, x)
+            lx = tuple(GF4.mul(lam, c) for c in x)
             assert q3.quadratic(lx) == GF4.mul(GF4.mul(lam, lam), q3.quadratic(x))
 
 
@@ -109,7 +110,7 @@ def test_polarization():
     for x in itertools.product(range(3), repeat=4):
         assert f4.bilinear(x, x) == GF3.mul(2, q4.quadratic(x))
         for y in itertools.product(range(3), repeat=4):
-            lhs = q4.quadratic(linalg.vec_add(GF3, x, y))
+            lhs = q4.quadratic(tuple(GF3.add(a, b) for a, b in zip(x, y)))
             rhs = GF3.add(GF3.add(q4.quadratic(x), q4.quadratic(y)), f4.bilinear(x, y))
             assert lhs == rhs
 
@@ -120,7 +121,7 @@ def test_radical():
     q = parabolic_quadric_form(GF2, 2)
     rad = q.radical()
     assert rad.rows == ((1, 0, 0, 0, 0),)  # the nucleus
-    assert q.quadratic_radical().rank == 0  # the nucleus vector is non-singular
+    assert q.quadratic(rad.rows[0]) == 1  # the nucleus vector is non-singular
     q3 = parabolic_quadric_form(GF3, 2)
     assert q3.radical().rank == 0
     # f(r, v) = 0 for every radical vector r and all v
@@ -128,32 +129,35 @@ def test_radical():
         assert q.polarization().bilinear((1, 0, 0, 0, 0), v) == 0
 
 
-def test_degenerate_witt_rejected():
-    q = Form(QUADRATIC, GF2, [[0, 0], [0, 0]])
-    with pytest.raises(ValueError):
-        witt_index(q)
+DEGENERATE = {
+    "alt-GF3": Form(ALTERNATING, GF3, [[0, 1, 0], [2, 0, 0], [0, 0, 0]]),
+    "herm-GF4": Form(HERMITIAN, GF4, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+    "quad-GF2-x0x1": Form(QUADRATIC, GF2, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+    "quad-GF2-zero": Form(QUADRATIC, GF2, [[0, 0], [0, 0]]),
+    "quad-GF3-x0x1": Form(QUADRATIC, GF3, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+    # x0^2 + x1^2 is anisotropic over GF(3): the radical point is the only point
+    "quad-GF3-one-point": Form(QUADRATIC, GF3, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+}
 
 
-def test_witt_alternating():
-    for field, n in [(GF2, 1), (GF2, 2), (GF2, 3), (GF3, 2), (GF4, 2), (GF5, 2)]:
-        assert witt_index(symplectic_form(field, n)) == n
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_form_rejected(name):
+    # a singular radical point is collinear with every point of the space
+    with pytest.raises(SpaceError, match="collinear with every point"):
+        PolarSpace.from_form(DEGENERATE[name], name)
 
 
 def test_witt_elliptic_gf2():
     q = elliptic_quadric_form(GF2, 2)  # g(x0,x1) + x2x3 + x4x5
     assert q.matrix[0][:2] == (1, 1) and q.matrix[1][1] == 1
-    assert witt_index(q) == 2
-
-
-def test_witt_hermitian_gf4():
-    assert witt_index(hermitian_form(GF4, 4)) == 2
-    assert witt_index(hermitian_form(GF4, 5)) == 2
+    assert PolarSpace.from_form(q, "Q-(5,2)").rank == 2
 
 
 def test_witt_matches_bruteforce_catalog():
+    # the rank of the greedy generator is the Witt index of the form
     cases = [
-        symplectic_form(GF2, 2), symplectic_form(GF3, 2), symplectic_form(GF2, 3),
-        symplectic_form(GF4, 2),
+        symplectic_form(GF2, 1), symplectic_form(GF2, 2), symplectic_form(GF3, 2),
+        symplectic_form(GF2, 3), symplectic_form(GF4, 2), symplectic_form(GF5, 2),
         parabolic_quadric_form(GF2, 2), parabolic_quadric_form(GF3, 2),
         parabolic_quadric_form(GF2, 3),
         hyperbolic_quadric_form(GF2, 2), hyperbolic_quadric_form(GF3, 2),
@@ -162,7 +166,7 @@ def test_witt_matches_bruteforce_catalog():
         hermitian_form(GF4, 4), hermitian_form(GF4, 5),
     ]
     for form in cases:
-        assert witt_index(form) == brute_force_witt(form), form
+        assert PolarSpace.from_form(form, repr(form)).rank == brute_force_witt(form), form
 
 
 def test_alternating_every_vector_isotropic():

@@ -607,7 +607,7 @@ def test_trace_counts_assert_what_they_rely_on(monkeypatch):
     # columns of 3 points, and its g(S) = 4 / (2 - 1) would read 4, not 2
     labels = [(i, j) for i in range(3) for j in range(2)]
     lines = [(0, 1), (2, 3), (4, 5), (0, 2, 4), (1, 3, 5)]
-    grid = space_module.PolarSpace.combinatorial("grid(3x2)", labels, lines, rank=2,
+    grid = space_module.PolarSpace.combinatorial("grid(3x2)", labels, lines,
                                                  grid_family=True)
     for check in (check_A, check_regular_pairs):
         with pytest.raises(space_module.SpaceError, match="generators of 2 and 3 points"):

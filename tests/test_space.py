@@ -130,14 +130,44 @@ def test_point_formula_at_rank_one(q):
     assert (_n_points("H", 1, q * q), _n_points("H", 2, q * q)) == (q + 1, q ** 3 + 1)
 
 
-@pytest.mark.parametrize("name", FORM_BACKED)
-def test_point_and_line_counts_closed_form(space_for, name):
+def _rank_and_generators(family, d, order):
+    """(rank, generators) of the classical polar space of projective
+    dimension d over GF(order), by the family's formulas: prod over
+    i = 1..r of order^(e + i - 1) + 1 generators, e = 0 for Q+, 1 for W and
+    Q, 2 for Q-, 1/2 or 3/2 for H in odd or even d (exponents in halves
+    below, so H's order, a square, gives exact roots)."""
+    rank = {"W": (d + 1) // 2, "Q": d // 2, "Q+": (d + 1) // 2, "Q-": (d - 1) // 2,
+            "H": (d + 1) // 2}[family]
+    twice_e = {"W": 2, "Q": 2, "Q+": 0, "Q-": 4, "H": 1 if d % 2 else 3}[family]
+    return rank, math.prod(math.isqrt(order ** (twice_e + 2 * i - 2)) + 1
+                           for i in range(1, rank + 1))
+
+
+def _check_closed_forms(name, space):
     # each point lies on as many lines as its residue p^perp/p, the same
-    # family two projective dimensions down, has points; a line has order+1
-    spec, space = parse_space_spec(name), space_for(name)
+    # family two projective dimensions down, has points; a line has order+1;
+    # a generator is a projective (rank - 1)-space
+    spec = parse_space_spec(name)
     family, d, order = spec.family, spec.proj_dim, spec.order
     assert space.n_points == _n_points(family, d, order)
     assert len(space.lines) * (order + 1) == space.n_points * _n_points(family, d - 2, order)
+    rank, count = _rank_and_generators(family, d, order)
+    assert space.rank == rank
+    gens = space.generators()
+    assert len(gens) == count
+    assert (gens.sum(axis=1) == (order ** rank - 1) // (order - 1)).all()
+
+
+@pytest.mark.parametrize("name", FORM_BACKED)
+def test_point_and_line_counts_closed_form(space_for, name):
+    _check_closed_forms(name, space_for(name))
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("name", ["W(3,7)", "W(5,3)", "W(7,2)", "Q+(7,2)", "Q-(7,2)",
+                                  "Q(6,3)", "H(5,4)"])
+def test_point_and_line_counts_closed_form_heavy(name):
+    _check_closed_forms(name, build_space(name))
 
 
 def _leaving_paths():
@@ -178,12 +208,23 @@ def test_both_leaving_paths_occur():
     assert {path for _, path in _leaving_paths()} == {"loop", "cover"}
 
 
-def test_form_backed_consistency_checks():
+def test_form_backed_consistency_checks(monkeypatch):
     # a maximal clique whose size is not that of a rank-n subspace
     space = build_space("W(3,2)")
     space.rank = 3
     with pytest.raises(SpaceError, match="generator of 3 points"):
         space.generators()
+    # the rank comes from the greedy generator's size: 2 points is no rank
+    greedy = space_module._greedy_generator
+
+    def two_points(coll):
+        gen = greedy(coll)
+        gen[np.flatnonzero(gen)[2:]] = False
+        return gen
+
+    monkeypatch.setattr(space_module, "_greedy_generator", two_points)
+    with pytest.raises(SpaceError, match="W.3,2.: generator of 2 points"):
+        build_space("W(3,2)")
 
 
 def test_collinearity_matrix_symmetric(space_for):
@@ -434,8 +475,7 @@ def test_degenerate_combinatorial_rejected():
     with pytest.raises(SpaceError):
         # a triangle: every point collinear with every other, lines of size 2
         PolarSpace.combinatorial("triangle", [0, 1, 2],
-                                 [(0, 1), (1, 2), (0, 2)], rank=2,
-                                 grid_family=True)
+                                 [(0, 1), (1, 2), (0, 2)], grid_family=True)
 
 
 def test_reported_space_freed_by_refcount():
