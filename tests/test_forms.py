@@ -147,17 +147,28 @@ def test_degenerate_form_rejected(name):
         PolarSpace.from_form(DEGENERATE[name], name)
 
 
+def test_witt_alternating():
+    for field, n in [(GF2, 1), (GF2, 2), (GF2, 3), (GF3, 2), (GF4, 2), (GF5, 2)]:
+        form = symplectic_form(field, n)
+        assert PolarSpace.from_form(form, repr(form)).rank == n
+
+
 def test_witt_elliptic_gf2():
     q = elliptic_quadric_form(GF2, 2)  # g(x0,x1) + x2x3 + x4x5
     assert q.matrix[0][:2] == (1, 1) and q.matrix[1][1] == 1
     assert PolarSpace.from_form(q, "Q-(5,2)").rank == 2
 
 
+def test_witt_hermitian_gf4():
+    assert PolarSpace.from_form(hermitian_form(GF4, 4), "H(3,4)").rank == 2
+    assert PolarSpace.from_form(hermitian_form(GF4, 5), "H(4,4)").rank == 2
+
+
 def test_witt_matches_bruteforce_catalog():
     # the rank of the greedy generator is the Witt index of the form
     cases = [
-        symplectic_form(GF2, 1), symplectic_form(GF2, 2), symplectic_form(GF3, 2),
-        symplectic_form(GF2, 3), symplectic_form(GF4, 2), symplectic_form(GF5, 2),
+        symplectic_form(GF2, 2), symplectic_form(GF3, 2), symplectic_form(GF2, 3),
+        symplectic_form(GF4, 2),
         parabolic_quadric_form(GF2, 2), parabolic_quadric_form(GF3, 2),
         parabolic_quadric_form(GF2, 3),
         hyperbolic_quadric_form(GF2, 2), hyperbolic_quadric_form(GF3, 2),
