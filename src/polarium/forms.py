@@ -5,13 +5,15 @@ Hermitian forms, an upper-triangular coefficient matrix for quadratic
 forms.  Bilinear evaluation is linear in the first argument and (for
 Hermitian forms) conjugate-linear in the second, so the standard Hermitian
 form reads sum x_i * conj(y_i).  Only this module knows that convention;
-`values`, `quadratic_values` and `vanishing` apply it to arrays of vectors.
+`gram`, `values`, `quadratic_values` and `vanishing` apply it to arrays of
+vectors, the partner products G conj(y) by `linalg.gf_matmul`.
 The rank of a form's polar space (its Witt index) is not computed here: the
 space takes it from its incidence structure.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,23 +115,32 @@ class Form:
             return self.quadratic(x) == 0
         return self.bilinear(x, x) == 0
 
+    def _partners(self, y) -> np.ndarray:
+        """G conj(y) over the last axis, by `gf_matmul`: f(x, y) = x . G conj(y)."""
+        y = np.asarray(y, dtype=np.int64)
+        if self.kind == HERMITIAN:
+            y = self.field.conj_table[y]
+        return linalg.gf_matmul(self.field, y.reshape(-1, self.dim), self.matrix).reshape(y.shape)
+
     def values(self, x, y) -> np.ndarray:
         """f(x, y) over the last axis of two arrays, the leading axes
         broadcast; for quadratic forms this is the polarization value."""
         if self.kind == QUADRATIC:
             return self.polarization().values(x, y)
-        y = np.asarray(y, dtype=np.int64)
-        if self.kind == HERMITIAN:
-            y = self.field.conj_table[y]
-        gy = linalg.gf_dot(self.field, self.matrix, y[..., None, :])  # G conj(y)
-        return linalg.gf_dot(self.field, x, gy)
+        return linalg.gf_dot(self.field, x, self._partners(y))
+
+    def gram(self, x) -> np.ndarray:
+        """f(x_i, x_j) for the rows of an (m, d) array, as an (m, m) array:
+        `values(x[:, None], x[None])`, with the outer dot by `gf_matmul`."""
+        if self.kind == QUADRATIC:
+            return self.polarization().gram(x)
+        return linalg.gf_matmul(self.field, x, self._partners(x))
 
     def quadratic_values(self, x) -> np.ndarray:
         """q(x) over the last axis of an array."""
         if self.kind != QUADRATIC:
             raise ValueError("quadratic evaluation on a non-quadratic form")
-        x = np.asarray(x, dtype=np.int64)
-        return linalg.gf_dot(self.field, x, linalg.gf_dot(self.field, self.matrix, x[..., None, :]))
+        return linalg.gf_dot(self.field, x, self._partners(x))
 
     def vanishing(self, x) -> np.ndarray:
         """`vanishes` over the last axis of an array: a boolean array.  An
@@ -280,9 +291,11 @@ class CanonicalSpaceSpec:
         return f"{self.family}({self.proj_dim},{self.order})"
 
 
+@functools.cache
 def _field_for_order(q: int) -> Field:
-    """GF(q), from one factorization of q: its smallest divisor p > 1 is
-    prime, and q is a prime power exactly when it is the power p^k."""
+    """GF(q), built at first use and then shared, from one factorization of
+    q: its smallest divisor p > 1 is prime, and q is a prime power exactly
+    when it is the power p^k."""
     p = next((d for d in range(2, q + 1) if q % d == 0), None)
     k = 0
     while p and q % p ** (k + 1) == 0:

@@ -92,9 +92,9 @@ def first_irreducible(p: int, k: int) -> tuple:
 class Field:
     """The finite field GF(p^k) with table-driven arithmetic.
 
-    Tables are immutable after construction; all operations are pure, so a
-    Field can be shared freely across workers.  `add_table` and `mul_table`
-    are exposed as q x q numpy arrays for vectorised callers.
+    Tables are read-only after construction; all operations are pure, so a
+    Field can be shared freely.  `add_table` and `mul_table` are exposed as
+    q x q numpy arrays for vectorised callers.
     """
 
     def __init__(self, p: int, k: int = 1, max_order: int = DEFAULT_MAX_ORDER):
@@ -137,6 +137,9 @@ class Field:
             self.conj_table[1:] = self.exp_table[(self.log_table[1:] * r) % q1]
         else:
             self.conj_table = None
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.flags.writeable = False
 
     def _build_log_tables(self):
         q, p, q1 = self.q, self.p, self.q - 1

@@ -3,7 +3,7 @@
 A hyperplane is a proper subspace meeting every line.  The hyperplanes
 arising from an embedding are the preimages of projective hyperplanes, one
 per canonical dual vector: they are the rows of one `ArisingHyperplanes`,
-the section matrix read off by one `linalg.gf_dot` per batch, with no
+the section matrix read off by one `linalg.gf_matmul` per batch, with no
 object per hyperplane.  The predicates are functions of a space and mask
 rows: the deepest point p with p^perp = h (h is singular when it has one),
 the rank (largest singular subspace inside) and the classification;
@@ -146,7 +146,7 @@ def _verify_axiom(space: PolarSpace, masks: np.ndarray, lines: tuple):
 def _sections(e: Embedding, phis, lines: tuple) -> np.ndarray:
     """sections[k, i]: functional phis[k] vanishes on the image of point i,
     each row checked against the hyperplane axiom (`lines` as there)."""
-    masks = linalg.gf_dot(e.field, phis[:, None], e.images) == 0
+    masks = linalg.gf_matmul(e.field, phis, e.images) == 0
     _verify_axiom(e.source, masks, lines)
     return masks
 

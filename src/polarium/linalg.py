@@ -5,8 +5,9 @@ its reduced row echelon basis, which is the unique canonical representative
 and therefore hashable.  Projective points are canonicalised by scaling the
 leftmost nonzero coordinate to 1.  All enumeration orders are lexicographic
 on coordinate tuples.
-Arrays of vectors (coordinates on the last axis) go through `gf_dot` and
-`normalize_rows`, by field-table gathers; `rref` and its users stay scalar.
+Arrays of vectors (coordinates on the last axis) go through `gf_matmul`
+(matrix products, by float32 BLAS over GF(p) digits), `gf_dot` and
+`normalize_rows` (row-wise, by field-table gathers); `rref` stays scalar.
 """
 
 from __future__ import annotations
@@ -37,6 +38,32 @@ def gf_dot(field: Field, x, y) -> np.ndarray:
     for k in range(1, x.shape[-1]):
         acc = field.add_table[acc, field.mul_table[x[..., k], y[..., k]]]
     return acc
+
+
+def gf_matmul(field: Field, x, y) -> np.ndarray:
+    """The (m, n) array sum_c x[i, c] * y[j, c] in GF(q) of (m, d) and (n, d)
+    arrays, by one float32 BLAS product per base-p digit of the result.
+
+    With T[s, t, r] the digit r of w^s * w^t, digit r of the result is
+    sum_(c, s, t) x[i, c]_s T[s, t, r] y[j, c]_t mod p.  Folding T into x's
+    digits mod p leaves two arrays of entries in 0..p-1 over d*k columns, so
+    each partial sum is an integer of at most d*k*(p-1)^2.  Below 2^24, which
+    is checked first, float32 holds it exactly, and the floor of its float32
+    quotient by p is exact too (no rounding reaches the next integer), which
+    gives it mod p."""
+    x, y = np.asarray(x, dtype=np.intp), np.asarray(y, dtype=np.intp)
+    (m, d), n, p, k = x.shape, len(y), field.p, field.k
+    if d * k * (p - 1) ** 2 >= 1 << 24:
+        raise ValueError(f"GF({field.q}) sums over {d} coordinates are not exact in float32")
+    basis = p ** np.arange(k)
+    table = field._digits[field.mul_table[basis[:, None], basis]]  # T[s, t, r]
+    xs = (np.einsum("ics,str->rict", field._digits[x], table) % p).astype(np.float32)
+    ys = field._digits[y].reshape(n, d * k).T.astype(np.float32)
+    out = np.zeros((m, n), dtype=np.float32)
+    for r in range(k):
+        digit = xs[r].reshape(m, d * k) @ ys
+        out += (digit - np.floor(digit / p) * p) * p ** r
+    return out.astype(np.int64)
 
 
 def normalize_rows(field: Field, w) -> np.ndarray:
@@ -152,7 +179,7 @@ def enumerate_points(sub: Subspace, max_candidates: int = DEFAULT_MAX_CANDIDATES
     field, r = sub.field, sub.rank
     if r == 0:
         return []
-    points = gf_dot(field, proj_rows(field, r, max_candidates)[:, None, :], np.array(sub.rows).T)
+    points = gf_matmul(field, proj_rows(field, r, max_candidates), np.array(sub.rows).T)
     return sorted(map(tuple, points.tolist()))
 
 

@@ -1,10 +1,11 @@
 """Polar spaces as incidence structures: points, lines, collinearity.
 
 Two backings share one query API.  Form-backed spaces keep the projective
-points where a form vanishes and take collinearity from its values, both
-by array calls, carry coordinates, build each line once, from its reduced
-echelon pair, by field-table gathers, and rank each singular subspace by
-its size; combinatorial spaces are given by explicit point and line lists
+points where a form vanishes and take collinearity from its Gram matrix,
+both by array calls, carry coordinates, build each line once, from its
+reduced echelon pair, by field-table gathers (`validate` requires them to
+cover each collinear pair once), and rank each singular subspace by its
+size; combinatorial spaces are given by explicit point and line lists
 (grids, Payne derivations, duals, induced perp-spaces).  Both take the rank
 from the incidence structure alone: that of one generator, a maximal
 clique of collinearity grown greedily.  Collinearity is cached as a dense
@@ -135,28 +136,25 @@ class PolarSpace:
             raise BoundExceeded(f"{name}: {len(vecs)} points exceed bound {max_points}")
         if not len(vecs):
             raise SpaceError(f"{name}: the form has no vanishing points")
-        coll = form.values(vecs[:, None], vecs[None]) == 0
+        coll = form.gram(vecs) == 0
         np.fill_diagonal(coll, True)
 
         # vecs are in code order; each line is built once, from its reduced
         # echelon pair: its smallest point a has the later pivot, and its next
         # point b is the only one with a zero at pivot(a), so lines come out
-        # sorted; a line missing a or b is caught by the cover check below
+        # sorted; a line missing a or b is caught by validate's cover check
         pts, codes = list(map(tuple, vecs.tolist())), linalg.point_codes(field.q, vecs)
-        leaves = f"{name}: a line through two collinear points leaves the point set"
-        upper, pivot = np.triu(coll, 1), (vecs != 0).argmax(axis=1)
-        collinear, lines = np.argwhere(upper), []
+        pivot = (vecs != 0).argmax(axis=1)
+        collinear, lines = np.argwhere(np.triu(coll, 1)), []
         collinear = collinear[vecs[collinear[:, 1], pivot[collinear[:, 0]]] == 0]
         for s in chunks(len(collinear), (field.q + 1) * form.dim):
             pairs = collinear[s]
             members = linalg.line_points(field, vecs[pairs[:, 0]], vecs[pairs[:, 1]])
             idx = np.searchsorted(codes, members).clip(max=len(pts) - 1)
             if (codes[idx] != members).any():
-                raise SpaceError(leaves)
+                raise SpaceError(f"{name}: a line through two collinear points "
+                                 "leaves the point set")
             lines += idx[(idx[:, :2] == pairs).all(axis=1)].tolist()
-        covered = pair_codes(len(pts), np.array(lines, dtype=np.intp).reshape(-1, field.q + 1))
-        if not np.array_equal(np.sort(covered), np.flatnonzero(upper)):
-            raise SpaceError(leaves)
         return cls(name, pts, lines, coll, None, field=field, form=form,
                    vectors=pts, grid_family=grid_family)
 
@@ -211,9 +209,14 @@ class PolarSpace:
             if min(sizes) < 3 and not self.grid_family:
                 raise SpaceError(f"{self.name}: thin line in a thick-lined space")
         # at most one line through two points: no pair code twice; the
-        # smallest repeated code is the first such pair in row-major order
+        # smallest repeated code is the first such pair in row-major order.
+        # A form-backed space's lines cover each collinear pair exactly once:
+        # their sorted codes are those of the collinear pairs
         ks, valid = padded_columns(self.lines_matrix)
         codes = np.sort(pair_codes(n, np.where(valid, ks, n)))
+        if self.is_form_backed and not np.array_equal(codes, np.flatnonzero(np.triu(coll, 1))):
+            raise SpaceError(f"{self.name}: a line through two collinear points "
+                             "leaves the point set")
         twice = codes[1:][codes[1:] == codes[:-1]]
         if len(twice):
             a, b = divmod(int(twice[0]), n)

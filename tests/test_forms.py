@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -222,6 +226,22 @@ def test_canonical_form_needs_prime_power_order():
             forms.canonical_form(forms.CanonicalSpaceSpec("W", 3, q))
 
 
+def test_each_field_order_is_built_once():
+    # one read-only GF(q) per order, shared by the forms over it, and none
+    # built at import
+    w, q = (forms.canonical_form(forms.CanonicalSpaceSpec(fam, d, 9))
+            for fam, d in [("W", 3), ("Q", 4)])
+    assert w.field is q.field
+    with pytest.raises(ValueError, match="read-only"):
+        w.field.mul_table[1, 1] = 0
+    code = ("import polarium.cli, polarium.forms as f; "
+            "assert f._field_for_order.cache_info().currsize == 0")
+    path = os.pathsep.join(filter(None, [str(pathlib.Path(forms.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": path})
+
+
 GF9 = Field(3, 2)
 
 
@@ -259,6 +279,13 @@ def test_array_values_match_scalar(name):
     else:
         with pytest.raises(ValueError):
             form.quadratic_values(x)
+
+
+@pytest.mark.parametrize("name", ARRAY_CASES)
+def test_gram_matches_values(name):
+    form = ARRAY_CASES[name]
+    x = np.array(list(itertools.product(range(form.field.q), repeat=form.dim)))
+    assert np.array_equal(form.gram(x), form.values(x[:, None], x[None]))
 
 
 @pytest.mark.parametrize("name", ["W-GF3", "H-GF4-offdiag", "H-GF9-offdiag", "Q-GF2", "quad-GF3-offdiag"])

@@ -6,7 +6,7 @@ import pytest
 from polarium import embed, hyperplanes, linalg
 from polarium import space as space_module
 from polarium.catalog import CATALOG, build_space, parse_space_spec
-from polarium.forms import ALTERNATING, Form
+from polarium.forms import ALTERNATING, HERMITIAN, QUADRATIC, Form
 from polarium.hyperbolic import all_hyperbolic_lines
 from polarium.hyperplanes import (OVOID, SINGULAR, _line_columns, _verify_axiom,
                                   arising_hyperplanes, classify, contained_pairs,
@@ -332,3 +332,30 @@ def test_line_sweep_matches_the_pair_sweep_heavy(name):
                                 axis=0)
                for s in space_module.chunks(len(a), space.n_points))
     assert (hyperplanes.contained_counts(hs) == want).all()
+
+
+def _gather_values(form, x, y):
+    """Oracle: f(x, y) (the polarization's for a quadric) by field-table
+    gathers alone, G conj(y) and its dot with x both by `gf_dot`."""
+    bil = form.polarization() if form.kind == QUADRATIC else form
+    y = np.asarray(y)
+    if bil.kind == HERMITIAN:
+        y = bil.field.conj_table[y]
+    return linalg.gf_dot(bil.field, x, linalg.gf_dot(bil.field, bil.matrix, y[..., None, :]))
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("name", ["W(3,8)", "Q(4,9)", "H(3,16)", "H(5,4)", "Q(6,3)"])
+def test_blas_products_match_the_gathers_heavy(name):
+    # collinearity from the form's Gram and the arising sections, both by
+    # gf_matmul, against table gathers, at q = 8, 9, 16 and ranks 2-3
+    space = build_space(name)
+    v = np.array(space.vectors)
+    coll = _gather_values(space.form, v[:, None], v[None]) == 0
+    np.fill_diagonal(coll, True)
+    assert np.array_equal(space.coll, coll)
+    e = embed.natural_embedding(space)
+    hs = arising_hyperplanes(e)
+    for s in space_module.chunks(len(hs), space.n_points):
+        sections = linalg.gf_dot(e.field, hs.functionals[s][:, None], e.images) == 0
+        assert np.array_equal(hs.masks[s], sections)

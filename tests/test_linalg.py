@@ -174,6 +174,33 @@ def test_gf_dot_broadcasts_like_scalar_sum():
             assert got[i, j] == acc
 
 
+GF7, GF8, GF16 = Field(7), Field(2, 3), Field(2, 4)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4, GF5, GF7, GF8, GF9, GF16], ids=repr)
+def test_gf_matmul_matches_gf_dot(field):
+    # every element pair once (d = 1), then random shapes, empty ones included
+    every = np.arange(field.q)[:, None]
+    assert np.array_equal(linalg.gf_matmul(field, every, every), field.mul_table)
+    rng = np.random.default_rng(field.q)
+    shapes = [(0, 3, 2), (3, 0, 2), (0, 0, 1), (4, 5, 1)]
+    for m, n, d in shapes + [tuple(rng.integers(1, 20, size=3)) for _ in range(8)]:
+        x, y = rng.integers(field.q, size=(m, d)), rng.integers(field.q, size=(n, d))
+        got = linalg.gf_matmul(field, x, y)
+        assert got.shape == (m, n)
+        assert np.array_equal(got, linalg.gf_dot(field, x[:, None], y[None]))
+
+
+def test_gf_matmul_refuses_sums_past_float32():
+    # partial sums reach d * (p - 1)^2 over GF(251): 268 * 250^2 is below
+    # 2^24 and still exact, 300 * 250^2 is past it and refused
+    gf251 = Field(251)
+    row = np.full((1, 268), 250)
+    assert linalg.gf_matmul(gf251, row, row).tolist() == [[268 % 251]]
+    with pytest.raises(ValueError, match="not exact in float32"):
+        linalg.gf_matmul(gf251, np.ones((1, 300), dtype=int), np.ones((1, 300), dtype=int))
+
+
 def test_normalize_rows_matches_normalize():
     for field, d in [(GF3, 3), (GF4, 3), (GF9, 2)]:
         vectors = list(itertools.product(range(field.q), repeat=d))

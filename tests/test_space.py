@@ -188,7 +188,7 @@ _LEAVING = [pytest.param(p, path, id="".join(map(str, p)) + "-" + path)
 def test_a_missing_point_leaves_the_point_set(monkeypatch, point, path):
     # a point set missing one singular point: some line leaves the set; the
     # line loop sees it, or, when only lines never built pass through the
-    # point, the cover check on pair_codes after the loop
+    # point, validate's cover check on the lines' pair_codes
     form = build_space("W(3,2)").form
     vanishing = form.vanishing
     form.vanishing = lambda x: vanishing(x) & (x != point).any(axis=-1)
