@@ -33,6 +33,7 @@ class Embedding:
         self.field = bilinear.field
         self.dim = bilinear.dim
         self.images = [tuple(v) for v in images]
+        self.image_rows = np.array(self.images, dtype=np.intp)  # converted once
         self.bilinear = bilinear
         self.quadratic = quadratic
         self.kind = kind
@@ -50,16 +51,15 @@ class Embedding:
     def _verify_full(self):
         """Each source line must map onto the q + 1 points of the projective
         line through the images of its first two points."""
-        lines, q = self.source.lines, self.field.q
-        bad = [line for line in lines if len(line) != q + 1]
-        if lines and not bad:
-            members, images = np.array(lines), np.asarray(self.images)
+        q, images, members = self.field.q, self.image_rows, self.source.line_members
+        bad = np.flatnonzero(np.count_nonzero(members < len(images), axis=1) != q + 1)
+        if len(members) and not len(bad):
             have = np.sort(linalg.point_codes(q, images)[members], axis=1)
             want = linalg.line_points(self.field, images[members[:, 0]], images[members[:, 1]])
-            bad = [lines[k] for k in np.flatnonzero((have != want).any(axis=1))]
-        if bad:
-            raise EmbeddingError(
-                f"{self.source.name}: line {bad[0]} does not map onto a projective line")
+            bad = np.flatnonzero((have != want).any(axis=1))
+        if len(bad):
+            raise EmbeddingError(f"{self.source.name}: line {self.source.lines[bad[0]]} "
+                                 "does not map onto a projective line")
 
     def preimage(self, point):
         """Source point index of a canonical target point, or None."""

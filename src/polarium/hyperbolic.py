@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from polarium.space import PolarSpace, SpaceError, chunks, pair_codes, pair_counts, padded_columns
+from polarium.space import (PolarSpace, SpaceError, chunks, member_rows, pair_codes, pair_counts,
+                            padded_columns)
 
 # set bits of each byte value (np.bitwise_count needs NumPy 2), and the
 # np.packbits mask of each bit position within a byte
@@ -143,9 +144,7 @@ def linear_space(space: PolarSpace) -> list:
     """L(S) = (P, L u L_h) as its sorted lines, ordinary and hyperbolic,
     checked to be a linear space: each two points on exactly one line."""
     lines = sorted(set(space.lines) | set(all_hyperbolic_lines(space).points()))
-    n = space.n_points
-    w = max(map(len, lines))
-    count = pair_counts(n, np.array([line + (n,) * (w - len(line)) for line in lines]))
+    count = pair_counts(space.n_points, member_rows(lines, space.n_points))
     np.fill_diagonal(count, 1)
     if (count != 1).any():
         i, j = map(int, np.argwhere(count != 1)[0])

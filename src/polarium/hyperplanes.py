@@ -1,13 +1,14 @@
 """Hyperplanes of a polar space, held as membership rows.
 
-A hyperplane is a proper subspace meeting every line.  The hyperplanes
-arising from an embedding are the preimages of projective hyperplanes, one
-per canonical dual vector: they are the rows of one `ArisingHyperplanes`,
-the section matrix read off by one `linalg.gf_matmul` per batch, with no
-object per hyperplane.  The predicates are functions of a space and mask
-rows: the deepest point p with p^perp = h (h is singular when it has one),
-the rank (largest singular subspace inside) and the classification;
-rank-1 hyperplanes of rank-2 spaces are ovoids.
+A hyperplane is a proper subspace meeting each line in one point or all of
+it, as the summed gathered rows of the line's members show.  The arising
+hyperplanes of an embedding are the preimages of projective hyperplanes,
+one per canonical dual vector: the rows of one `ArisingHyperplanes`, read
+off by one `linalg.gf_matmul` per batch, with no object per hyperplane.
+The predicates are functions of a space and mask rows: the deepest point p
+with p^perp = h (h is singular when it has one), the rank (largest
+singular subspace inside) and the classification; rank-1 hyperplanes of
+rank-2 spaces are ovoids.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from polarium import hyperbolic, linalg
 from polarium.embed import Embedding
-from polarium.space import PolarSpace, SpaceError, chunks
+from polarium.space import PolarSpace, SpaceError, chunks, member_counts
 
 SINGULAR = "singular"
 OVOID = "ovoid"
@@ -117,55 +118,43 @@ def classify(space: PolarSpace, mask) -> str:
     return OTHER
 
 
-def _line_columns(space: PolarSpace) -> tuple:
-    """(columns, sizes) for `_verify_axiom`: the lines as float32 membership
-    columns, and their sizes."""
-    return space.lines_matrix.T.astype(np.float32), space.lines_matrix.sum(axis=1)
-
-
-def _verify_axiom(space: PolarSpace, masks: np.ndarray, lines: tuple):
+def _verify_axiom(space: PolarSpace, masks: np.ndarray):
     """Every row of `masks` must be a proper nonempty point set that each line
-    meets in exactly one point or lies inside; `lines` is
-    `_line_columns(space)`, built once by the caller."""
+    meets in exactly one point or lies inside, counted by `member_counts` in
+    full chunks of lines; the first bad row is named, at its first bad line."""
     sizes = np.count_nonzero(masks, axis=1)
     if ((sizes == 0) | (sizes == space.n_points)).any():
         raise SpaceError(f"{space.name}: hyperplane must be a proper nonempty subspace")
-    if not space.lines:
-        return
-    columns, sizes = lines
-    meet = masks.astype(np.float32) @ columns
-    bad = np.argwhere((meet != 1) & (meet != sizes))
-    if len(bad):
-        h, k = bad[0]
-        if meet[h, k] == 0:
-            raise SpaceError(f"{space.name}: line {space.lines[k]} misses the hyperplane")
-        raise SpaceError(f"{space.name}: {space.lines[k]} meets the hyperplane in "
+    n_lines = len(space.lines)
+    first = np.full(len(masks), n_lines)  # each row's first bad line
+    for s, meet in member_counts(masks.T, space.line_members):
+        bad = ((meet != 1) & (meet != meet[:, -1:]))[:, :-1]
+        hit = bad.any(axis=0) & (first == n_lines)
+        first[hit] = s.start + bad[:, hit].argmax(axis=0)
+    if (first < n_lines).any():
+        h = np.argmax(first < n_lines)
+        line = space.lines[first[h]]
+        if not masks[h, list(line)].any():
+            raise SpaceError(f"{space.name}: line {line} misses the hyperplane")
+        raise SpaceError(f"{space.name}: {line} meets the hyperplane in "
                          "more than one point but not fully")
-
-
-def _sections(e: Embedding, phis, lines: tuple) -> np.ndarray:
-    """sections[k, i]: functional phis[k] vanishes on the image of point i,
-    each row checked against the hyperplane axiom (`lines` as there)."""
-    masks = linalg.gf_matmul(e.field, phis, e.images) == 0
-    _verify_axiom(e.source, masks, lines)
-    return masks
 
 
 def arising_hyperplanes(e: Embedding) -> ArisingHyperplanes:
     """One hyperplane per canonical dual vector of the target space, built
-    once per embedding and memoised on it, in chunks of functionals.
+    once per embedding and memoised on it: the sections in chunks of
+    functionals, then one check of the hyperplane axiom over them all.
     Distinct functionals induce distinct hyperplanes when the image spans
     the target, as a hyperplane spans its functional's kernel; when it does
     not, some nonzero functional vanishes on every point, and `_verify_axiom`
     rejects that section."""
     if e._arising is None:
-        space = e.source
-        duals, lines = linalg.proj_rows(e.field, e.dim), _line_columns(space)
-        masks = np.concatenate([
-            _sections(e, duals[s], lines)
-            for s in chunks(len(duals), max(space.n_points, len(space.lines)))])
+        duals = linalg.proj_rows(e.field, e.dim)
+        masks = np.concatenate([linalg.gf_matmul(e.field, duals[s], e.image_rows) == 0
+                                for s in chunks(len(duals), e.source.n_points)])
+        _verify_axiom(e.source, masks)
         masks.flags.writeable = False
-        e._arising = ArisingHyperplanes(space, duals, masks, np.full(len(masks), -1))
+        e._arising = ArisingHyperplanes(e.source, duals, masks, np.full(len(masks), -1))
     return e._arising
 
 
@@ -173,6 +162,7 @@ def hyperplane_from_functional(e: Embedding, phi) -> ArisingHyperplanes:
     """The one hyperplane a functional induces, from its section row alone,
     its count read from its contained pairs, not from a sweep of the lines."""
     phis = np.array([phi])
-    masks = _sections(e, phis, _line_columns(e.source))
+    masks = linalg.gf_matmul(e.field, phis, e.image_rows) == 0
+    _verify_axiom(e.source, masks)
     count = sum(1 for _ in contained_pairs(e.source, masks[0]))
     return ArisingHyperplanes(e.source, phis, masks, np.array([count]))

@@ -1,22 +1,20 @@
 """Polar spaces as incidence structures: points, lines, collinearity.
 
 Two backings share one query API.  Form-backed spaces keep the projective
-points where a form vanishes and take collinearity from its Gram matrix,
-both by array calls, carry coordinates, build each line once, from its
-reduced echelon pair, by field-table gathers (`validate` requires them to
-cover each collinear pair once), and rank each singular subspace by its
-size; combinatorial spaces are given by explicit point and line lists
-(grids, Payne derivations, duals, induced perp-spaces).  Both take the rank
-from the incidence structure alone: that of one generator, a maximal
-clique of collinearity grown greedily.  Collinearity is cached as a dense
-symmetric boolean matrix (diagonal True, so perps are "collinear-or-equal"
-sets; `validate` asserts both, exhaustively, on every build) and
-bit-packed by row;
-`PolarSpace.perps` ANDs those rows into X^perp for point sets X, and
-serves the pair traces, double perps and sub-generator perps.  Generators
-are membership rows that come from sub-generators, since a generator is its
-own perp; the largest singular subspace inside a subspace is its largest
-meet with a generator.
+points where a form vanishes, take collinearity from its Gram matrix and
+build each line once, from its reduced echelon pair, by field-table
+gathers; combinatorial spaces are given by point and line lists (grids,
+Payne derivations, duals, induced perp-spaces).  Both hold the lines as one
+member array, each line's points ascending and padded with n, and take the
+rank from one generator, a maximal clique of collinearity grown greedily.
+Collinearity is a dense symmetric boolean matrix (diagonal True, so perps
+are "collinear-or-equal" sets), bit-packed by row.  `validate` asserts it,
+the line cover and the one-or-all axiom on every build, exhaustively, by
+summing the gathered rows of each line's members.  `PolarSpace.perps` ANDs
+packed rows into X^perp for point sets X: the pair traces, double perps and
+sub-generator perps.  Generators are membership rows that come from
+sub-generators, since a generator is its own perp; the largest singular
+subspace inside a subspace is its largest meet with a generator.
 """
 
 from __future__ import annotations
@@ -77,6 +75,27 @@ def pair_counts(n: int, members) -> np.ndarray:
     return counts + counts.T
 
 
+def member_counts(rows, members):
+    """(s, counts) per full chunk s of the lines `members` (as in `pair_codes`,
+    n = len(rows)): counts[k, j] of the points of line s.start + k are true in
+    column j of the boolean `rows`, and counts[k, -1] is the line's size.  The
+    members' rows are gathered, with a zero row n, and summed in the least
+    unsigned dtype that holds members.shape[1]: uint8 up to 255 points."""
+    n, width = rows.shape
+    table = np.zeros((n + 1, width + 1), dtype=np.min_scalar_type(members.shape[1]))
+    table[:n, :width], table[:n, width] = rows, 1
+    for s in chunks(len(members), width + 1):
+        yield s, table[members[s]].sum(axis=1, dtype=table.dtype)
+
+
+def member_rows(lines, n: int) -> np.ndarray:
+    """The points of each of `lines` (point-index sequences) in ascending
+    order, padded with n."""
+    w = max(map(len, lines), default=0)
+    rows = np.array([[*line, *[n] * (w - len(line))] for line in lines], dtype=np.intp)
+    return np.sort(rows.reshape(len(lines), w), axis=1)
+
+
 def padded_columns(inside) -> tuple:
     """(ks, valid): the columns of each row's true entries in ascending order,
     padded to the longest row; `valid` marks the real entries."""
@@ -93,13 +112,18 @@ class SpaceError(Exception):
 
 class PolarSpace:
     """A non-degenerate polar space of finite rank with cached collinearity;
-    rank None (as both constructors pass) takes that of the greedy generator."""
+    rank None (as both constructors pass) takes that of the greedy generator.
+    `lines`: point-index sequences, or the `line_members` both constructors pass."""
 
     def __init__(self, name, labels, lines, coll, rank, *, field=None, form=None,
                  vectors=None, grid_family=False, provenance=None, validate=True):
         self.name = name
         self.points = list(labels)
-        self.lines = [tuple(sorted(l)) for l in lines]
+        self.n_points = n = len(self.points)
+        self.line_members = lines if isinstance(lines, np.ndarray) else member_rows(lines, n)
+        self.line_members.flags.writeable = False
+        sizes = np.count_nonzero(self.line_members < n, axis=1).tolist()
+        self.lines = [tuple(row[:k]) for row, k in zip(self.line_members.tolist(), sizes)]
         self.coll = coll
         self.rank = rank
         self.field = field
@@ -107,9 +131,7 @@ class PolarSpace:
         self.vectors = vectors
         self.grid_family = grid_family
         self.provenance = provenance or {}
-        self.n_points = len(self.points)
         self._index = {lab: i for i, lab in enumerate(self.points)}
-        self._lines_matrix = None
         self._generators = None
         self._subgenerators = None
         self._packed_perps = None
@@ -145,7 +167,7 @@ class PolarSpace:
         # sorted; a line missing a or b is caught by validate's cover check
         pts, codes = list(map(tuple, vecs.tolist())), linalg.point_codes(field.q, vecs)
         pivot = (vecs != 0).argmax(axis=1)
-        collinear, lines = np.argwhere(np.triu(coll, 1)), []
+        collinear, lines = np.argwhere(np.triu(coll, 1)), [np.empty((0, field.q + 1), np.intp)]
         collinear = collinear[vecs[collinear[:, 1], pivot[collinear[:, 0]]] == 0]
         for s in chunks(len(collinear), (field.q + 1) * form.dim):
             pairs = collinear[s]
@@ -154,19 +176,16 @@ class PolarSpace:
             if (codes[idx] != members).any():
                 raise SpaceError(f"{name}: a line through two collinear points "
                                  "leaves the point set")
-            lines += idx[(idx[:, :2] == pairs).all(axis=1)].tolist()
-        return cls(name, pts, lines, coll, None, field=field, form=form,
+            lines.append(idx[(idx[:, :2] == pairs).all(axis=1)])
+        return cls(name, pts, np.concatenate(lines), coll, None, field=field, form=form,
                    vectors=pts, grid_family=grid_family)
 
     @classmethod
     def combinatorial(cls, name, labels, lines, *, grid_family=False,
                       provenance=None) -> "PolarSpace":
-        n = len(labels)
-        ks, valid = padded_columns(_membership(lines, n))
-        a, b = np.divmod(pair_codes(n, np.where(valid, ks, n)), n)
-        coll = np.eye(n, dtype=bool)
-        coll[a, b] = coll[b, a] = True  # on a common line
-        return cls(name, labels, lines, coll, None, grid_family=grid_family,
+        members = member_rows(lines, len(labels))
+        coll = (pair_counts(len(labels), members) > 0) | np.eye(len(labels), dtype=bool)
+        return cls(name, labels, members, coll, None, grid_family=grid_family,
                    provenance=provenance)
 
     @property
@@ -184,9 +203,9 @@ class PolarSpace:
 
     @property
     def lines_matrix(self) -> np.ndarray:
-        if self._lines_matrix is None:
-            self._lines_matrix = _membership(self.lines, self.n_points)
-        return self._lines_matrix
+        m = np.zeros((len(self.line_members), self.n_points + 1), dtype=bool)
+        np.put_along_axis(m, self.line_members, True, axis=1)
+        return m[:, :-1]
 
     # -- validation ------------------------------------------------------------
 
@@ -197,13 +216,13 @@ class PolarSpace:
         # every perp, trace and double perp, and the checks below, read rows
         # of coll: it must be symmetric with a true diagonal; the first
         # offending pair in row-major order is found only on failure
-        coll = self.coll
+        coll, members = self.coll, self.line_members
         if not (np.array_equal(coll, coll.T) and coll.diagonal().all()):
             a, b = np.argwhere((coll != coll.T) | np.diag(~coll.diagonal()))[0]
             raise SpaceError(f"{self.name}: collinearity of points {a},{b} is not "
                              "symmetric with a true diagonal")
-        sizes = {len(l) for l in self.lines}
-        if self.lines:
+        sizes = set(np.count_nonzero(members < n, axis=1).tolist())
+        if sizes:
             if self.is_form_backed and sizes != {self.field.q + 1}:
                 raise SpaceError(f"{self.name}: line sizes {sizes} != q+1")
             if min(sizes) < 3 and not self.grid_family:
@@ -212,8 +231,7 @@ class PolarSpace:
         # smallest repeated code is the first such pair in row-major order.
         # A form-backed space's lines cover each collinear pair exactly once:
         # their sorted codes are those of the collinear pairs
-        ks, valid = padded_columns(self.lines_matrix)
-        codes = np.sort(pair_codes(n, np.where(valid, ks, n)))
+        codes = np.sort(pair_codes(n, members))
         if self.is_form_backed and not np.array_equal(codes, np.flatnonzero(np.triu(coll, 1))):
             raise SpaceError(f"{self.name}: a line through two collinear points "
                              "leaves the point set")
@@ -222,12 +240,12 @@ class PolarSpace:
             a, b = divmod(int(twice[0]), n)
             raise SpaceError(f"{self.name}: two lines through points {a},{b}")
         # one-or-all axiom, exhaustive: counts[k, p] = |p^perp cap line k|,
-        # in full chunks, since a valid space runs every line
-        collt = self.coll.T.astype(np.float32)
-        for s in chunks(len(self.lines), n):
-            lm = self.lines_matrix[s]
-            counts = lm.astype(np.float32) @ collt
-            bad = ~lm & (counts != 1) & (counts != lm.sum(axis=1, keepdims=True))
+        # by member gathers, cleared on the line's own points (the padding n
+        # clears the size column, never bad), in full chunks, since a valid
+        # space runs every line
+        for s, counts in member_counts(coll, members):
+            bad = (counts != 1) & (counts != counts[:, -1:])
+            np.put_along_axis(bad, members[s], False, axis=1)
             if bad.any():
                 k, p = np.unravel_index(np.argmax(bad), bad.shape)
                 raise SpaceError(f"{self.name}: point {self.points[p]} sees "
@@ -432,14 +450,6 @@ class PolarSpace:
 
 
 # ---------------------------------------------------------------------------
-
-def _membership(rows, n: int) -> np.ndarray:
-    """m[k, i]: point i lies in rows[k], a sequence of point indices."""
-    m = np.zeros((len(rows), n), dtype=bool)
-    at = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-    m[at, np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=len(at))] = True
-    return m
-
 
 def _freeze(label):
     if isinstance(label, list):

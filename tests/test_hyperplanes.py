@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,47 +9,89 @@ from polarium import space as space_module
 from polarium.catalog import CATALOG, build_space, parse_space_spec
 from polarium.forms import ALTERNATING, HERMITIAN, QUADRATIC, Form
 from polarium.hyperbolic import all_hyperbolic_lines
-from polarium.hyperplanes import (OVOID, SINGULAR, _line_columns, _verify_axiom,
+from polarium.hyperplanes import (OVOID, SINGULAR, _verify_axiom,
                                   arising_hyperplanes, classify, contained_pairs,
                                   deepest_points, hyperplane_from_functional, rank)
 from polarium.props import is_symplectic
 from polarium.space import SpaceError
-from test_space import STRETCH, adjacency, max_clique_rank
+from test_space import STRETCH, adjacency, check_member_counts, max_clique_rank, spy_chunks
+
+
+FORM_BACKED = [n for n in CATALOG if parse_space_spec(n).family in ("W", "Q", "Q+", "Q-", "H")]
 
 
 def test_point_perp_hyperplane_sizes(space_for):
     w = space_for("W(3,2)")
     h = w.coll[0]  # the singular hyperplane 0^perp
-    _verify_axiom(w, h[None], _line_columns(w))
+    _verify_axiom(w, h[None])
     assert h.sum() == 7
     assert classify(w, h) == SINGULAR and deepest_points(w, h[None]).tolist() == [0]
 
     qm = space_for("Q-(5,2)")
     h = qm.coll[4]
-    _verify_axiom(qm, h[None], _line_columns(qm))
+    _verify_axiom(qm, h[None])
     assert h.sum() == 11  # 1 + s(t+1) = 1 + 2*5
     assert rank(qm, h) == qm.rank
 
 
 def test_hyperplane_axiom_enforced(space_for):
     w = space_for("W(3,2)")
-    lines = _line_columns(w)
     for mask in (np.zeros(w.n_points, dtype=bool), np.ones(w.n_points, dtype=bool)):
         with pytest.raises(SpaceError, match="proper nonempty subspace"):
-            _verify_axiom(w, mask[None], lines)
+            _verify_axiom(w, mask[None])
     one = np.zeros(w.n_points, dtype=bool)
     one[0] = True  # every line off point 0 misses it
     with pytest.raises(SpaceError, match="misses the hyperplane"):
-        _verify_axiom(w, one[None], lines)
+        _verify_axiom(w, one[None])
     # 0^perp and one point x outside it: every line meets it, and a line
     # through x off 0^perp meets it in 2 of its 3 points
     bigger = w.coll[0].copy()
     bigger[np.flatnonzero(~bigger)[0]] = True
     with pytest.raises(SpaceError, match="more than one point but not fully"):
-        _verify_axiom(w, bigger[None], lines)
+        _verify_axiom(w, bigger[None])
     # the checks read every row: a good row first does not hide a bad one
     with pytest.raises(SpaceError, match="more than one point but not fully"):
-        _verify_axiom(w, np.stack([w.coll[0], bigger]), lines)
+        _verify_axiom(w, np.stack([w.coll[0], bigger]))
+
+
+def test_verify_axiom_names_the_first_bad_row(monkeypatch):
+    # rows 0^perp plus one point x: the lines through x off 0^perp meet the
+    # row in 2 points.  Row 0 first fails at a later line than row 1 does,
+    # in another chunk of lines; row 0 and its own first bad line are named
+    monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 6)  # 2 lines of 2 + 1 counts a chunk
+    w = build_space("W(3,2)")
+    lm, rows = w.lines_matrix, []
+    for x in np.flatnonzero(~w.coll[0]):
+        row = w.coll[0].copy()
+        row[x] = True
+        meet = (lm & row).sum(axis=1)
+        rows.append((np.flatnonzero((meet != 1) & (meet != lm.sum(axis=1)))[0], row))
+    (k1, row1), (k0, row0) = min(rows, key=lambda r: r[0]), max(rows, key=lambda r: r[0])
+    seen = spy_chunks(monkeypatch)
+    with pytest.raises(SpaceError, match=f"^W\\(3,2\\): {re.escape(str(w.lines[k0]))} meets"):
+        _verify_axiom(w, np.stack([row0, row1]))
+    chunk_of = {k: i for i, s in enumerate(seen[0]) for k in range(s.start, s.stop)}
+    assert chunk_of[k1] < chunk_of[k0]  # row 1's first bad line is in an earlier chunk
+
+
+EMBEDDINGS = {"natural": embed.natural_embedding, "minimal": embed.minimal_embedding,
+              "universal": embed.universal_embedding_sp_char2}
+
+
+@pytest.mark.parametrize("name,kind", [
+    *[(name, "natural") for name in FORM_BACKED + STRETCH],
+    ("W(3,2)", "universal"), ("W(3,4)", "universal"), ("Q(4,2)", "minimal"),
+])
+def test_axiom_meets_match_the_product(space_for, name, kind):
+    space = space_for(name)
+    check_member_counts(space, arising_hyperplanes(EMBEDDINGS[kind](space)).masks.T)
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("name", ["W(3,7)", "Q(6,3)", "H(5,4)"])
+def test_axiom_meets_match_the_product_heavy(name):
+    space = build_space(name)
+    check_member_counts(space, arising_hyperplanes(embed.natural_embedding(space)).masks.T)
 
 
 def test_arising_w32_all_singular(space_for):
@@ -121,8 +164,7 @@ def _reference_sections(e):
 ])
 def test_batched_sections_match_reference(space_for, name, kind):
     space = space_for(name)
-    e = {"natural": embed.natural_embedding, "minimal": embed.minimal_embedding,
-         "universal": embed.universal_embedding_sp_char2}[kind](space)
+    e = EMBEDDINGS[kind](space)
     reference = _reference_sections(e)
     hs = arising_hyperplanes(e)
     assert [(tuple(phi), tuple(np.flatnonzero(h).tolist()))
@@ -164,7 +206,7 @@ def test_grid_transversal_is_ovoid(space_for):
         pts.append(next(p for p in g if p in other[i]))
     h = np.zeros(grid.n_points, dtype=bool)
     h[pts] = True
-    _verify_axiom(grid, h[None], _line_columns(grid))
+    _verify_axiom(grid, h[None])
     assert classify(grid, h) == OVOID and rank(grid, h) == 1
 
 
@@ -182,9 +224,6 @@ def _deepest_point_oracle(space, mask):
     hyperplane at a time: the per-hyperplane loop the batched test replaced."""
     pts = np.flatnonzero(mask)
     return pts[(space.coll[pts] == mask).all(axis=1)].tolist()
-
-
-FORM_BACKED = [n for n in CATALOG if parse_space_spec(n).family in ("W", "Q", "Q+", "Q-", "H")]
 
 
 @pytest.mark.parametrize("name", FORM_BACKED + ["Q(4,4)", "H(4,4)"])

@@ -298,6 +298,18 @@ def test_one_or_all_axiom_recheck(space_for):
                 assert seen in (1, len(line))
 
 
+def spy_chunks(monkeypatch) -> list:
+    """Wrap `space.chunks` so each call's slices are recorded, as a list."""
+    seen, chunks = [], space_module.chunks
+
+    def spy(total, width):
+        seen.append(list(chunks(total, width)))
+        return iter(seen[-1])
+
+    monkeypatch.setattr(space_module, "chunks", spy)
+    return seen
+
+
 @pytest.mark.parametrize("edges,message", [
     # point 6 sees 1 and 2 of the first line (and point 7 sees none of it)
     ([(0, 3), (0, 4), (0, 5), (1, 6), (2, 6)], "point 6 sees 2 points of line (0, 1, 2)"),
@@ -305,13 +317,73 @@ def test_one_or_all_axiom_recheck(space_for):
     ([(0, 3), (0, 4), (0, 5), (1, 6), (2, 7)], "point 1 sees 0 points of line (3, 4, 5)"),
 ])
 def test_one_or_all_violation_named(edges, message, monkeypatch):
-    monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 8)  # one line per chunk of 8 points
+    monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 8)  # less than a row of 8 + 1 counts
+    seen = spy_chunks(monkeypatch)
     lines = [(0, 1, 2), (3, 4, 5)]
     coll = np.eye(8, dtype=bool)
     for a, b in edges + [e for line in lines for e in itertools.combinations(line, 2)]:
         coll[a, b] = coll[b, a] = True
     with pytest.raises(SpaceError, match=f"^graph: {re.escape(message)}$"):
         PolarSpace("graph", list(range(8)), lines, coll, 2)
+    assert seen == [[slice(0, 1), slice(1, 2)]]  # the one-or-all check: a chunk per line
+
+
+@pytest.mark.parametrize("seen,message", [
+    # point 300 sees the whole line: its count 300 and the line's size both
+    # wrap to 44 in uint8, so the check passes either way, and 0 is named
+    (300, "degenerate, 0 is collinear with every point"),
+    # point 300 sees 257 of the 300 points, which would wrap to 1
+    (257, "point 300 sees 257 points of line (0, 1, 2,"),
+])
+def test_one_or_all_counts_past_255_points_a_line(seen, message):
+    coll = np.zeros((301, 301), dtype=bool)
+    coll[:300, :300] = coll[300, 300] = True
+    coll[300, :seen] = coll[:seen, 300] = True
+    with pytest.raises(SpaceError, match=f"^big: {re.escape(message)}"):
+        PolarSpace("big", list(range(301)), [tuple(range(300))], coll, 2)
+
+
+def test_one_or_all_reads_points_off_each_line():
+    # (0, 1, 2) is no clique: 0 and 2 see only 2 of its points.  The
+    # one-or-all check reads each line at the points off it, so it passes
+    # here and the greedy generator (0, 1) names the fault
+    lines = [(0, 1, 2), (3, 4, 5)]
+    coll = np.eye(6, dtype=bool)
+    for a, b in [(0, 1), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)]:
+        coll[a, b] = coll[b, a] = True
+    with pytest.raises(SpaceError, match=r"^graph: generator \(0, 1\) through a point is "
+                                         r"neither a point nor a line$"):
+        PolarSpace("graph", list(range(6)), lines, coll, None)
+
+
+def _grid_3x2():
+    """The 3 x 2 grid: lines of 2 and 3 points, so its member rows are padded."""
+    labels = [(i, j) for i in range(3) for j in range(2)]
+    lines = [(0, 1), (2, 3), (4, 5), (0, 2, 4), (1, 3, 5)]
+    return PolarSpace.combinatorial("grid(3x2)", labels, lines, grid_family=True)
+
+
+def check_member_counts(space, rows):
+    # the member gathers against the float32 product they replaced, the oracle
+    counts = np.concatenate([c for _, c in space_module.member_counts(rows, space.line_members)])
+    lm = space.lines_matrix
+    assert np.array_equal(counts[:, :-1], lm.astype(np.float32) @ rows.astype(np.float32))
+    assert np.array_equal(counts[:, -1], lm.sum(axis=1))
+
+
+@pytest.mark.parametrize("name", [*CATALOG, *STRETCH, "grid(3x2)"])
+def test_one_or_all_counts_match_the_product(space_for, name):
+    space = _grid_3x2() if name == "grid(3x2)" else space_for(name)
+    if name == "grid(3x2)":
+        assert (space.line_members == space.n_points).any()  # the padding path
+    check_member_counts(space, space.coll)
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("name", ["W(3,7)", "Q(6,3)", "H(5,4)"])
+def test_one_or_all_counts_match_the_product_heavy(name):
+    space = build_space(name)
+    check_member_counts(space, space.coll)
 
 
 def test_two_lines_through_a_pair_named():
