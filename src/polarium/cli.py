@@ -187,7 +187,7 @@ def cmd_replay(args) -> int:
 def cmd_info(args) -> int:
     space = build_space(args.spec)
     info = {"space": space.name, "points": space.n_points,
-            "lines": len(space.lines), "rank": space.rank}
+            "lines": len(space.line_members), "rank": space.rank}
     sys.stdout.write(json.dumps(info, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 

@@ -115,7 +115,7 @@ class Form:
             return self.quadratic(x) == 0
         return self.bilinear(x, x) == 0
 
-    def _partners(self, y) -> np.ndarray:
+    def partners(self, y) -> np.ndarray:
         """G conj(y) over the last axis, by `gf_matmul`: f(x, y) = x . G conj(y)."""
         y = np.asarray(y, dtype=np.int64)
         if self.kind == HERMITIAN:
@@ -127,20 +127,20 @@ class Form:
         broadcast; for quadratic forms this is the polarization value."""
         if self.kind == QUADRATIC:
             return self.polarization().values(x, y)
-        return linalg.gf_dot(self.field, x, self._partners(y))
+        return linalg.gf_dot(self.field, x, self.partners(y))
 
     def gram(self, x) -> np.ndarray:
         """f(x_i, x_j) for the rows of an (m, d) array, as an (m, m) array:
         `values(x[:, None], x[None])`, with the outer dot by `gf_matmul`."""
         if self.kind == QUADRATIC:
             return self.polarization().gram(x)
-        return linalg.gf_matmul(self.field, x, self._partners(x))
+        return linalg.gf_matmul(self.field, x, self.partners(x))
 
     def quadratic_values(self, x) -> np.ndarray:
         """q(x) over the last axis of an array."""
         if self.kind != QUADRATIC:
             raise ValueError("quadratic evaluation on a non-quadratic form")
-        return linalg.gf_dot(self.field, x, self._partners(x))
+        return linalg.gf_dot(self.field, x, self.partners(x))
 
     def vanishing(self, x) -> np.ndarray:
         """`vanishes` over the last axis of an array: a boolean array.  An

@@ -2,9 +2,9 @@
 
 A hyperplane is a proper subspace meeting each line in one point or all of
 it, as the summed gathered rows of the line's members show.  The arising
-hyperplanes of an embedding are the preimages of projective hyperplanes,
-one per canonical dual vector: the rows of one `ArisingHyperplanes`, read
-off by one `linalg.gf_matmul` per batch, with no object per hyperplane.
+hyperplanes of an embedding, the preimages of projective hyperplanes, are
+the rows of one `ArisingHyperplanes`, one per canonical dual vector, read
+off by `linalg.gf_matmul` per batch and counted from dual lines.
 The predicates are functions of a space and mask rows: the deepest point p
 with p^perp = h (h is singular when it has one), the rank (largest
 singular subspace inside) and the classification; rank-1 hyperplanes of
@@ -27,14 +27,11 @@ OTHER = "other"
 class ArisingHyperplanes:
     """The hyperplanes arising from one embedding, as rows: functionals[k]
     induces the read-only membership row masks[k], and counts[k] is how many
-    non-collinear pairs have their trace inside it, -1 until a sweep counts
-    it.  A slice is another ArisingHyperplanes whose counts view the same
-    memo."""
+    non-collinear pairs have their trace inside it."""
 
-    __slots__ = ("space", "functionals", "masks", "counts")
+    __slots__ = ("functionals", "masks", "counts")
 
-    def __init__(self, space: PolarSpace, functionals, masks, counts):
-        self.space = space
+    def __init__(self, functionals, masks, counts):
         self.functionals = functionals
         self.masks = masks
         self.counts = counts
@@ -43,33 +40,7 @@ class ArisingHyperplanes:
         return len(self.masks)
 
     def __getitem__(self, s: slice) -> "ArisingHyperplanes":
-        return ArisingHyperplanes(self.space, self.functionals[s], self.masks[s], self.counts[s])
-
-
-def contained_counts(hs: ArisingHyperplanes) -> np.ndarray:
-    """How many non-collinear pairs have their trace inside each hyperplane
-    of `hs`, memoised in hs.counts: those not yet counted share one sweep."""
-    if hs.counts.min(initial=0) < 0:
-        todo = hs.counts < 0
-        hs.counts[todo] = _count_contained(hs.space, hs.masks[todo])
-    return hs.counts
-
-
-def _count_contained(space: PolarSpace, masks) -> np.ndarray:
-    """One sweep over the hyperbolic lines of the space, in chunks.  Every
-    pair of a line l has the trace l^perp (the perp of l's own pair), and
-    the lines partition the non-collinear pairs, so l adds its
-    |l|(|l| - 1)/2 pairs to each hyperplane that l^perp has no point
-    outside, summed in float64, which is exact."""
-    n, lines = space.n_points, hyperbolic.all_hyperbolic_lines(space)
-    sizes = np.count_nonzero(lines.members < n, axis=1)
-    pairs = sizes * (sizes - 1) / 2
-    outside = (~masks).T.astype(np.float32)
-    counts = np.zeros(len(masks), dtype=np.int64)
-    for s in chunks(len(lines), max(n, len(masks))):
-        traces = np.unpackbits(space.perps(lines.pairs[s]), axis=1, count=n).astype(np.float32)
-        counts += (pairs[s] @ (traces @ outside == 0)).astype(np.int64)
-    return counts
+        return ArisingHyperplanes(self.functionals[s], self.masks[s], self.counts[s])
 
 
 def contained_pairs(space: PolarSpace, mask):
@@ -125,7 +96,7 @@ def _verify_axiom(space: PolarSpace, masks: np.ndarray):
     sizes = np.count_nonzero(masks, axis=1)
     if ((sizes == 0) | (sizes == space.n_points)).any():
         raise SpaceError(f"{space.name}: hyperplane must be a proper nonempty subspace")
-    n_lines = len(space.lines)
+    n_lines = len(space.line_members)
     first = np.full(len(masks), n_lines)  # each row's first bad line
     for s, meet in member_counts(masks.T, space.line_members):
         bad = ((meet != 1) & (meet != meet[:, -1:]))[:, :-1]
@@ -142,27 +113,60 @@ def _verify_axiom(space: PolarSpace, masks: np.ndarray):
 
 def arising_hyperplanes(e: Embedding) -> ArisingHyperplanes:
     """One hyperplane per canonical dual vector of the target space, built
-    once per embedding and memoised on it: the sections in chunks of
-    functionals, then one check of the hyperplane axiom over them all.
-    Distinct functionals induce distinct hyperplanes when the image spans
-    the target, as a hyperplane spans its functional's kernel; when it does
-    not, some nonzero functional vanishes on every point, and `_verify_axiom`
-    rejects that section."""
+    once per embedding and memoised on it, read-only: the sections in chunks
+    of functionals, one check of the hyperplane axiom over them all, then
+    the counts of `_dual_line_counts`.  Distinct functionals induce distinct
+    hyperplanes when the image spans the target, as a hyperplane spans its
+    functional's kernel; when it does not, some nonzero functional vanishes
+    on every point, and `_verify_axiom` rejects that section."""
     if e._arising is None:
         duals = linalg.proj_rows(e.field, e.dim)
         masks = np.concatenate([linalg.gf_matmul(e.field, duals[s], e.image_rows) == 0
                                 for s in chunks(len(duals), e.source.n_points)])
         _verify_axiom(e.source, masks)
-        masks.flags.writeable = False
-        e._arising = ArisingHyperplanes(e.source, duals, masks, np.full(len(masks), -1))
+        counts = _dual_line_counts(e, duals)
+        masks.flags.writeable = counts.flags.writeable = False
+        e._arising = ArisingHyperplanes(duals, masks, counts)
     return e._arising
+
+
+def _dual_line_counts(e: Embedding, duals) -> np.ndarray:
+    """Per row phi of `duals` (in code order), how many non-collinear pairs
+    have their trace in its hyperplane: |l|(|l| - 1)/2 for each hyperbolic
+    line l, with pair (a, b), whose dual line <B(., a), B(., b)> holds phi.
+    That is exact given (1) B(x, y) = 0 just for collinear or equal images,
+    (2) the images are all singular points of Q (the quadratic form, else
+    B(x, x)), (3) rank >= 2, as by Witt the images of l^perp, the singular
+    points of W = <a, b>^perp, span W: by (3) a line meets a^perp, so a
+    singular line through a meets b^perp in some w of W; a point x not
+    collinear with w has a part u in W with B(w, u) != 0, and w' = u + c w
+    is singular for some c; H = <w, w'> is non-degenerate, and each u of
+    H^perp cap W is (u + w + c w') - w - c w', the first term singular for
+    some c (Q(u) + c B(w, w') = 0, or a trace equation for a Hermitian B)."""
+    space, field, n = e.source, e.field, e.source.n_points
+    form = e.bilinear if e.quadratic is None else e.quadratic
+    if space.rank < 2:
+        raise SpaceError(f"{space.name}: rank {space.rank} < 2 has no dual lines")
+    if not np.array_equal(e.bilinear.gram(e.image_rows) == 0, space.coll):
+        raise SpaceError(f"{space.name}: collinearity is not orthogonality of the images")
+    if not (form.vanishing(e.image_rows).all() and form.vanishing(duals).sum() == n):
+        raise SpaceError(f"{space.name}: the images are not the singular points of the form")
+    lines, partners = hyperbolic.all_hyperbolic_lines(space), e.bilinear.partners(e.image_rows)
+    sizes = np.count_nonzero(lines.members < n, axis=1)
+    pairs, codes = sizes * (sizes - 1) // 2, linalg.point_codes(field.q, duals)
+    counts = np.zeros(len(duals))
+    for s in chunks(len(lines), (field.q + 1) * e.dim):
+        a, b = partners[lines.pairs[s]].transpose(1, 0, 2)
+        on = np.searchsorted(codes, linalg.line_points(field, a, b))
+        counts += np.bincount(on.ravel(), np.repeat(pairs[s], field.q + 1), len(duals))
+    return counts.astype(np.int64)
 
 
 def hyperplane_from_functional(e: Embedding, phi) -> ArisingHyperplanes:
     """The one hyperplane a functional induces, from its section row alone,
-    its count read from its contained pairs, not from a sweep of the lines."""
+    its count read from its contained pairs, with no hyperbolic line built."""
     phis = np.array([phi])
     masks = linalg.gf_matmul(e.field, phis, e.image_rows) == 0
     _verify_axiom(e.source, masks)
     count = sum(1 for _ in contained_pairs(e.source, masks[0]))
-    return ArisingHyperplanes(e.source, phis, masks, np.array([count]))
+    return ArisingHyperplanes(phis, masks, np.array([count]))

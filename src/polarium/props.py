@@ -14,13 +14,11 @@ the pairs through whole-space counts, K and G (the sub-generators inside
 each trace and the generators through them, built once per space, so
 `--timings` bills them to A) and opp(a) (the pairs of generators through a
 that meet in a alone): a pair fails both exactly when G > |l| K, and their
-line kernels run only on the failing line and in replay.  B' and C share their
-intermediates: the count of contained traces per arising hyperplane, swept
-over the memoised lines (the pairs of a line l share its trace l^perp) and
-memoised in the counts of `hyperplanes.ArisingHyperplanes` by the first
-sweep that reaches it, so C sweeps only the hyperplanes B' stopped before;
-a failing hyperplane's pairs are read from their bit-packed traces one
-chunk at a time, up to the first one asked for.
+line kernels run only on the failing line and in replay.  B' and C read the
+contained-trace counts of `hyperplanes.ArisingHyperplanes`, filled once per
+embedding from the dual lines of the memoised hyperbolic lines; a failing
+hyperplane's pairs are read from their bit-packed traces one chunk at a
+time, up to the first one asked for.
 Each checker scans the blocks in canonical order and stops at the first
 failing block, so failing verdicts carry the smallest witness.  Replay runs
 the same kernel on a batch holding only the witness's block and accepts any
@@ -332,12 +330,11 @@ def check_centric_triads(space: PolarSpace) -> Verdict:
 
 def _arising_kernel(space: PolarSpace, marked, **extra):
     """Block: an arising hyperplane h, a row of `hyperplanes.ArisingHyperplanes`.
-    Checked: the non-collinear pairs whose trace h contains, counted once
-    per hyperplane and memoised with it, so B' and C share the sweep.
+    Checked: the non-collinear pairs whose trace h contains, hs.counts.
     Failing: all of them when marked(masks) marks h, none otherwise; they
     are read chunk by chunk as they are asked for."""
     def kernel(hs):
-        counts, mark = hyperplanes.contained_counts(hs), marked(hs.masks)
+        counts, mark = hs.counts, marked(hs.masks)
 
         def failures(k):
             functional = hs.functionals[k].tolist()
@@ -443,7 +440,7 @@ class PropertyReport:
         return {
             "space": self.space.name,
             "points": self.space.n_points,
-            "lines": len(self.space.lines),
+            "lines": len(self.space.line_members),
             "rank": self.space.rank,
             "properties": {k: v.to_dict(include_millis)
                            for k, v in sorted(self.verdicts.items())},

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -122,8 +123,6 @@ class PolarSpace:
         self.n_points = n = len(self.points)
         self.line_members = lines if isinstance(lines, np.ndarray) else member_rows(lines, n)
         self.line_members.flags.writeable = False
-        sizes = np.count_nonzero(self.line_members < n, axis=1).tolist()
-        self.lines = [tuple(row[:k]) for row, k in zip(self.line_members.tolist(), sizes)]
         self.coll = coll
         self.rank = rank
         self.field = field
@@ -187,6 +186,11 @@ class PolarSpace:
         coll = (pair_counts(len(labels), members) > 0) | np.eye(len(labels), dtype=bool)
         return cls(name, labels, members, coll, None, grid_family=grid_family,
                    provenance=provenance)
+
+    @cached_property
+    def lines(self) -> list:
+        """The lines as point-index tuples, built on first read."""
+        return [tuple(p for p in row if p < self.n_points) for row in self.line_members.tolist()]
 
     @property
     def is_form_backed(self) -> bool:
@@ -446,7 +450,7 @@ class PolarSpace:
 
     def __repr__(self):
         return (f"PolarSpace({self.name}: {self.n_points} points, "
-                f"{len(self.lines)} lines, rank {self.rank})")
+                f"{len(self.line_members)} lines, rank {self.rank})")
 
 
 # ---------------------------------------------------------------------------

@@ -151,11 +151,9 @@ def test_benchmark_tracer_counts_checked(capsys, tmp_path):
         assert tracer.counts[f"props.{prop}.checked"] == want, prop
     # check_A, check_regular_pairs, check_centric_triads and check_D each
     # reach hyperbolic.all_hyperbolic_lines through its module (the build runs
-    # once per space, memoised), and so does every B'/C sweep of a doubling
-    # batch of arising hyperplanes: W(3,2) holds B' and sweeps its 15 in
-    # batches of 1, 2, 4 and 8, Q(4,3) fails B' in its third batch, and C
-    # reuses their counts.  The tracer takes len() of every result: the
-    # distinct double perps
+    # once per space, memoised), and so does the one arising build that B'
+    # and C share, which counts contained traces from the lines' dual lines.
+    # The tracer takes len() of every result: the distinct double perps
     lines = 0
     for name in ["W(3,2)", "Q(4,3)"]:
         coll = build_space(name).coll
@@ -163,7 +161,7 @@ def test_benchmark_tracer_counts_checked(capsys, tmp_path):
                       for a, b in itertools.combinations(range(len(coll)), 2)
                       if not coll[a, b]})
     assert lines == 20 + 540
-    assert tracer.counts["hyperbolic.lines.count"] == 20 * (4 + 4) + 540 * (4 + 3)
+    assert tracer.counts["hyperbolic.lines.count"] == (20 + 540) * (4 + 1)
 
 
 def _tampered(*flips):

@@ -4,10 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from polarium import embed, hyperplanes, linalg
+from polarium import embed, linalg
 from polarium import space as space_module
 from polarium.catalog import CATALOG, build_space, parse_space_spec
-from polarium.forms import ALTERNATING, HERMITIAN, QUADRATIC, Form
+from polarium.forms import ALTERNATING, HERMITIAN, QUADRATIC, Form, hyperbolic_quadric_form
 from polarium.hyperbolic import all_hyperbolic_lines
 from polarium.hyperplanes import (OVOID, SINGULAR, _verify_axiom,
                                   arising_hyperplanes, classify, contained_pairs,
@@ -169,14 +169,13 @@ def test_batched_sections_match_reference(space_for, name, kind):
     hs = arising_hyperplanes(e)
     assert [(tuple(phi), tuple(np.flatnonzero(h).tolist()))
             for phi, h in zip(hs.functionals.tolist(), hs.masks)] == reference
-    counts = hyperplanes.contained_counts(hs)
-    for h, count, (phi, members) in zip(hs.masks, counts, reference):
+    for h, count, (phi, members) in zip(hs.masks, hs.counts, reference):
         mask = np.zeros(space.n_points, dtype=bool)
         mask[list(members)] = True
         assert (h == mask).all()
         one = hyperplane_from_functional(e, phi)
         assert one.functionals.tolist() == [list(phi)] and (one.masks == mask).all()
-        assert one.counts.tolist() == [count]  # from its pairs, not the line sweep
+        assert one.counts.tolist() == [count]  # from its pairs, not the dual lines
         # the section determines its functional
         hits = np.flatnonzero((hs.masks == mask).all(axis=1))
         assert [tuple(hs.functionals[k].tolist()) for k in hits] == [phi]
@@ -313,7 +312,8 @@ def test_char_not2_contrast_w33(space_for):
 @pytest.mark.parametrize("name", ["W(3,2)", "Q(4,3)", "W(5,2)", "H(3,4)", "Q(4,4)"])
 def test_contained_counts_match_bruteforce(monkeypatch, name, batch):
     # the pairs a < b, not collinear, with {a,b}^perp inside h, pair by pair;
-    # a small batch puts chunk boundaries inside the line and pair sweeps.
+    # a small batch puts chunk boundaries inside the dual-line fill and the
+    # pair reads.
     # H(3,4) has 3-point hyperbolic lines, Q(4,4) 5-point ones and
     # non-singular arising hyperplanes
     if batch == "small":
@@ -323,17 +323,91 @@ def test_contained_counts_match_bruteforce(monkeypatch, name, batch):
     pairs = [[a, b] for a, b in itertools.combinations(range(space.n_points), 2) if not coll[a, b]]
     traces = np.array([coll[a] & coll[b] for a, b in pairs])
     hs = arising_hyperplanes(embed.natural_embedding(space))
-    hyperplanes.contained_counts(hs[:5])  # a first sweep, then the rest
-    assert (hs.counts[:5] >= 0).all() and (hs.counts[5:] == -1).all()  # a slice shares the memo
-    counts = hyperplanes.contained_counts(hs)
-    assert counts is hs.counts  # memoised with the hyperplanes
-    for k, (h, count) in enumerate(zip(hs.masks, counts)):
+    for k, (h, count) in enumerate(zip(hs.masks, hs.counts)):
         want = [pair for pair, spill in zip(pairs, (traces & ~h).any(axis=1)) if not spill]
         assert count == len(want)
         # the pair reads on every hyperplane but the last 213 of Q(4,4)'s 341
         assert k >= 128 or list(contained_pairs(space, h)) == want
     if name == "Q(4,4)":
         assert (deepest_points(space, hs.masks) < 0).any()
+
+
+def _count_contained(space, masks) -> np.ndarray:
+    """Oracle: one sweep over the hyperbolic lines, in chunks.  Every pair
+    of a line l has the trace l^perp (the perp of l's own pair), and the
+    lines partition the non-collinear pairs, so l adds its |l|(|l| - 1)/2
+    pairs to each hyperplane that l^perp has no point outside, summed in
+    float64, which is exact."""
+    n, lines = space.n_points, all_hyperbolic_lines(space)
+    sizes = np.count_nonzero(lines.members < n, axis=1)
+    pairs = sizes * (sizes - 1) / 2
+    outside = (~masks).T.astype(np.float32)
+    counts = np.zeros(len(masks), dtype=np.int64)
+    for s in space_module.chunks(len(lines), max(n, len(masks))):
+        traces = np.unpackbits(space.perps(lines.pairs[s]), axis=1, count=n).astype(np.float32)
+        counts += (pairs[s] @ (traces @ outside == 0)).astype(np.int64)
+    return counts
+
+
+@pytest.mark.parametrize("name,kind", [
+    *[(name, "natural") for name in FORM_BACKED + STRETCH],
+    *[(name, "universal") for name in ("W(3,2)", "W(3,4)", "W(5,2)")],
+    *[(name, "minimal") for name in ("Q(4,2)", "Q(6,2)", "Q(4,4)")],
+])
+def test_dual_line_counts_match_the_line_sweep(space_for, name, kind):
+    # the universal embeddings have a degenerate bilinear form, and the
+    # minimal ones of Q(2n,q), q even, drop the quadratic form
+    space = space_for(name)
+    hs = arising_hyperplanes(EMBEDDINGS[kind](space))
+    assert np.array_equal(hs.counts, _count_contained(space, hs.masks))
+    assert not hs.counts.flags.writeable
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("name", ["W(3,7)", "Q(6,3)", "H(5,4)", "W(5,4)"])
+def test_dual_line_counts_match_the_line_sweep_heavy(name):
+    space = build_space(name)
+    hs = arising_hyperplanes(embed.natural_embedding(space))
+    assert np.array_equal(hs.counts, _count_contained(space, hs.masks))
+
+
+def test_dual_line_counts_need_orthogonality(space_for):
+    # W(3,3)'s images under the polarization of a hyperbolic quadric: the
+    # same sections, but collinearity is not orthogonality
+    w = space_for("W(3,3)")
+    e = embed.natural_embedding(w)
+    wrong = embed.Embedding(w, e.images, hyperbolic_quadric_form(e.field, 2).polarization())
+    with pytest.raises(SpaceError, match="collinearity is not orthogonality"):
+        arising_hyperplanes(wrong)
+
+
+def test_dual_line_counts_need_every_singular_point(space_for):
+    # Q(4,2) without its quadric: its alternating polarization makes all 31
+    # points of PG(4,2) singular, and the 15 images miss 16 of them
+    q42 = space_for("Q(4,2)")
+    e = embed.natural_embedding(q42)
+    with pytest.raises(SpaceError, match="not the singular points"):
+        arising_hyperplanes(embed.Embedding(q42, e.images, e.bilinear))
+    # W(3,2)'s universal images with x1^2 added to their parabolic quadric:
+    # the same polarization and 15 singular points, as many as the images,
+    # but not all of them singular
+    w = space_for("W(3,2)")
+    e = embed.universal_embedding_sp_char2(w)
+    coefficients = [list(row) for row in e.quadratic.matrix]
+    coefficients[1][1] = 1
+    quadric = Form(QUADRATIC, e.field, coefficients)
+    assert quadric.polarization().matrix == e.bilinear.matrix
+    assert np.count_nonzero(quadric.vanishing(linalg.proj_rows(e.field, e.dim))) == w.n_points
+    with pytest.raises(SpaceError, match="not the singular points"):
+        arising_hyperplanes(embed.Embedding(w, e.images, e.bilinear, quadric))
+
+
+def test_dual_line_counts_need_rank_two():
+    # the elliptic quadric Q-(3,2) is an ovoid: rank 1, every pair
+    # non-collinear, with no lines whose dual lines would be exact
+    ovoid = build_space("Q-(3,2)")
+    with pytest.raises(SpaceError, match="rank 1 < 2"):
+        arising_hyperplanes(embed.natural_embedding(ovoid))
 
 
 def _lines_through(coll, p) -> set:
@@ -351,9 +425,9 @@ def test_singular_counts_sum_the_lines_through_the_deepest_point(space_for, name
     # (l^perp)^perp = l, so p^perp holds the pairs of the lines through p
     space = space_for(name) if name in CATALOG else build_space(name)
     hs = arising_hyperplanes(embed.natural_embedding(space))
-    counts, deepest = hyperplanes.contained_counts(hs), deepest_points(space, hs.masks)
+    deepest = deepest_points(space, hs.masks)
     assert (deepest >= 0).any()
-    for count, p in zip(counts[deepest >= 0], deepest[deepest >= 0]):
+    for count, p in zip(hs.counts[deepest >= 0], deepest[deepest >= 0]):
         assert count == sum(len(line) * (len(line) - 1) // 2
                             for line in _lines_through(space.coll, p))
 
@@ -370,7 +444,7 @@ def test_line_sweep_matches_the_pair_sweep_heavy(name):
     want = sum(np.count_nonzero((coll[a[s]] & coll[b[s]]).astype(np.float32) @ outside == 0,
                                 axis=0)
                for s in space_module.chunks(len(a), space.n_points))
-    assert (hyperplanes.contained_counts(hs) == want).all()
+    assert (hs.counts == want).all()
 
 
 def _gather_values(form, x, y):

@@ -259,41 +259,49 @@ def test_symplectic_quadrangle_counts(report_for, q):
 
 
 @pytest.mark.parametrize("name", ["W(3,2)", "Q-(5,2)", "Q+(3,3)", "Q(4,3)"])
-def test_C_reuses_the_contained_counts_of_B_prime(monkeypatch, name):
-    # B' and C count contained traces over the same arising hyperplanes: C
-    # sweeps the pairs only for hyperplanes B' stopped before
+def test_B_prime_and_C_read_one_counts_array(monkeypatch, name):
+    # B' and C count contained traces over the same arising hyperplanes: one
+    # read-only array, filled once per embedding, whose views both read
     space = build_space(name)
     e = embed.natural_embedding(space)
-    swept, sweep = [], hyperplanes._count_contained  # the swept rows, as bytes
-    monkeypatch.setattr(hyperplanes, "_count_contained", lambda space, masks: (
-        swept.extend(map(bytes, masks)) or sweep(space, masks)))
-    b_prime = check_B_prime(space, e)
-    by_b_prime, swept[:] = set(swept), []
+    built, fill = [], hyperplanes._dual_line_counts
+    monkeypatch.setattr(hyperplanes, "_dual_line_counts",
+                        lambda e, duals: built.append(fill(e, duals)) or built[-1])
+    read, arising_kernel = [], props._arising_kernel
+
+    def spy(space, marked, **extra):
+        kernel = arising_kernel(space, marked, **extra)
+        return lambda hs: read.append(hs.counts) or kernel(hs)
+    monkeypatch.setattr(props, "_arising_kernel", spy)
+    check_B_prime(space, e)
+    by_b_prime = len(read)
     check_C(space, e)
-    assert not by_b_prime & set(swept)
-    assert b_prime.status == FAILS or not swept
-    assert len(by_b_prime) + len(swept) <= len(hyperplanes.arising_hyperplanes(e))
+    assert len(built) == 1 and 0 < by_b_prime < len(read)
+    assert all(counts.base is built[0] for counts in read)
+    assert not built[0].flags.writeable
+    assert hyperplanes.arising_hyperplanes(e).counts is built[0]
 
 
 @pytest.mark.parametrize("name, prop", [("Q(4,3)", "C"), ("Q+(3,3)", "B_prime"), ("H(3,4)", "B_prime")])
 def test_replay_counts_once_and_reads_pairs_up_to_the_witness(monkeypatch, name, prop):
-    # replaying a B' or C witness sweeps no hyperbolic lines and builds none:
-    # its hyperplane's count is one read of all its contained pairs, and the
-    # witness read then stops at the chunk holding the witness pair
+    # replaying a B' or C witness builds no arising hyperplanes and no
+    # hyperbolic lines: its hyperplane's count is one read of all its
+    # contained pairs, and the witness read then stops at the chunk holding
+    # the witness pair
     monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 64)
     space = build_space(name)
     checker = check_B_prime if prop == "B_prime" else check_C
     witness = checker(space, embed.natural_embedding(space)).witness
     fresh = build_space(name)
     nbytes = (fresh.n_points + 7) // 8
-    swept, sweep = [], hyperplanes._count_contained
-    monkeypatch.setattr(hyperplanes, "_count_contained",
-                        lambda space, masks: swept.append(len(masks)) or sweep(space, masks))
+    built, arising = [], hyperplanes.arising_hyperplanes
+    monkeypatch.setattr(hyperplanes, "arising_hyperplanes",
+                        lambda e: built.append(e) or arising(e))
     read, chunks = [], hyperplanes.chunks
     monkeypatch.setattr(hyperplanes, "chunks", lambda total, width: (
         (width == nbytes and read.append(s)) or s for s in chunks(total, width)))
     assert validate_witness(fresh, prop, witness)
-    assert not swept and fresh._hyperbolic_lines is None
+    assert not built and fresh._hyperbolic_lines is None
     pairs = fresh.noncollinear_pairs()
     at = pairs.tolist().index([fresh.index_of(witness[k]) for k in "ab"])
     step = space_module.BATCH_ELEMENTS // nbytes
