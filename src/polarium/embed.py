@@ -49,12 +49,14 @@ class Embedding:
         self._verify_full()
 
     def _verify_full(self):
-        """Each source line must map onto the q + 1 points of the projective
-        line through the images of its first two points."""
+        """Each source line must map onto the q + 1 canonical points of the
+        projective line through the images of its first two points."""
         q, images, members = self.field.q, self.image_rows, self.source.line_members
         bad = np.flatnonzero(np.count_nonzero(members < len(images), axis=1) != q + 1)
         if len(members) and not len(bad):
-            have = np.sort(linalg.point_codes(q, images)[members], axis=1)
+            rows = linalg.point_index(self.field, self.dim)[linalg.point_codes(q, images)]
+            rows[(linalg.normalize_rows(self.field, images) != images).any(axis=1)] = -1
+            have = np.sort(rows[members], axis=1)
             want = linalg.line_points(self.field, images[members[:, 0]], images[members[:, 1]])
             bad = np.flatnonzero((have != want).any(axis=1))
         if len(bad):

@@ -131,9 +131,10 @@ def arising_hyperplanes(e: Embedding) -> ArisingHyperplanes:
 
 
 def _dual_line_counts(e: Embedding, duals) -> np.ndarray:
-    """Per row phi of `duals` (in code order), how many non-collinear pairs
+    """Per row phi of `duals` (`proj_rows`), how many non-collinear pairs
     have their trace in its hyperplane: |l|(|l| - 1)/2 for each hyperbolic
-    line l, with pair (a, b), whose dual line <B(., a), B(., b)> holds phi.
+    line l, with pair (a, b), whose dual line <B(., a), B(., b)> holds phi,
+    by one `bincount` onto the rows `line_points` gives, with no code search.
     That is exact given (1) B(x, y) = 0 just for collinear or equal images,
     (2) the images are all singular points of Q (the quadratic form, else
     B(x, x)), (3) rank >= 2, as by Witt the images of l^perp, the singular
@@ -153,11 +154,10 @@ def _dual_line_counts(e: Embedding, duals) -> np.ndarray:
         raise SpaceError(f"{space.name}: the images are not the singular points of the form")
     lines, partners = hyperbolic.all_hyperbolic_lines(space), e.bilinear.partners(e.image_rows)
     sizes = np.count_nonzero(lines.members < n, axis=1)
-    pairs, codes = sizes * (sizes - 1) // 2, linalg.point_codes(field.q, duals)
-    counts = np.zeros(len(duals))
+    pairs, counts = sizes * (sizes - 1) // 2, np.zeros(len(duals))
     for s in chunks(len(lines), (field.q + 1) * e.dim):
         a, b = partners[lines.pairs[s]].transpose(1, 0, 2)
-        on = np.searchsorted(codes, linalg.line_points(field, a, b))
+        on = linalg.line_points(field, a, b)
         counts += np.bincount(on.ravel(), np.repeat(pairs[s], field.q + 1), len(duals))
     return counts.astype(np.int64)
 

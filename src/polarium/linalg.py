@@ -8,9 +8,13 @@ on coordinate tuples.
 Arrays of vectors (coordinates on the last axis) go through `gf_matmul`
 (matrix products, by float32 BLAS over GF(p) digits), `gf_dot` and
 `normalize_rows` (row-wise, by field-table gathers); `rref` stays scalar.
+`point_index` maps the code of every nonzero vector to its point's row in
+`proj_rows`, so `line_points` gives each line as sorted `proj_rows` rows.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -190,14 +194,28 @@ def point_codes(q: int, vectors) -> np.ndarray:
     return vectors @ q ** np.arange(vectors.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
+@cache
+def point_index(field: Field, dim: int) -> np.ndarray:
+    """A read-only table of q^dim entries: at the code of each nonzero vector,
+    the row in `proj_rows(field, dim)` of its point; memoised per (field, dim)."""
+    rows = proj_rows(field, dim)
+    index = np.full(field.q ** dim, -1, dtype=np.intp)
+    for lam in range(1, field.q):
+        index[point_codes(field.q, field.mul_table[lam, rows])] = np.arange(len(rows))
+    index.flags.writeable = False
+    return index
+
+
 def line_points(field: Field, u, v) -> np.ndarray:
-    """Sorted codes of the q + 1 canonical points v and u + lam*v, lam in
+    """Sorted `proj_rows` rows of the q + 1 points v and u + lam*v, lam in
     GF(q), of each projective line <u_i, v_i>, for (m, d) arrays of
-    independent vectors, by add/mul/inv table gathers: an (m, q + 1) array."""
-    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-    lam_v = field.mul_table[np.arange(field.q)[:, None], v[:, None]]  # (m, q, d)
-    w = np.concatenate([v[:, None], field.add_table[u[:, None], lam_v]], axis=1)
-    return np.sort(point_codes(field.q, normalize_rows(field, w)), axis=1)
+    independent vectors, by add/mul table gathers and `point_index`: an
+    (m, q + 1) array."""
+    u, v, q = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp), field.q
+    lam_v = field.mul_table[np.arange(q)[:, None], v[:, None]]  # (m, q, d)
+    codes = point_codes(q, field.add_table[u[:, None], lam_v])
+    codes = np.concatenate([point_codes(q, v)[:, None], codes], axis=1)
+    return np.sort(point_index(field, u.shape[-1])[codes], axis=1)
 
 
 def dual_hyperplanes(field: Field, dim: int) -> list:

@@ -152,7 +152,8 @@ class PolarSpace:
                   grid_family: bool = False) -> "PolarSpace":
         field = form.field
         cand = linalg.proj_rows(field, form.dim)
-        vecs = cand[form.vanishing(cand)]
+        singular = form.vanishing(cand)
+        vecs = cand[singular]
         if len(vecs) > max_points:
             raise BoundExceeded(f"{name}: {len(vecs)} points exceed bound {max_points}")
         if not len(vecs):
@@ -160,19 +161,18 @@ class PolarSpace:
         coll = form.gram(vecs) == 0
         np.fill_diagonal(coll, True)
 
-        # vecs are in code order; each line is built once, from its reduced
-        # echelon pair: its smallest point a has the later pivot, and its next
-        # point b is the only one with a zero at pivot(a), so lines come out
-        # sorted; a line missing a or b is caught by validate's cover check
-        pts, codes = list(map(tuple, vecs.tolist())), linalg.point_codes(field.q, vecs)
+        # each line is built once, from its reduced echelon pair, as sorted rows
+        # of cand that `at` maps in order to points (-1 off the point set): its
+        # smallest point a has the later pivot, and its next point b is the only
+        # one with a zero at pivot(a); a line missing a or b fails the cover check
+        pts, at = list(map(tuple, vecs.tolist())), np.where(singular, np.cumsum(singular) - 1, -1)
         pivot = (vecs != 0).argmax(axis=1)
         collinear, lines = np.argwhere(np.triu(coll, 1)), [np.empty((0, field.q + 1), np.intp)]
         collinear = collinear[vecs[collinear[:, 1], pivot[collinear[:, 0]]] == 0]
         for s in chunks(len(collinear), (field.q + 1) * form.dim):
             pairs = collinear[s]
-            members = linalg.line_points(field, vecs[pairs[:, 0]], vecs[pairs[:, 1]])
-            idx = np.searchsorted(codes, members).clip(max=len(pts) - 1)
-            if (codes[idx] != members).any():
+            idx = at[linalg.line_points(field, vecs[pairs[:, 0]], vecs[pairs[:, 1]])]
+            if (idx < 0).any():
                 raise SpaceError(f"{name}: a line through two collinear points "
                                  "leaves the point set")
             lines.append(idx[(idx[:, :2] == pairs).all(axis=1)])

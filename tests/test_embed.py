@@ -1,9 +1,11 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from polarium import embed
+from polarium.catalog import build_space
 from polarium.embed import (EmbeddingError, check_emb_identities, minimal_embedding,
                             natural_embedding, quotient_embedding,
                             universal_embedding_sp_char2)
@@ -32,6 +34,36 @@ def test_non_full_embedding_rejected(space_for):
     with pytest.raises(EmbeddingError, match="does not map onto a projective line"):
         embed.Embedding(grid, proj_points(gf2, 5)[:grid.n_points],
                         parabolic_quadric_form(gf2, 2).polarization())
+
+
+def test_non_full_gf4_embedding_names_the_first_bad_line(space_for):
+    # H(3,4)'s two last points swapped: every line through either breaks,
+    # and the message names the first of them, not line 0
+    h = space_for("H(3,4)")
+    a = h.n_points - 1
+    b = max(i for i in range(h.n_points) if not h.collinear(a, i))
+    images = list(h.vectors)
+    images[a], images[b] = images[b], images[a]
+    first = next(line for line in h.lines if a in line or b in line)
+    assert first != h.lines[0]
+    with pytest.raises(EmbeddingError, match=re.escape(f"line {first} does not map")):
+        embed.Embedding(h, images, h.form)
+    # an image scaled by w spans the same point but is no canonical point
+    images = list(h.vectors)
+    images[a] = tuple(h.field.mul(2, c) for c in images[a])
+    first = next(line for line in h.lines if a in line)
+    with pytest.raises(EmbeddingError, match=re.escape(f"line {first} does not map")):
+        embed.Embedding(h, images, h.form)
+
+
+@pytest.mark.parametrize("name", ["W(1,256)", "W(1,128)", "W(3,8)"])
+def test_universal_embedding_at_large_even_q(name):
+    # the targets PG(2,256) and PG(2,128) hold more than 10^6 vectors, but
+    # W(1,q) has no lines to check, so no point index is built for them;
+    # W(3,8)'s lines are checked through one of 8^5 entries
+    space = build_space(name)
+    e = universal_embedding_sp_char2(space)
+    assert (e.dim, len(e.images)) == (space.form.dim + 1, space.n_points)
 
 
 def test_natural_requires_form(space_for):

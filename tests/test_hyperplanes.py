@@ -1,5 +1,6 @@
 import itertools
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -408,6 +409,23 @@ def test_dual_line_counts_need_rank_two():
     ovoid = build_space("Q-(3,2)")
     with pytest.raises(SpaceError, match="rank 1 < 2"):
         arising_hyperplanes(embed.natural_embedding(ovoid))
+
+
+def test_point_index_is_built_once(monkeypatch):
+    # from_form, _verify_full and the dual-line counts all read the one
+    # memoised (GF(5), 5) table, across two builds of the same space
+    builds, proj_rows = [], linalg.proj_rows
+
+    def spied(field, dim, *args, **kwargs):
+        if sys._getframe(1).f_code is linalg.point_index.__wrapped__.__code__:
+            builds.append((field.q, dim))
+        return proj_rows(field, dim, *args, **kwargs)
+
+    linalg.point_index.cache_clear()
+    monkeypatch.setattr(linalg, "proj_rows", spied)
+    for _ in range(2):
+        arising_hyperplanes(embed.natural_embedding(build_space("Q(4,5)")))
+    assert builds == [(5, 5)]
 
 
 def _lines_through(coll, p) -> set:

@@ -96,16 +96,31 @@ def test_proj_points_order_and_bounds():
 
 
 def test_line_points_match_span():
-    rng = random.Random(11)
+    rng, scales = random.Random(11), random.Random(12)
     for field, d in [(GF2, 4), (GF3, 3), (GF4, 3), (GF5, 3), (Field(3, 2), 3)]:
         pts = proj_points(field, d)
         codes = linalg.point_codes(field.q, pts).tolist()
         assert codes == sorted(set(codes))  # code order is lexicographic order
         pairs = [rng.sample(pts, 2) for _ in range(40)]
         got = linalg.line_points(field, [u for u, _ in pairs], [v for _, v in pairs])
+        rows = linalg.proj_rows(field, d)
         for (u, v), row in zip(pairs, got):
             line = enumerate_points(span(field, d, [u, v]))
-            assert row.tolist() == linalg.point_codes(field.q, line).tolist()
+            assert list(map(tuple, rows[row].tolist())) == line
+        # any nonzero multiples of u and v span the same line
+        u, v = (field.mul_table[[[scales.randrange(1, field.q)] for _ in side], side]
+                for side in map(np.array, zip(*pairs)))
+        assert np.array_equal(linalg.line_points(field, u, v), got)
+
+
+def test_point_index_maps_every_multiple():
+    for field, d in [(GF2, 4), (GF3, 3), (GF4, 3), (GF5, 3), (Field(3, 2), 3)]:
+        index = linalg.point_index(field, d)
+        vectors = np.array(list(itertools.product(range(field.q), repeat=d))[1:])
+        rows = linalg.proj_rows(field, d)[index[linalg.point_codes(field.q, vectors)]]
+        assert np.array_equal(rows, linalg.normalize_rows(field, vectors))
+        assert not index.flags.writeable
+        assert linalg.point_index(field, d) is index
 
 
 def test_dual_hyperplanes():
