@@ -34,27 +34,24 @@ def payne_derive(base: PolarSpace, x: int) -> PolarSpace:
     q = base.field.q if base.field is not None else None
     if q is None:
         raise ValueError("Payne derivation needs a form-backed W(3,q) base")
-    xperp = base.perp_mask([x])
-    keep = ~xperp
-    new_index = {}
-    labels = []
-    for p in np.flatnonzero(keep):
-        new_index[int(p)] = len(labels)
-        labels.append(base.points[int(p)])
+    keep = ~base.perp_mask([x])
+    new_index = np.cumsum(keep) - 1  # the new index of each kept point, ascending
+    labels = [base.points[p] for p in np.flatnonzero(keep).tolist()]
 
-    lines = []
-    for line in base.lines:
-        if x in line:
-            continue
-        restricted = tuple(sorted(new_index[p] for p in line if keep[p]))
-        if len(restricted) == len(line) - 1:
-            lines.append(restricted)
-        elif restricted:
-            raise SpaceError(f"{base.name}: line {line} meets x^perp oddly")
+    # a line not through x meets x^perp in one point (restricted to the
+    # others, q of the q + 1 form-backed points) or lies in it (dropped)
+    members, n = base.line_members, base.n_points
+    off = np.append(keep, False)[members]
+    counts, sizes = off.sum(axis=1), (members < n).sum(axis=1)
+    other = ~(members == x).any(axis=1) & (counts > 0)
+    odd = np.flatnonzero(other & (counts != sizes - 1))
+    if len(odd):
+        raise SpaceError(f"{base.name}: line {base.lines[odd[0]]} meets x^perp oddly")
+    lines = new_index[np.extract(off[other], members[other])].reshape(-1, q).tolist()
     ys = np.flatnonzero(keep)
     hlines = hyperbolic.hyperbolic_lines(base, np.column_stack([np.full_like(ys, x), ys]))
     for pts in sorted(set(hlines.points())):
-        lines.append(tuple(sorted(new_index[p] for p in pts if p != x)))
+        lines.append(tuple(sorted(int(new_index[p]) for p in pts if p != x)))
 
     space = PolarSpace.combinatorial(
         f"P({base.name})", labels, lines,
@@ -63,7 +60,7 @@ def payne_derive(base: PolarSpace, x: int) -> PolarSpace:
     # order (q-1, q+1): q^3 points, q-point lines, q+2 lines per point
     if space.n_points != q ** 3:
         raise SpaceError(f"{space.name}: expected {q ** 3} points, got {space.n_points}")
-    if {len(l) for l in space.lines} != {q}:
+    if set((space.line_members < space.n_points).sum(axis=1).tolist()) != {q}:
         raise SpaceError(f"{space.name}: lines must have {q} points")
     per_point = space.lines_matrix.sum(axis=0)
     if set(per_point.tolist()) != {q + 2}:
@@ -75,11 +72,13 @@ def dualize(space: PolarSpace) -> PolarSpace:
     """Point-line dual of a generalized quadrangle (rank 2, constant orders)."""
     if space.rank != 2:
         raise ValueError(f"{space.name}: dualization needs a rank-2 space")
-    sizes = {len(l) for l in space.lines}
+    members = space.line_members
+    sizes = set((members < space.n_points).sum(axis=1).tolist())
     degrees = set(space.lines_matrix.sum(axis=0).tolist())
     if len(sizes) != 1 or len(degrees) != 1:
         raise ValueError(f"{space.name}: not a GQ (orders not constant)")
-    labels = [tuple(sorted(space.points[p] for p in line)) for line in space.lines]
+    (size,), points = sizes, space.points
+    labels = [tuple(sorted(points[p] for p in row)) for row in members[:, :size].tolist()]
     dual_lines = padded_columns(space.lines_matrix.T)[0].tolist()  # the lines on each point
     return PolarSpace.combinatorial(
         f"dual({space.name})", labels, dual_lines, grid_family=space.grid_family,

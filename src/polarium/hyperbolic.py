@@ -2,11 +2,14 @@
 
 A hyperbolic line is the double perp {a,b}^perpperp of a non-collinear
 pair; its members are pairwise non-collinear.  Double perps are bit-packed,
-the perps (`PolarSpace.perps`) of the traces.  The lines of a space are
-built once and memoised on it, as arrays, one row per line: the pair that
-keeps it (its two smallest members), its members in ascending order, padded
-with n, and the line of every non-collinear pair.  A, regular pairs,
-centric triads and D all read that one build.
+the perps (`PolarSpace.perps`) of the traces, which are gathered from the
+values of a^perp.  A line is read from its packed double perp: it is its
+pair unless the double perp holds other points, and only such rows are
+unpacked.  The lines of a space are built once and memoised on it, as
+arrays, one row per line: the pair that keeps it (its two smallest
+members), its members in ascending order, padded with n, and the line of
+every non-collinear pair, looked up in a table from pair code to line.
+A, regular pairs, centric triads and D all read that one build.
 Adjoining all hyperbolic lines to the ordinary lines yields a linear space
 L(S): any two points lie on exactly one joining line (`linear_space` checks
 it).
@@ -61,19 +64,37 @@ class HyperbolicLines:
 
 def packed_double_perps(space: PolarSpace, pairs) -> np.ndarray:
     """Bit-packed rows {a_i,b_i}^perpperp for an (m, 2) array of non-collinear
-    pairs: the perps of the traces, whose members are looked up in a_i^perp
-    and padded with n."""
+    pairs: the perps of the traces, the values of a_i^perp (nbr[a_i]) that b_i
+    sees, in order, padded with n."""
     n = space.n_points
     cand = space.packed_perps()[0][pairs[:, 0]]
-    ks, valid = padded_columns(space.coll.ravel().take(pairs[:, 1, None] * n + cand))
-    return space.perps(np.where(valid, np.take_along_axis(cand, ks, axis=1), n))
+    inside = space.coll.ravel().take(pairs[:, 1, None] * n + cand)
+    k = np.count_nonzero(inside, axis=1)
+    valid = np.arange(k.max(initial=0)) < k[:, None]
+    trace = np.full(valid.shape, n)
+    trace[valid] = np.extract(inside, cand)
+    return space.perps(trace)
 
 
 def _lines(space: PolarSpace, pairs, dp) -> HyperbolicLines:
-    """The lines of the bit-packed double perps dp of the pairs."""
-    rows = np.unpackbits(dp, axis=1, count=space.n_points).view(bool)
-    ks, valid = padded_columns(rows)
-    return HyperbolicLines(space, pairs, np.where(valid, ks, space.n_points))
+    """The lines of the bit-packed double perps dp of the pairs.  A line is
+    its pair, ascending, unless dp holds other points; only such rows are
+    unpacked, and each must hold its pair."""
+    n = space.n_points
+    flipped = dp.copy()  # a's and b's bits flipped: zero exactly when dp is {a, b}
+    for p in pairs.T:
+        flipped[np.arange(len(p)), p >> 3] ^= _BIT[p & 7]
+    more = np.flatnonzero(flipped.any(axis=1))
+    inside = np.unpackbits(dp[more], axis=1, count=n).view(bool)
+    held = np.take_along_axis(inside, pairs[more], axis=1).all(axis=1)
+    if not held.all():
+        a, b = pairs[more[np.argmin(held)]].tolist()
+        raise SpaceError(f"{space.name}: {{{a},{b}}}^perpperp misses {a} or {b}")
+    ks, valid = padded_columns(inside)
+    members = np.full((len(pairs), max(2, ks.shape[1])), n, dtype=np.intp)
+    members[:, 0], members[:, 1] = np.minimum(*pairs.T), np.maximum(*pairs.T)
+    members[more, :ks.shape[1]] = np.where(valid, ks, n)
+    return HyperbolicLines(space, pairs, members)
 
 
 def hyperbolic_lines(space: PolarSpace, pairs) -> HyperbolicLines:
@@ -85,10 +106,6 @@ def hyperbolic_lines(space: PolarSpace, pairs) -> HyperbolicLines:
     seen = _POPCOUNT[space.packed_perps()[1][lines.members] & dp[:, None]].sum(axis=2)
     if (seen[lines.members < space.n_points] > 1).any():
         raise SpaceError(f"{space.name}: collinear pair inside a hyperbolic line")
-    held = (lines.members[:, :, None] == pairs[:, None, :]).any(axis=1).all(axis=1)
-    if not held.all():
-        a, b = pairs[np.argmin(held)].tolist()
-        raise SpaceError(f"{space.name}: {{{a},{b}}}^perpperp misses {a} or {b}")
     return lines
 
 
@@ -108,11 +125,12 @@ def all_hyperbolic_lines(space: PolarSpace) -> HyperbolicLines:
 def _build_lines(space: PolarSpace) -> HyperbolicLines:
     """All hyperbolic lines, ordered by member tuple: the double perps of the
     non-collinear pairs a < b, in chunks, each kept at the pair of its two
-    smallest members.  The lines must partition the non-collinear pairs:
-    sorted, the codes of their pairs are those of noncollinear_pairs(), and
-    the same sort gives of_pair.  As c, d in {a,b}^perpperp puts
-    {c,d}^perpperp inside it, this also asserts that any two points of a
-    line span that same line."""
+    smallest members, which `_lines` checks it holds.  The lines must
+    partition the non-collinear pairs: a table from pair code to line gives
+    of_pair, and as the lines hold as many pairs as there are non-collinear
+    ones, they partition them when every non-collinear pair finds a line.
+    As c, d in {a,b}^perpperp puts {c,d}^perpperp inside it, this also
+    asserts that any two points of a line span that same line."""
     n = space.n_points
     below = np.packbits(np.tri(n, k=-1, dtype=bool), axis=1)  # row b: the points < b
     width = max(space.packed_perps()[0].shape[1], (n + 7) // 8)
@@ -124,20 +142,24 @@ def _build_lines(space: PolarSpace) -> HyperbolicLines:
         a = pairs[:, 0]
         rest = dp & below[pairs[:, 1]]
         rest[np.arange(len(a)), a >> 3] &= ~_BIT[a & 7]  # clear a's bit
-        first = ~rest.any(axis=1)  # a is the only member below b
+        first = np.flatnonzero(~rest.any(axis=1))  # a is the only member below b
         kept.append(_lines(space, pairs[first], dp[first]))
+    pairs = np.concatenate([h.pairs for h in kept])
     w = max(h.members.shape[1] for h in kept)
     members = np.concatenate([np.pad(h.members, ((0, 0), (0, w - h.members.shape[1])),
                                      constant_values=n) for h in kept])
+    del kept  # the chunks, before the pair-code table
     codes, at = pair_codes(n, members, rows=True)
-    order = np.argsort(codes)
-    if not np.array_equal(codes[order], noncollinear[:, 0] * n + noncollinear[:, 1]):
+    line = np.full(n * n, -1, dtype=np.intp)
+    line[codes] = at
+    of_pair = line[noncollinear[:, 0] * n + noncollinear[:, 1]]
+    if len(codes) != len(noncollinear) or (of_pair < 0).any():
         counts = pair_counts(n, members)
         i, j = np.argwhere(counts != ~space.coll)[0]
         kind = "collinear" if space.coll[i, j] else "non-collinear"
         raise SpaceError(f"{space.name}: {kind} pair {i},{j} lies on {counts[i, j]} "
                          "hyperbolic lines")
-    return HyperbolicLines(space, np.concatenate([h.pairs for h in kept]), members, at[order])
+    return HyperbolicLines(space, pairs, members, of_pair)
 
 
 def linear_space(space: PolarSpace) -> list:

@@ -59,12 +59,13 @@ def pair_codes(n: int, members, rows: bool = False):
     a row costs k(k - 1)/2 codes, not width^2."""
     sizes = (members < n).sum(axis=1)
     codes, at = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.intp)]
-    for k in set(sizes.tolist()):
+    for k in np.flatnonzero(np.bincount(sizes)).tolist():
         pairs = np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp)
         a, b = pairs.reshape(-1, 2).T
-        m = members[sizes == k]
+        group = np.flatnonzero(sizes == k)
+        m = members[group]
         codes.append((m[:, a] * n + m[:, b]).ravel())
-        at.append(np.repeat(np.flatnonzero(sizes == k), len(a)))
+        at.append(np.repeat(group, len(a)))
     codes = np.concatenate(codes)
     return (codes, np.concatenate(at)) if rows else codes
 

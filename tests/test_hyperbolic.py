@@ -83,15 +83,23 @@ def _pairs_and_points(lines):
 
 
 @pytest.mark.parametrize("name", ["W(3,2)", "Q(4,3)", "W(5,2)", "grid(4)", "P(W(3,5))",
-                                  "dual(P(W(3,4)))"])
+                                  "dual(P(W(3,4)))", "Q(4,5)", "Q+(5,3)", "H(4,4)",
+                                  "dual(H(4,4))"])
 def test_batched_lines_match_reference(space_for, name):
+    # Q(4,5), Q+(5,3) and dual(H(4,4)) have only 2-point lines, H(4,4) only
+    # 3-point ones, and dual(P(W(3,4))) lines of 4 and 2 points
     space = space_for(name)
     reference = _reference_lines(space)
-    assert _pairs_and_points(all_hyperbolic_lines(space)) == reference
-    of_pair = {pair: pts for _, pts in reference
-               for pair in itertools.combinations(pts, 2)}
-    for a, b in noncollinear_pairs(space):
-        assert line_of(space, a, b) == of_pair[a, b]
+    lines = all_hyperbolic_lines(space)
+    assert _pairs_and_points(lines) == reference
+    line_of_pair = {pair: k for k, (_, pts) in enumerate(reference)
+                    for pair in itertools.combinations(pts, 2)}
+    expected = [line_of_pair[pair] for pair in noncollinear_pairs(space)]
+    assert lines.of_pair.tolist() == expected
+    # every pair's own double perp, in one batch, given as (a, b) and as (b, a)
+    pairs = space.noncollinear_pairs()
+    for given in (pairs, pairs[:, ::-1]):
+        assert hyperbolic_lines(space, given).points() == [reference[k][1] for k in expected]
 
 
 def test_D_kernel_never_reads_padding(space_for, monkeypatch):
@@ -134,6 +142,9 @@ def _graph(n, edges):
     (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], "non-collinear pair 0,2 lies on 0 hyperbolic lines"),
     (5, [(0, 3), (1, 4), (2, 3)], "non-collinear pair 0,2 lies on 2 hyperbolic lines"),
     (4, [(0, 2), (2, 3)], "^graph: collinear pair 0,2 lies on 1 hyperbolic lines"),
+    # as many pairs on lines as non-collinear pairs, yet not a partition
+    (4, [(0, 1), (1, 3), (2, 3)], "non-collinear pair 0,2 lies on 0 hyperbolic lines"),
+    (6, [(0, 3), (1, 3), (2, 3), (2, 5), (3, 5)], "^graph: collinear pair 0,3 lies on 1 hyperbolic lines"),
 ])
 def test_lines_must_partition_pairs(n, edges, message):
     with pytest.raises(SpaceError, match=message):
@@ -161,6 +172,17 @@ def test_hyperbolic_line_must_hold_its_pair():
     one_way = PolarSpace("one-way", [0, 1, 2], [], coll, 2, validate=False)
     with pytest.raises(SpaceError, match=r"\{0,1\}\^perpperp misses 0 or 1"):
         hyperbolic_lines(one_way, np.array([[0, 1]]))
+
+
+def test_line_build_keeps_no_line_without_its_pair():
+    # 3 sees 0 but 0 sees only itself: {0,1}^perpperp is all four points and
+    # covers each pair once, while {0,3}^perpperp = {0}^perp = {0}, with no
+    # other point below 3, would be kept at (0,3) without 3
+    coll = np.eye(4, dtype=bool)
+    coll[3, 0] = True
+    one_way = PolarSpace("one-way", [0, 1, 2, 3], [], coll, 2, validate=False)
+    with pytest.raises(SpaceError, match=r"\{0,3\}\^perpperp misses 0 or 3"):
+        all_hyperbolic_lines(one_way)
 
 
 def test_double_perp_identities(space_for):
