@@ -219,19 +219,6 @@ class Field:
     def elements(self) -> range:
         return range(self.q)
 
-    def element_str(self, a: int) -> str:
-        if self.k == 1:
-            return str(a)
-        terms = []
-        for i in range(self.k - 1, -1, -1):
-            c = int(self._digits[a, i])
-            if not c:
-                continue
-            coeff = "" if (c == 1 and i > 0) else str(c)
-            var = "" if i == 0 else ("w" if i == 1 else f"w^{i}")
-            terms.append(coeff + var)
-        return "+".join(terms) if terms else "0"
-
     def __eq__(self, other):
         return (isinstance(other, Field)
                 and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))

@@ -6,10 +6,10 @@ the perps (`PolarSpace.perps`) of the traces, which are gathered from the
 values of a^perp.  A line is read from its packed double perp: it is its
 pair unless the double perp holds other points, and only such rows are
 unpacked.  The lines of a space are built once and memoised on it, as
-arrays, one row per line: the pair that keeps it (its two smallest
-members), its members in ascending order, padded with n, and the line of
-every non-collinear pair, looked up in a table from pair code to line.
-A, regular pairs, centric triads and D all read that one build.
+arrays: each line's pair (its two smallest members), its members ascending,
+padded with n, and the line of every non-collinear pair.  A, regular pairs,
+centric triads and D all read that one build; A and regular pairs fail at a
+pair exactly when some S in its trace has g(S) > |l|, its line's size.
 Adjoining all hyperbolic lines to the ordinary lines yields a linear space
 L(S): any two points lie on exactly one joining line (`linear_space` checks
 it).
@@ -76,21 +76,25 @@ def packed_double_perps(space: PolarSpace, pairs) -> np.ndarray:
     return space.perps(trace)
 
 
-def _lines(space: PolarSpace, pairs, dp) -> HyperbolicLines:
-    """The lines of the bit-packed double perps dp of the pairs.  A line is
-    its pair, ascending, unless dp holds other points; only such rows are
-    unpacked, and each must hold its pair."""
-    n = space.n_points
-    flipped = dp.copy()  # a's and b's bits flipped: zero exactly when dp is {a, b}
+def _cleared(space: PolarSpace, pairs, dp) -> np.ndarray:
+    """dp, the packed double perps of the pairs, which must hold them, with
+    the pairs' bits cleared: zero where the double perp holds no other point."""
+    flat, rows, held = dp.ravel().copy(), np.arange(len(pairs)) * dp.shape[1], True
     for p in pairs.T:
-        flipped[np.arange(len(p)), p >> 3] ^= _BIT[p & 7]
-    more = np.flatnonzero(flipped.any(axis=1))
-    inside = np.unpackbits(dp[more], axis=1, count=n).view(bool)
-    held = np.take_along_axis(inside, pairs[more], axis=1).all(axis=1)
+        i, bit = rows + (p >> 3), _BIT[p & 7]
+        byte = flat[i]
+        held, flat[i] = held & ((byte & bit) > 0), byte & ~bit
     if not held.all():
-        a, b = pairs[more[np.argmin(held)]].tolist()
+        a, b = pairs[np.argmin(held)].tolist()
         raise SpaceError(f"{space.name}: {{{a},{b}}}^perpperp misses {a} or {b}")
-    ks, valid = padded_columns(inside)
+    return flat.reshape(dp.shape)
+
+
+def _lines(space: PolarSpace, pairs, dp, extra) -> HyperbolicLines:
+    """The lines of the packed double perps dp of the pairs: each its pair,
+    ascending, unless `extra` marks other points; only those are unpacked."""
+    n, more = space.n_points, np.flatnonzero(extra)
+    ks, valid = padded_columns(np.unpackbits(dp[more], axis=1, count=n).view(bool))
     members = np.full((len(pairs), max(2, ks.shape[1])), n, dtype=np.intp)
     members[:, 0], members[:, 1] = np.minimum(*pairs.T), np.maximum(*pairs.T)
     members[more, :ks.shape[1]] = np.where(valid, ks, n)
@@ -101,7 +105,7 @@ def hyperbolic_lines(space: PolarSpace, pairs) -> HyperbolicLines:
     """{a_i,b_i}^perpperp for an (m, 2) array of non-collinear pairs, each
     checked to hold no collinear pair and to hold a_i and b_i."""
     dp = packed_double_perps(space, pairs)
-    lines = _lines(space, pairs, dp)
+    lines = _lines(space, pairs, dp, _cleared(space, pairs, dp).any(axis=1))
     # |x^perp cap line| over the members x: 1 (x alone) unless x sees another
     seen = _POPCOUNT[space.packed_perps()[1][lines.members] & dp[:, None]].sum(axis=2)
     if (seen[lines.members < space.n_points] > 1).any():
@@ -115,45 +119,54 @@ def all_hyperbolic_lines(space: PolarSpace) -> HyperbolicLines:
     no reference back to it."""
     if space._hyperbolic_lines is None:
         lines = _build_lines(space)
-        memo = (lines.pairs, lines.members, lines.of_pair)
-        for a in memo:
+        space._hyperbolic_lines = (lines.pairs, lines.members, lines.of_pair)
+        for a in space._hyperbolic_lines:
             a.flags.writeable = False
-        space._hyperbolic_lines = memo
     return HyperbolicLines(space, *space._hyperbolic_lines)
 
 
 def _build_lines(space: PolarSpace) -> HyperbolicLines:
     """All hyperbolic lines, ordered by member tuple: the double perps of the
     non-collinear pairs a < b, in chunks, each kept at the pair of its two
-    smallest members, which `_lines` checks it holds.  The lines must
-    partition the non-collinear pairs: a table from pair code to line gives
-    of_pair, and as the lines hold as many pairs as there are non-collinear
-    ones, they partition them when every non-collinear pair finds a line.
-    As c, d in {a,b}^perpperp puts {c,d}^perpperp inside it, this also
-    asserts that any two points of a line span that same line."""
+    smallest members: its cleared copy is zero, or holds no point below b.
+    A kept pair has its own line, and the other pairs of the lines of more
+    than 2 points theirs from a pair-code table.  As the lines hold as many
+    pairs as there are non-collinear ones, they partition them when each
+    pair finds a line; as c, d in {a,b}^perpperp puts {c,d}^perpperp inside
+    it, any two points of a line then span that same line."""
     n = space.n_points
     below = np.packbits(np.tri(n, k=-1, dtype=bool), axis=1)  # row b: the points < b
     width = max(space.packed_perps()[0].shape[1], (n + 7) // 8)
     kept = [HyperbolicLines(space, np.empty((0, 2), dtype=np.intp), np.empty((0, 0), dtype=np.intp))]
+    at = [np.empty(0, dtype=np.intp)]
     noncollinear = space.noncollinear_pairs()
     for s in chunks(len(noncollinear), width):
         pairs = noncollinear[s]
         dp = packed_double_perps(space, pairs)
-        a = pairs[:, 0]
-        rest = dp & below[pairs[:, 1]]
-        rest[np.arange(len(a)), a >> 3] &= ~_BIT[a & 7]  # clear a's bit
-        first = np.flatnonzero(~rest.any(axis=1))  # a is the only member below b
-        kept.append(_lines(space, pairs[first], dp[first]))
+        cleared = _cleared(space, pairs, dp)
+        # a row's bytes as one string drop trailing zeros: empty exactly when zero
+        extra = cleared.view(f"S{dp.shape[1]}").ravel() != b""
+        keep, more = ~extra, np.flatnonzero(extra) if not extra.all() else slice(None)
+        low = cleared[more] & below[pairs[more, 1]]  # only rows with other points gather below
+        keep[more] = low.view(f"S{dp.shape[1]}").ravel() == b""
+        first = np.flatnonzero(keep)
+        kept.append(_lines(space, pairs[first], dp[first], extra[first]))
+        at.append(s.start + first)
     pairs = np.concatenate([h.pairs for h in kept])
     w = max(h.members.shape[1] for h in kept)
     members = np.concatenate([np.pad(h.members, ((0, 0), (0, w - h.members.shape[1])),
                                      constant_values=n) for h in kept])
     del kept  # the chunks, before the pair-code table
-    codes, at = pair_codes(n, members, rows=True)
-    line = np.full(n * n, -1, dtype=np.intp)
-    line[codes] = at
-    of_pair = line[noncollinear[:, 0] * n + noncollinear[:, 1]]
-    if len(codes) != len(noncollinear) or (of_pair < 0).any():
+    of_pair = np.full(len(noncollinear), -1, dtype=np.intp)
+    of_pair[np.concatenate(at)] = np.arange(len(pairs))
+    sizes = (members < n).sum(axis=1)
+    thick = np.flatnonzero(sizes > 2)
+    if len(thick):
+        codes, rows = pair_codes(n, members[thick], rows=True)
+        line = np.full(n * n, -1, dtype=np.intp)
+        line[codes] = thick[rows]
+        of_pair = np.maximum(of_pair, line[noncollinear[:, 0] * n + noncollinear[:, 1]])
+    if (sizes * (sizes - 1) // 2).sum() != len(noncollinear) or (of_pair < 0).any():
         counts = pair_counts(n, members)
         i, j = np.argwhere(counts != ~space.coll)[0]
         kind = "collinear" if space.coll[i, j] else "non-collinear"

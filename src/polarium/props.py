@@ -9,12 +9,11 @@ failing instances of block k as (checked up to it, serialized witness).
 A, regular pairs and centric triads range over pairs (a, b), of which no
 collinear one fails, and read a non-collinear one only through {a,b}^perp =
 l^perp and its line l = {a,b}^perpperp; the memoised lines map each pair to
-its line, which keeps checked_count pair-major.  A and regular pairs scan
-the pairs through whole-space counts, K and G (the sub-generators inside
-each trace and the generators through them, built once per space, so
-`--timings` bills them to A) and opp(a) (the pairs of generators through a
-that meet in a alone): a pair fails both exactly when G > |l| K, and their
-line kernels run only on the failing line and in replay.  B' and C read the
+its line, which keeps checked_count pair-major.  A and regular pairs fail
+at a pair exactly when a sub-generator S in its trace has g(S) > |l|: one
+first failing pair, found once per space (`--timings` bills it to A), with
+A counting sum g(S) over the traces and regular pairs opp(a); their line
+kernels run on the failing line and in replay.  B' and C read the
 contained-trace counts of `hyperplanes.ArisingHyperplanes`, filled once per
 embedding from the dual lines of the memoised hyperbolic lines; a failing
 hyperplane's pairs are read from their bit-packed traces one chunk at a
@@ -137,50 +136,37 @@ def _generator_counts(space: PolarSpace) -> np.ndarray:
     return g
 
 
-def _trace_counts(space: PolarSpace) -> tuple:
-    """(K, G), n x n float32, built once per space (read-only): K[a, b]
-    counts the sub-generators S inside {a,b}^perp and G[a, b] = sum g(S)
-    over them, as SP^T SP and SP^T diag(g) SP summed over chunks of SP
-    (integer sums, exact in float32 below 2^24)."""
-    if space._trace_counts is None:
-        sp, g = space.subgenerators()[1], _generator_counts(space).astype(np.float32)
-        n = space.n_points
-        K, G = np.zeros((n, n), dtype=np.float32), np.zeros((n, n), dtype=np.float32)
-        for s in chunks(len(sp), n):
-            f = sp[s].astype(np.float32)
-            K += f.T @ f
-            G += (f * g[s, None]).T @ f
-        K.flags.writeable = G.flags.writeable = False
-        space._trace_counts = (K, G)
-    return space._trace_counts
+def _lines_with(space: PolarSpace, lines, g, size):
+    """The lines l, in order, whose trace holds an S with g(S) > size[l], from
+    SP's columns at the pairs of the lines with max g > size[l]."""
+    sp = space.subgenerators()[1]
+    for s in batches(np.flatnonzero(g.max() > size), len(g)):
+        a, b = lines.pairs[s].T
+        yield from s[(sp[:, a] & sp[:, b] & (g[:, None] > size[s])).any(axis=0)]
 
 
 def _pair_scan(space: PolarSpace, count, line_kernel) -> Verdict:
-    """Scan A or regular pairs over the non-collinear pairs (a, b) in
-    row-major order.  Each sub-generator S inside l^perp = {a,b}^perp lies
-    on g(S) >= |l| generators, as the <S, p> over the points p of l are
-    distinct (a generator meets l at most once).  A fails at S exactly when
-    g(S) > |l|, and so does regular pairs, where N^perp cap N'^perp has g(N)
-    points for N' opposite N.  So G >= |l| K on every pair (asserted), and a
-    pair fails exactly when G > |l| K.  count(a, G) gives the instances of
-    the pairs with first points a.  The first failing pair is its line's own
-    pair: the line kernel line_kernel(space) runs on that line alone for its
-    instances up to the first failure and the witness."""
-    K, G = _trace_counts(space)
+    """Scan A or regular pairs over the non-collinear pairs in row-major
+    order.  An S inside l^perp = {a,b}^perp lies on g(S) >= |l| generators,
+    the distinct <S, p> over the points p of l (asserted); A and regular
+    pairs (N^perp cap N'^perp has g(N) points for N' opposite N) fail at S
+    exactly when g(S) > |l|.  All pairs of a line share its trace, so both
+    fail first at the own pair p of the first failing line, found once per
+    space; count(p) counts the pairs before p, line_kernel(space) the rest."""
     lines = hyperbolic.all_hyperbolic_lines(space)
-    a, b = space.noncollinear_pairs().T
-    g, size = G[a, b].astype(np.int64), (lines.members < space.n_points).sum(axis=1)
-    excess = g - size[lines.of_pair] * K[a, b].astype(np.int64)
-    if (excess < 0).any():
-        i = int(np.argmax(excess < 0))
-        raise SpaceError(f"{space.name}: a sub-generator in {{{a[i]},{b[i]}}}^perp lies "
-                         "on fewer generators than its hyperbolic line has points")
-    if not (excess > 0).any():
-        return Verdict(HOLDS, checked=int(count(a, g).sum()))
-    p = int(np.argmax(excess > 0))
-    line = lines.of_pair[p]
-    upto, witness = next(line_kernel(space)(lines[line:line + 1])[2](0))
-    return Verdict(FAILS, witness, int(count(a[:p], g[:p]).sum()) + int(upto))
+    if space._failing_pair is None:
+        g, size = _generator_counts(space), (lines.members < space.n_points).sum(axis=1)
+        for k in _lines_with(space, lines, -g, -size):
+            a, b = lines.pairs[k].tolist()
+            raise SpaceError(f"{space.name}: a sub-generator in {{{a},{b}}}^perp lies on fewer "
+                             "generators than its hyperbolic line has points")
+        k = next(_lines_with(space, lines, g, size), -1)
+        space._failing_pair = int(np.argmax(lines.of_pair == k)) if k >= 0 else len(lines.of_pair)
+    p = space._failing_pair
+    if p == len(lines.of_pair):
+        return Verdict(HOLDS, checked=count(p))
+    upto, witness = next(line_kernel(space)(lines[lines.of_pair[p]:][:1])[2](0))
+    return Verdict(FAILS, witness, count(p) + int(upto))
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +194,25 @@ def _A_kernel(space: PolarSpace):
     return kernel
 
 
+def _A_count(space: PolarSpace, p: int) -> int:
+    """sum g(S) over the S inside the traces of the first p non-collinear
+    pairs.  Over all pairs, sum_S g(S) C(g(S), 2) (|M| - |S|)^2, as the
+    non-collinear pairs inside S^perp are the pairs of points off S in
+    different generators through S; else SP^T diag(g) SP on rows a <= a_p."""
+    pairs, g, (sg, sp) = space.noncollinear_pairs(), _generator_counts(space), space.subgenerators()
+    if p == len(pairs):
+        m = int(space.generators()[0].sum() - sg[0].sum())
+        return int((g * (g * (g - 1) // 2)).sum()) * m * m
+    G = sum((sp[s, :pairs[p, 0] + 1].T * g[s]).astype(np.float32) @ sp[s].astype(np.float32)
+            for s in chunks(len(sp), space.n_points))  # integer sums, exact below 2^24
+    return int(G[tuple(pairs[:p].T)].astype(np.int64).sum())
+
+
 def check_A(space: PolarSpace) -> Verdict:
     """For non-collinear a, b and generator M: if M cap {a,b}^perp is a
     hyperplane of M then M must meet the hyperbolic line {a,b}^perpperp.
-    Such an M meets {a,b}^perp in a sub-generator S, so the pair has
-    G[a, b] = sum g(S) of them."""
-    return _pair_scan(space, lambda a, g: g, _A_kernel)
+    Such an M meets {a,b}^perp in an S: the pair has sum g(S) of them."""
+    return _pair_scan(space, lambda p: _A_count(space, p), _A_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +272,9 @@ def check_regular_pairs(space: PolarSpace) -> Verdict:
     """Every pair of opposite points a, b must be regular: N^perp cap N'^perp
     = {a,b}^perpperp for all opposite generators N, N' of the trace.  The
     pair has opp(a) such N, N'."""
-    return _pair_scan(space, lambda a, g: _opposite_generators(space, a.max(initial=-1) + 1)[a],
-                      _regular_pairs_kernel)
+    a = space.noncollinear_pairs()[:, 0]
+    return _pair_scan(space, lambda p: int(_opposite_generators(space, a[p - 1] + 1 if p else 0)
+                                           [a[:p]].sum()), _regular_pairs_kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ class PolarSpace:
         self._packed_perps = None
         self._noncollinear_pairs = None
         self._hyperbolic_lines = None  # memo of hyperbolic.all_hyperbolic_lines
-        self._trace_counts = None  # memo of props._trace_counts
+        self._failing_pair = None  # memo of props._pair_scan
         self._flip = None
         if validate:
             self.validate()

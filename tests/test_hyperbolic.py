@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from polarium import hyperbolic, props
+from polarium import space as space_module
+from polarium.catalog import build_space
 from polarium.derived import payne_derive
 from polarium.hyperbolic import all_hyperbolic_lines, hyperbolic_lines, linear_space
 from polarium.space import PolarSpace, SpaceError
@@ -88,7 +90,19 @@ def _pairs_and_points(lines):
 def test_batched_lines_match_reference(space_for, name):
     # Q(4,5), Q+(5,3) and dual(H(4,4)) have only 2-point lines, H(4,4) only
     # 3-point ones, and dual(P(W(3,4))) lines of 4 and 2 points
-    space = space_for(name)
+    _batched_lines_case(space_for(name))
+
+
+@pytest.mark.parametrize("name", ["Q(4,3)", "W(5,2)", "P(W(3,5))", "dual(P(W(3,4)))",
+                                  "H(4,4)", "dual(H(4,4))"])
+def test_batched_lines_match_reference_in_small_chunks(monkeypatch, name):
+    # chunks of a few pairs split the rows a of the pairs, and of_pair is
+    # filled across chunk boundaries
+    monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 512)
+    _batched_lines_case(build_space(name))
+
+
+def _batched_lines_case(space):
     reference = _reference_lines(space)
     lines = all_hyperbolic_lines(space)
     assert _pairs_and_points(lines) == reference

@@ -545,23 +545,33 @@ def _triads_oracle_case(space):
     assert check_centric_triads(space).to_dict() == want
 
 
+def _trace_counts(space):
+    """Oracle: (K, G), n x n, with K[a, b] the sub-generators S inside
+    {a,b}^perp and G[a, b] the sum of g(S) over them, as SP^T SP and
+    SP^T diag(g) SP."""
+    sp = space.subgenerators()[1].astype(np.float64)  # integer sums, exact below 2^53
+    K, G = sp.T @ sp, (sp * props._generator_counts(space)[:, None]).T @ sp
+    return K.astype(np.int64), G.astype(np.int64)
+
+
 def _whole_space_case(space):
-    """The whole-space scan of A and regular pairs against the per-line
-    kernels, on every non-collinear pair: its predicate G > |l| K equals
-    the kernels' fails, its counts (G for A, opp(a) for regular pairs)
-    equal their counts, both read through of_pair, and check_A and
-    check_regular_pairs give the report of the line kernels' pair scan.
-    Returns the per-pair counts and fails, and the report, of A and of
-    regular pairs."""
+    """The trace counts K and G against the per-line kernels and the
+    checkers, on every non-collinear pair: G >= |l| K, a pair fails exactly
+    when G > |l| K, as the kernels' fails do, its counts (G for A, opp(a)
+    for regular pairs) equal the kernels' counts, both read through
+    of_pair, and check_A and check_regular_pairs give the report of the
+    line kernels' pair scan.  Returns the per-pair counts and fails, and
+    the report, of A and of regular pairs."""
     n = space.n_points
     a, b = space.noncollinear_pairs().T
     lines = hyperbolic.all_hyperbolic_lines(space)
-    K, G = props._trace_counts(space)
+    K, G = _trace_counts(space)
     size = (lines.members < n).sum(axis=1)[lines.of_pair]
+    assert (G[a, b] >= size * K[a, b]).all()
     fails = G[a, b] > size * K[a, b]
     opp = props._opposite_generators(space, n)
     out = []
-    for make, counts, check in [(props._A_kernel, G[a, b].astype(np.int64), check_A),
+    for make, counts, check in [(props._A_kernel, G[a, b], check_A),
                                 (props._regular_pairs_kernel, opp[a], check_regular_pairs)]:
         kernel = make(space)
         line_counts, line_fails = _every_block(kernel, lines)
@@ -629,11 +639,31 @@ def test_trace_counts_assert_what_they_rely_on(monkeypatch):
     space._subgenerators = (sg, sp)
     with pytest.raises(space_module.SpaceError, match="sub-generator 0 has 8 points in its perp"):
         check_A(space)
-    # G >= |l| K: one generator fewer through every sub-generator
+    # g(S) >= |l| for every S inside the trace of a line l: one generator
+    # fewer through every sub-generator leaves g = 2 on the 3-point lines,
+    # and the message names the first pair of the first such line
     g = props._generator_counts
     monkeypatch.setattr(props, "_generator_counts", lambda space: g(space) - 1)
-    with pytest.raises(space_module.SpaceError, match=r"in \{0,1\}\^perp lies on fewer generators"):
-        check_A(build_space("W(3,2)"))
+    for check in (check_A, check_regular_pairs):
+        with pytest.raises(space_module.SpaceError,
+                           match=r"in \{0,1\}\^perp lies on fewer generators"):
+            check(build_space("W(3,2)"))
+
+
+def test_pair_scans_with_varying_g():
+    # the dual of the 3 x 2 grid: its points are the grid's 3 rows and 2
+    # columns, so its generators are 2-point lines, 2 of them through each
+    # row and 3 through each column.  Its hyperbolic lines are {0,1,2} and
+    # {3,4}: the pairs of {3,4} lie on a line of fewer than max g = 3
+    # points, yet their trace {0,1,2} has g = 2, so both hold.  A counts
+    # sum_S g(S) C(g(S), 2) = 3 * 2 + 2 * 9 = 24
+    space = space_module.PolarSpace.combinatorial(
+        "dual(grid(3x2))", range(5), [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)],
+        grid_family=True)
+    assert props._generator_counts(space).tolist() == [2, 2, 2, 3, 3]
+    assert check_A(space).to_dict() == {"verdict": HOLDS, "checked_count": 24}
+    assert check_regular_pairs(space).to_dict() == {"verdict": HOLDS, "checked_count": 6}
+    _whole_space_case(space)
 
 
 def test_line_witness_replays_from_any_pair_of_its_line(space_for, report_for):
@@ -675,6 +705,19 @@ def test_line_scans_heavy(name, A, regular_pairs):
     assert check_A(space).to_dict() == {"verdict": HOLDS, "checked_count": A}
     assert check_regular_pairs(space).to_dict() == {"verdict": HOLDS,
                                                     "checked_count": regular_pairs}
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("name, A, regular_pairs", [
+    ("W(5,4)", (HOLDS, 297024000), (HOLDS, 1900953600)),
+    ("Q(6,4)", (HOLDS, 297024000), (HOLDS, 1900953600)),
+    ("Q-(9,2)", (FAILS, 3825), (FAILS, 1))])
+def test_pair_scans_frontier_heavy(name, A, regular_pairs):
+    # the verdicts and counts that the whole-space K/G products give
+    space = build_space(name)
+    for check, want in [(check_A, A), (check_regular_pairs, regular_pairs)]:
+        verdict = check(space)
+        assert (verdict.status, verdict.checked) == want, check.__name__
 
 
 def _regular_pairs_width_case(space, monkeypatch):
