@@ -50,15 +50,28 @@ class Embedding:
 
     def _verify_full(self):
         """Each source line must map onto the q + 1 canonical points of the
-        projective line through the images of its first two points."""
-        q, images, members = self.field.q, self.image_rows, self.source.line_members
+        projective line through the images u, v of its first two points.
+        From an echelon pair of the line, a with the earlier pivot and b
+        with a later one (u and u - v normalized when u and v share one),
+        the points b and a + lam*b are canonical as they stand, so the
+        sorted codes of the line's images are compared with theirs, with no
+        table of the q^d vectors; an image that is no canonical point gets
+        no code."""
+        field, images, members = self.field, self.image_rows, self.source.line_members
+        q = field.q
         bad = np.flatnonzero(np.count_nonzero(members < len(images), axis=1) != q + 1)
         if len(members) and not len(bad):
-            rows = linalg.point_index(self.field, self.dim)[linalg.point_codes(q, images)]
-            rows[(linalg.normalize_rows(self.field, images) != images).any(axis=1)] = -1
-            have = np.sort(rows[members], axis=1)
-            want = linalg.line_points(self.field, images[members[:, 0]], images[members[:, 1]])
-            bad = np.flatnonzero((have != want).any(axis=1))
+            codes = linalg.point_codes(q, images)
+            codes[(linalg.normalize_rows(field, images) != images).any(axis=1)] = -1
+            u, v = images[members[:, 0]], images[members[:, 1]]
+            pu, pv = (u != 0).argmax(axis=1), (v != 0).argmax(axis=1)
+            a, b = np.where((pu <= pv)[:, None], u, v), np.where((pu < pv)[:, None], v, u)
+            tie = pu == pv
+            b[tie] = linalg.normalize_rows(field, field.add_table[u[tie], field.neg_table[v[tie]]])
+            on = field.add_table[a[:, None], field.mul_table[np.arange(q)[:, None], b[:, None]]]
+            want = np.sort(np.column_stack([linalg.point_codes(q, b), linalg.point_codes(q, on)]),
+                           axis=1)
+            bad = np.flatnonzero((np.sort(codes[members], axis=1) != want).any(axis=1))
         if len(bad):
             raise EmbeddingError(f"{self.source.name}: line {self.source.lines[bad[0]]} "
                                  "does not map onto a projective line")

@@ -5,17 +5,31 @@ pair; its members are pairwise non-collinear.  Double perps are bit-packed,
 the perps (`PolarSpace.perps`) of the traces, which are gathered from the
 values of a^perp.  A line is read from its packed double perp: it is its
 pair unless the double perp holds other points, and only such rows are
-unpacked.  The lines of a space are built once and memoised on it, as
-arrays: each line's pair (its two smallest members), its members ascending,
-padded with n, and the line of every non-collinear pair.  A, regular pairs,
-centric triads and D all read that one build; A and regular pairs fail at a
-pair exactly when some S in its trace has g(S) > |l|, its line's size.
-Adjoining all hyperbolic lines to the ordinary lines yields a linear space
-L(S): any two points lie on exactly one joining line (`linear_space` checks
-it).
+unpacked.
+
+The lines of a space are built once, as a prefix memoised on it that grows
+as it is read.  The non-collinear pairs are taken in row-major chunks; a
+chunk's double perps keep the lines whose own pair (their two smallest
+members) lies in the chunk.  A pair lies on a line whose own pair is at
+most it, so once a chunk is built every pair up to its end has its line,
+and the chunk asserts that each of its pairs lies on exactly one line and
+that no line holds a collinear pair of its code range.  As c, d in
+{a,b}^perpperp puts {c,d}^perpperp inside it, any two points of a line then
+span that same line, for every pair read.  The scans of A, regular pairs,
+centric triads and D read the prefix (`LinePrefix`) and extend it only as
+far as they scan; `all_hyperbolic_lines` drains it into arrays: each
+line's pair, its members ascending, padded with n, and the line of every
+non-collinear pair.  Pairs past the last chunk a scan reads are neither
+double-perped nor checked, which happens only where every scan stops early;
+every space built from a spec is `validate`d, which checks the polar-space
+axioms exhaustively.  Adjoining all hyperbolic lines to the ordinary lines
+yields a linear space L(S): any two points lie on exactly one joining line
+(`linear_space` checks it).
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -65,15 +79,18 @@ class HyperbolicLines:
 def packed_double_perps(space: PolarSpace, pairs) -> np.ndarray:
     """Bit-packed rows {a_i,b_i}^perpperp for an (m, 2) array of non-collinear
     pairs: the perps of the traces, the values of a_i^perp (nbr[a_i]) that b_i
-    sees, in order, padded with n."""
-    n = space.n_points
-    cand = space.packed_perps()[0][pairs[:, 0]]
-    inside = space.coll.ravel().take(pairs[:, 1, None] * n + cand)
+    sees, in order, padded with n where the traces differ in size."""
+    cand, row = space.packed_perps()[0][pairs[:, 0]], pairs[:, 1, None] * space.n_points
+    cand += row  # the flat indices into coll, in place of a second (m, |a^perp|) array
+    inside = space.coll.ravel().take(cand)
+    cand -= row
     k = np.count_nonzero(inside, axis=1)
-    valid = np.arange(k.max(initial=0)) < k[:, None]
-    trace = np.full(valid.shape, n)
-    trace[valid] = np.extract(inside, cand)
-    return space.perps(trace)
+    trace, width = np.extract(inside, cand), k.max(initial=0)
+    if len(trace) < len(pairs) * width:
+        valid = np.arange(width) < k[:, None]
+        trace, values = np.full(valid.shape, space.n_points), trace
+        trace[valid] = values
+    return space.perps(trace.reshape(len(pairs), width))
 
 
 def _cleared(space: PolarSpace, pairs, dp) -> np.ndarray:
@@ -113,66 +130,159 @@ def hyperbolic_lines(space: PolarSpace, pairs) -> HyperbolicLines:
     return lines
 
 
-def all_hyperbolic_lines(space: PolarSpace) -> HyperbolicLines:
-    """All hyperbolic lines of the space with their of_pair, built once by
-    `_build_lines` and memoised on the space as read-only arrays, which hold
-    no reference back to it."""
-    if space._hyperbolic_lines is None:
-        lines = _build_lines(space)
-        space._hyperbolic_lines = (lines.pairs, lines.members, lines.of_pair)
-        for a in space._hyperbolic_lines:
+class _Prefix:
+    """The lines of a space built so far, memoised on it with no reference
+    back: `parts` holds (pairs, members) of the lines each chunk of pairs
+    kept, `starts` the index of each part's first line and then their total,
+    and of_pair the line of each pair read (-1 past them).  While chunks are
+    left, `cover[k]` counts the pair codes of the lines built so far inside
+    chunk k's code range, which starts at `bounds[k]`, and `table` maps the
+    pair codes of the lines of more than 2 points to their lines."""
+
+    __slots__ = ("chunks", "read", "bounds", "parts", "starts", "of_pair", "cover", "table",
+                 "below")
+
+    def __init__(self, space: PolarSpace):
+        n, pairs = space.n_points, space.noncollinear_pairs()
+        self.chunks = list(chunks(len(pairs), max(space.packed_perps()[0].shape[1], (n + 7) // 8)))
+        self.read, self.parts, self.starts = 0, [], [0]
+        first = pairs[[s.start for s in self.chunks]].reshape(-1, 2).astype(np.int64)
+        self.bounds = first[:, 0] * n + first[:, 1]
+        self.of_pair = np.full(len(pairs), -1, dtype=np.intp)
+        self.cover = np.zeros(len(self.chunks), dtype=np.intp)
+        self.below = np.packbits(np.tri(n, k=-1, dtype=bool), axis=1)  # row b: the points < b
+        self.table = None
+        if not self.chunks:
+            self._complete(n)
+
+    def _complete(self, n: int):
+        """Drop the build's bookkeeping, then join the parts into one of
+        read-only arrays: the join's copy is the build's largest moment."""
+        self.chunks = self.bounds = self.cover = self.table = self.below = None
+        pairs, members = _joined(self.parts, n)
+        for a in (pairs, members, self.of_pair):
             a.flags.writeable = False
-    return HyperbolicLines(space, *space._hyperbolic_lines)
+        self.parts, self.starts = [(pairs, members)], [0, len(pairs)]
 
-
-def _build_lines(space: PolarSpace) -> HyperbolicLines:
-    """All hyperbolic lines, ordered by member tuple: the double perps of the
-    non-collinear pairs a < b, in chunks, each kept at the pair of its two
-    smallest members: its cleared copy is zero, or holds no point below b.
-    A kept pair has its own line, and the other pairs of the lines of more
-    than 2 points theirs from a pair-code table.  As the lines hold as many
-    pairs as there are non-collinear ones, they partition them when each
-    pair finds a line; as c, d in {a,b}^perpperp puts {c,d}^perpperp inside
-    it, any two points of a line then span that same line."""
-    n = space.n_points
-    below = np.packbits(np.tri(n, k=-1, dtype=bool), axis=1)  # row b: the points < b
-    width = max(space.packed_perps()[0].shape[1], (n + 7) // 8)
-    kept = [HyperbolicLines(space, np.empty((0, 2), dtype=np.intp), np.empty((0, 0), dtype=np.intp))]
-    at = [np.empty(0, dtype=np.intp)]
-    noncollinear = space.noncollinear_pairs()
-    for s in chunks(len(noncollinear), width):
-        pairs = noncollinear[s]
+    def extend(self, space: PolarSpace):
+        """Build the lines of the next chunk of pairs: each double perp kept
+        at the pair of its two smallest members (its cleared copy is zero, or
+        holds no point below b), and every pair of the chunk given its line,
+        a kept pair its own and the others theirs from the pair-code table.
+        The chunk's code range then holds every pair code of the lines that
+        hold one, and it must hold each non-collinear pair once and no other."""
+        n, k = space.n_points, self.read
+        s = self.chunks[k]
+        pairs = space.noncollinear_pairs()[s]
         dp = packed_double_perps(space, pairs)
         cleared = _cleared(space, pairs, dp)
         # a row's bytes as one string drop trailing zeros: empty exactly when zero
         extra = cleared.view(f"S{dp.shape[1]}").ravel() != b""
         keep, more = ~extra, np.flatnonzero(extra) if not extra.all() else slice(None)
-        low = cleared[more] & below[pairs[more, 1]]  # only rows with other points gather below
+        low = cleared[more] & self.below[pairs[more, 1]]  # only rows with other points
         keep[more] = low.view(f"S{dp.shape[1]}").ravel() == b""
         first = np.flatnonzero(keep)
-        kept.append(_lines(space, pairs[first], dp[first], extra[first]))
-        at.append(s.start + first)
-    pairs = np.concatenate([h.pairs for h in kept])
-    w = max(h.members.shape[1] for h in kept)
-    members = np.concatenate([np.pad(h.members, ((0, 0), (0, w - h.members.shape[1])),
-                                     constant_values=n) for h in kept])
-    del kept  # the chunks, before the pair-code table
-    of_pair = np.full(len(noncollinear), -1, dtype=np.intp)
-    of_pair[np.concatenate(at)] = np.arange(len(pairs))
-    sizes = (members < n).sum(axis=1)
-    thick = np.flatnonzero(sizes > 2)
-    if len(thick):
-        codes, rows = pair_codes(n, members[thick], rows=True)
-        line = np.full(n * n, -1, dtype=np.intp)
-        line[codes] = thick[rows]
-        of_pair = np.maximum(of_pair, line[noncollinear[:, 0] * n + noncollinear[:, 1]])
-    if (sizes * (sizes - 1) // 2).sum() != len(noncollinear) or (of_pair < 0).any():
-        counts = pair_counts(n, members)
-        i, j = np.argwhere(counts != ~space.coll)[0]
-        kind = "collinear" if space.coll[i, j] else "non-collinear"
-        raise SpaceError(f"{space.name}: {kind} pair {i},{j} lies on {counts[i, j]} "
-                         "hyperbolic lines")
-    return HyperbolicLines(space, pairs, members, of_pair)
+        lines = _lines(space, pairs[first], dp[first], extra[first])
+        lo, of_pair = self.starts[-1], self.of_pair[s]
+        of_pair[first] = lo + np.arange(len(first))
+        thick = np.flatnonzero((lines.members[:, 2:] < n).any(axis=1))
+        self.cover[k] += len(first) - len(thick)  # a 2-point line holds its own pair
+        if len(thick):
+            if self.table is None:
+                self.table = np.full(n * n, -1, dtype=np.int32)
+            codes, rows = pair_codes(n, lines.members[thick], rows=True)
+            self.table[codes] = lo + thick[rows]
+            # no code lies below its line's own pair, in chunk k
+            at = np.bincount(np.searchsorted(self.bounds, codes, side="right") - 1 - k)
+            self.cover[k:k + len(at)] += at
+        if self.table is not None:
+            np.maximum(of_pair, self.table[pairs[:, 0] * n + pairs[:, 1]], out=of_pair)
+        if self.cover[k] != len(pairs) or (of_pair < 0).any():
+            _, members = _joined([*self.parts, (lines.pairs, lines.members)], n)
+            counts = pair_counts(n, members)
+            wrong = np.triu(counts != ~space.coll, 1).ravel()
+            wrong[self.bounds[k + 1] if k + 1 < len(self.bounds) else n * n:] = False
+            i, j = divmod(int(np.argmax(wrong)), n)
+            kind = "collinear" if space.coll[i, j] else "non-collinear"
+            raise SpaceError(f"{space.name}: {kind} pair {i},{j} lies on {counts[i, j]} "
+                             "hyperbolic lines")
+        self.read += 1
+        if len(first):
+            self.parts.append((lines.pairs, lines.members))
+            self.starts.append(lo + len(first))
+        if self.read == len(self.chunks):
+            self._complete(n)
+
+    @property
+    def complete(self) -> bool:
+        return self.chunks is None
+
+
+def _joined(parts, n: int) -> tuple:
+    """(pairs, members) of consecutive parts as one, members padded with n."""
+    if len(parts) == 1:
+        return parts[0]
+    pairs = np.concatenate([np.empty((0, 2), dtype=np.intp), *(p for p, _ in parts)])
+    members = np.full((len(pairs), max([2, *(m.shape[1] for _, m in parts)])), n, dtype=np.intp)
+    at = 0
+    for _, m in parts:
+        members[at:at + len(m), :m.shape[1]] = m
+        at += len(m)
+    return pairs, members
+
+
+class LinePrefix:
+    """The hyperbolic lines of a space, in member-tuple order, as a sequence
+    built only as far as it is read: a slice builds the chunks of pairs
+    whose lines it reaches, and is empty past the last line."""
+
+    def __init__(self, space: PolarSpace):
+        self.space = space
+        if space._hyperbolic_lines is None:
+            space._hyperbolic_lines = _Prefix(space)
+        self.prefix = space._hyperbolic_lines
+
+    def _reach(self, stop):
+        """Build chunks until `stop` lines are built or none is left."""
+        while self.prefix.starts[-1] < stop and not self.prefix.complete:
+            self.prefix.extend(self.space)
+
+    def __getitem__(self, key: slice) -> HyperbolicLines:
+        self._reach(key.stop)
+        starts, lo = self.prefix.starts, key.start or 0
+        hi, i = min(key.stop, starts[-1]), max(bisect_right(starts, lo) - 1, 0)
+        parts = []
+        while i < len(self.prefix.parts) and starts[i] < hi:
+            pairs, members = self.prefix.parts[i]
+            cut = slice(max(lo - starts[i], 0), hi - starts[i])
+            parts.append((pairs[cut], members[cut]))
+            i += 1
+        return HyperbolicLines(self.space, *_joined(parts, self.space.n_points))
+
+    def parts(self):
+        """(first line, lines) of each chunk's lines in order, built as read."""
+        lo = 0
+        while True:
+            self._reach(lo + 1)
+            starts = self.prefix.starts
+            if lo >= starts[-1]:
+                return
+            hi = starts[bisect_right(starts, lo)]
+            yield lo, self[lo:hi]
+            lo = hi
+
+    def own_pair(self, k: int) -> int:
+        """The index in noncollinear_pairs() of line k's own pair, a built line."""
+        return int(np.argmax(self.prefix.of_pair == k))
+
+
+def all_hyperbolic_lines(space: PolarSpace) -> HyperbolicLines:
+    """All hyperbolic lines of the space with their of_pair: the memoised
+    prefix, drained, as read-only arrays."""
+    lines = LinePrefix(space)
+    lines._reach(np.inf)
+    (pairs, members), = lines.prefix.parts
+    return HyperbolicLines(space, pairs, members, lines.prefix.of_pair)
 
 
 def linear_space(space: PolarSpace) -> list:

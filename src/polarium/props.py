@@ -8,16 +8,20 @@ it fails, and `failures(k)`, which reads the same intermediates to yield the
 failing instances of block k as (checked up to it, serialized witness).
 A, regular pairs and centric triads range over pairs (a, b), of which no
 collinear one fails, and read a non-collinear one only through {a,b}^perp =
-l^perp and its line l = {a,b}^perpperp; the memoised lines map each pair to
-its line, which keeps checked_count pair-major.  A and regular pairs fail
-at a pair exactly when a sub-generator S in its trace has g(S) > |l|: one
-first failing pair, found once per space (`--timings` bills it to A), with
-A counting sum g(S) over the traces and regular pairs opp(a); their line
+l^perp and its line l = {a,b}^perpperp.  They and D read the lines in
+order from the memoised line prefix (`hyperbolic.LinePrefix`) and build
+it only as far as they scan, so a failing scan stops at its witness's
+chunk of pairs; lines come in the order of their own pairs, which keeps
+checked_count pair-major.  A and regular pairs fail at a pair exactly when
+a sub-generator S in its trace has g(S) > |l|: one first failing pair,
+found once per space from the prefix's chunks up to the first failing line
+(`--timings` bills it to A), with g(S) >= |l| asserted on every chunk read;
+A counts sum g(S) over the traces and regular pairs opp(a); their line
 kernels run on the failing line and in replay.  B' and C read the
 contained-trace counts of `hyperplanes.ArisingHyperplanes`, filled once per
-embedding from the dual lines of the memoised hyperbolic lines; a failing
-hyperplane's pairs are read from their bit-packed traces one chunk at a
-time, up to the first one asked for.
+embedding from the dual lines of all hyperbolic lines (which drains the
+line prefix); a failing hyperplane's pairs are read from their bit-packed
+traces one chunk at a time, up to the first one asked for.
 Each checker scans the blocks in canonical order and stops at the first
 failing block, so failing verdicts carry the smallest witness.  Replay runs
 the same kernel on a batch holding only the witness's block and accepts any
@@ -148,24 +152,31 @@ def _lines_with(space: PolarSpace, lines, g, size):
 def _pair_scan(space: PolarSpace, count, line_kernel) -> Verdict:
     """Scan A or regular pairs over the non-collinear pairs in row-major
     order.  An S inside l^perp = {a,b}^perp lies on g(S) >= |l| generators,
-    the distinct <S, p> over the points p of l (asserted); A and regular
-    pairs (N^perp cap N'^perp has g(N) points for N' opposite N) fail at S
-    exactly when g(S) > |l|.  All pairs of a line share its trace, so both
-    fail first at the own pair p of the first failing line, found once per
-    space; count(p) counts the pairs before p, line_kernel(space) the rest."""
-    lines = hyperbolic.all_hyperbolic_lines(space)
+    the distinct <S, p> over the points p of l (asserted on each chunk of
+    lines read); A and regular pairs (N^perp cap N'^perp has g(N) points for
+    N' opposite N) fail at S exactly when g(S) > |l|.  All pairs of a line
+    share its trace, so both fail first at the own pair p of the first
+    failing line, found once per space; count(p) counts the pairs before p,
+    line_kernel(space) the rest."""
+    lines = hyperbolic.LinePrefix(space)
     if space._failing_pair is None:
-        g, size = _generator_counts(space), (lines.members < space.n_points).sum(axis=1)
-        for k in _lines_with(space, lines, -g, -size):
-            a, b = lines.pairs[k].tolist()
-            raise SpaceError(f"{space.name}: a sub-generator in {{{a},{b}}}^perp lies on fewer "
-                             "generators than its hyperbolic line has points")
-        k = next(_lines_with(space, lines, g, size), -1)
-        space._failing_pair = int(np.argmax(lines.of_pair == k)) if k >= 0 else len(lines.of_pair)
-    p = space._failing_pair
-    if p == len(lines.of_pair):
+        g, n = _generator_counts(space), space.n_points
+        found = (len(space.noncollinear_pairs()), -1)
+        for lo, part in lines.parts():
+            size = (part.members < n).sum(axis=1)
+            for k in _lines_with(space, part, -g, -size):
+                a, b = part.pairs[k].tolist()
+                raise SpaceError(f"{space.name}: a sub-generator in {{{a},{b}}}^perp lies on "
+                                 "fewer generators than its hyperbolic line has points")
+            k = next(_lines_with(space, part, g, size), -1)
+            if k >= 0:
+                found = (lines.own_pair(lo + k), lo + k)
+                break
+        space._failing_pair = found
+    p, k = space._failing_pair
+    if k < 0:
         return Verdict(HOLDS, checked=count(p))
-    upto, witness = next(line_kernel(space)(lines[lines.of_pair[p]:][:1])[2](0))
+    upto, witness = next(line_kernel(space)(lines[k:k + 1])[2](0))
     return Verdict(FAILS, witness, count(p) + int(upto))
 
 
@@ -313,14 +324,14 @@ def check_centric_triads(space: PolarSpace) -> Verdict:
     n = space.n_points
     packed = (n + 7) // 8  # bytes per bit-packed S_k^perp row
     width = max(len(space.subgenerators()[1]), n, _stack_depth(space) * packed)
-    lines = hyperbolic.all_hyperbolic_lines(space)
+    lines = hyperbolic.LinePrefix(space)
 
     def checked(counts):
         # the triples x < y < z before line k's own pair (a, b), collinear
         # pairs (x, y) included: x < a, or x = a < y < b; past the last
         # line, (n - 1, n) counts them all
-        k = len(counts)
-        a, b = lines.pairs[k].tolist() if k < len(lines) else (n - 1, n)
+        own = lines[len(counts):len(counts) + 1].pairs
+        a, b = own[0].tolist() if len(own) else (n - 1, n)
         return comb(n, 3) - comb(n - a, 3) + comb(n - 1 - a, 2) - comb(n - b, 2)
     return _scan(batches(lines, width), _triads_kernel(space), checked)
 
@@ -397,8 +408,7 @@ def _D_kernel(space: PolarSpace):
 
 def check_D(space: PolarSpace) -> Verdict:
     """Every singular hyperplane x^perp must meet every hyperbolic line."""
-    return _scan(batches(hyperbolic.all_hyperbolic_lines(space), space.n_points),
-                 _D_kernel(space))
+    return _scan(batches(hyperbolic.LinePrefix(space), space.n_points), _D_kernel(space))
 
 
 # ---------------------------------------------------------------------------

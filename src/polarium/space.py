@@ -36,11 +36,13 @@ BATCH_ELEMENTS = 1 << 16  # scratch matrix elements per batch in batched kernels
 def batches(items, width: int):
     """`items` in slices for a kernel with `width` scratch elements per item:
     one item first, then doubling until a batch holds BATCH_ELEMENTS
-    elements, so a scan that stops early stays cheap."""
+    elements, so a scan that stops early stays cheap.  The batches end at
+    the first empty slice, so `items` may be built as it is sliced
+    (`hyperbolic.LinePrefix`)."""
     cap = max(1, BATCH_ELEMENTS // width)
     lo, size = 0, 1
-    while lo < len(items):
-        yield items[lo:lo + size]
+    while len(batch := items[lo:lo + size]):
+        yield batch
         lo += size
         size = min(2 * size, cap)
 

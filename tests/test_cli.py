@@ -149,11 +149,11 @@ def test_benchmark_tracer_counts_checked(capsys, tmp_path):
     for prop in reports[0]["properties"]:
         want = sum(r["properties"][prop]["checked_count"] for r in reports)
         assert tracer.counts[f"props.{prop}.checked"] == want, prop
-    # check_A, check_regular_pairs, check_centric_triads and check_D each
-    # reach hyperbolic.all_hyperbolic_lines through its module (the build runs
-    # once per space, memoised), and so does the one arising build that B'
-    # and C share, which counts contained traces from the lines' dual lines.
-    # The tracer takes len() of every result: the distinct double perps
+    # check_A, check_regular_pairs, check_centric_triads and check_D read the
+    # memoised line prefix, not hyperbolic.all_hyperbolic_lines; only the one
+    # arising build that B' and C share drains it, to count contained traces
+    # from the lines' dual lines.  The tracer takes len() of that one result
+    # per space: the distinct double perps
     lines = 0
     for name in ["W(3,2)", "Q(4,3)"]:
         coll = build_space(name).coll
@@ -161,7 +161,7 @@ def test_benchmark_tracer_counts_checked(capsys, tmp_path):
                       for a, b in itertools.combinations(range(len(coll)), 2)
                       if not coll[a, b]})
     assert lines == 20 + 540
-    assert tracer.counts["hyperbolic.lines.count"] == (20 + 540) * (4 + 1)
+    assert tracer.counts["hyperbolic.lines.count"] == 20 + 540
 
 
 def _tampered(*flips):

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 
 from polarium import embed
@@ -59,11 +60,28 @@ def test_non_full_gf4_embedding_names_the_first_bad_line(space_for):
 @pytest.mark.parametrize("name", ["W(1,256)", "W(1,128)", "W(3,8)"])
 def test_universal_embedding_at_large_even_q(name):
     # the targets PG(2,256) and PG(2,128) hold more than 10^6 vectors, but
-    # W(1,q) has no lines to check, so no point index is built for them;
-    # W(3,8)'s lines are checked through one of 8^5 entries
+    # W(1,q) has no lines to check; W(3,8)'s lines are checked by the codes
+    # of their points, with no table of the 8^5 vectors
     space = build_space(name)
     e = universal_embedding_sp_char2(space)
     assert (e.dim, len(e.images)) == (space.form.dim + 1, space.n_points)
+
+
+@pytest.mark.heavy
+def test_universal_embedding_past_the_point_index_bound():
+    # W(3,16) (4369 points) embeds in PG(4,16), whose 16^5 vectors exceed
+    # linalg.point_index's bound of 10^6: the line check must not index
+    # them, and it must still find a line that no longer maps onto one
+    space = build_space("W(3,16)", max_points=4369)
+    e = universal_embedding_sp_char2(space)
+    assert (e.dim, len(e.images), e.is_universal) == (5, 4369, True)
+    a = 0
+    b = int(np.flatnonzero(~space.coll[a])[-1])
+    images = list(e.images)
+    images[a], images[b] = images[b], images[a]
+    first = next(line for line in space.lines if a in line or b in line)
+    with pytest.raises(EmbeddingError, match=re.escape(f"line {first} does not map")):
+        embed.Embedding(space, images, e.bilinear, e.quadratic, kind="universal")
 
 
 def test_natural_requires_form(space_for):

@@ -5,10 +5,11 @@ import pytest
 
 from polarium import hyperbolic, props
 from polarium import space as space_module
-from polarium.catalog import build_space
+from polarium.catalog import CATALOG, build_space
 from polarium.derived import payne_derive
 from polarium.hyperbolic import all_hyperbolic_lines, hyperbolic_lines, linear_space
 from polarium.space import PolarSpace, SpaceError
+from test_space import STRETCH
 
 
 def noncollinear_pairs(space):
@@ -116,6 +117,34 @@ def _batched_lines_case(space):
         assert hyperbolic_lines(space, given).points() == [reference[k][1] for k in expected]
 
 
+@pytest.mark.parametrize("name", dict.fromkeys([*CATALOG, *STRETCH]))
+def test_prefix_read_then_drained_matches_a_complete_build(space_for, monkeypatch, name):
+    # in chunks of a few pairs, a prefix read in pieces, across part
+    # boundaries and past its end, and then drained gives the lines of a
+    # complete build at the default size, and its pieces are slices of them
+    complete = all_hyperbolic_lines(space_for(name))
+    monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 512)
+    space = build_space(name)
+    prefix = hyperbolic.LinePrefix(space)
+    head = [prefix[3:8], prefix[0:1]]
+    # W(3,2), Q(4,2) and Q+(3,3) have under 100 pairs, one chunk
+    assert space._hyperbolic_lines.complete == (len(space.noncollinear_pairs()) < 100)
+    parts = list(itertools.islice(prefix.parts(), 3))
+    assert [lo for lo, _ in parts] == np.cumsum([0] + [len(p) for _, p in parts])[:-1].tolist()
+    pieces = [(3, head[0]), (0, head[1]), *parts]
+    past, end = prefix[len(complete) - 1:len(complete) + 5], len(complete)
+    assert space._hyperbolic_lines.complete and len(past) == 1 and not len(prefix[end:end + 1])
+    lines = all_hyperbolic_lines(space)
+    for got, want in [(lines.pairs, complete.pairs), (lines.members, complete.members),
+                      (lines.of_pair, complete.of_pair)]:
+        assert np.array_equal(got, want) and not got.flags.writeable
+    for lo, piece in [*pieces, (len(complete) - 1, past)]:
+        width = piece.members.shape[1]
+        assert np.array_equal(piece.pairs, lines.pairs[lo:lo + len(piece)])
+        assert np.array_equal(piece.members, lines.members[lo:lo + len(piece), :width])
+        assert (lines.members[lo:lo + len(piece), width:] == space.n_points).all()
+
+
 def test_D_kernel_never_reads_padding(space_for, monkeypatch):
     # dual(P(W(3,4))) has hyperbolic lines of 4 and 2 points, so a whole-space
     # batch pads the 2-point lines; each line's failing points must be the x
@@ -163,6 +192,23 @@ def _graph(n, edges):
 def test_lines_must_partition_pairs(n, edges, message):
     with pytest.raises(SpaceError, match=message):
         all_hyperbolic_lines(_graph(n, edges))
+
+
+def test_scan_raises_the_partition_error_of_its_chunk(monkeypatch):
+    # chunks of one pair: the pentagon's first pair (0, 2) has no line, as
+    # {0,2}^perpperp = {0,1,2} holds 1 below 2; check_D reads that chunk
+    # alone and raises what the complete build raises
+    monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 1)
+    message = "^graph: non-collinear pair 0,2 lies on 0 hyperbolic lines"
+    read, dperps = [], hyperbolic.packed_double_perps
+    monkeypatch.setattr(hyperbolic, "packed_double_perps", lambda space, pairs: (
+        read.append(pairs.tolist()) or dperps(space, pairs)))
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+    with pytest.raises(SpaceError, match=message):
+        props.check_D(_graph(5, edges))
+    assert read == [[[0, 2]]]
+    with pytest.raises(SpaceError, match=message):
+        all_hyperbolic_lines(_graph(5, edges))
 
 
 def test_hyperbolic_line_rejects_collinear_members():

@@ -115,10 +115,13 @@ def test_tampered_witness_rejected(space_for, report_for, prop):
 
 # classical isomorphisms (Payne & Thas 3.2.1, 3.2.3): the left member goes
 # through the combinatorial path (dual spaces have no form, so their
-# hyperbolic lines come from collinearity alone), the right through forms
+# hyperbolic lines come from collinearity alone, and their scans build them
+# only up to the witness), the right through forms.  W(2n-1,q) and Q(2n,q),
+# q even, are one space in two embeddings
 @pytest.mark.parametrize("left,right", [
     ("dual(W(3,2))", "Q(4,2)"), ("dual(W(3,3))", "Q(4,3)"),
     ("dual(H(3,4))", "Q-(5,2)"), ("W(5,2)", "Q(6,2)"),
+    ("W(3,4)", "Q(4,4)"), ("dual(W(3,5))", "Q(4,5)"),
 ])
 def test_isomorphic_spaces_agree(report_for, left, right):
     lv, rv = report_for(left).verdicts, report_for(right).verdicts
@@ -131,6 +134,32 @@ def test_isomorphic_spaces_agree(report_for, left, right):
             assert lv[prop].checked == rv[prop].checked, prop
         compared += 1
     assert compared >= 4  # A, regular pairs, triads and D are never skipped
+
+
+@pytest.mark.parametrize("name", [name for name in dict.fromkeys([*CATALOG, *STRETCH])
+                                  if name not in ("W(5,2)", "Q(6,2)", "Q+(5,3)")])
+def test_relabelled_rebuild_agrees(space_for, report_for, name):
+    # A, regular pairs, centric triads and D are incidence properties: the
+    # space rebuilt by PolarSpace.combinatorial from its lines, with its
+    # points shuffled, must give the same verdicts, and the same
+    # checked_count wherever one holds.  The rebuild has no form, so B' and
+    # C are skipped and its scans build the lines only as far as they read,
+    # where a form-backed original's are drained for B' and C
+    space = space_for(name)
+    assert space.rank == 2
+    new = np.random.default_rng(2024).permutation(space.n_points)  # point i becomes new[i]
+    labels = [None] * space.n_points
+    for i, label in enumerate(space.points):
+        labels[new[i]] = label
+    shuffled = space_module.PolarSpace.combinatorial(
+        f"shuffled {name}", labels, [new[list(line)].tolist() for line in space.lines])
+    assert shuffled.rank == 2
+    got, want = props.full_report(shuffled).verdicts, report_for(name).verdicts
+    for prop in ("A", "regular_pairs", "B_triads", "D"):
+        assert got[prop].status == want[prop].status, prop
+        if want[prop].holds:
+            assert got[prop].checked == want[prop].checked, prop
+    assert got["B_prime"].status == got["C"].status == SKIPPED
 
 
 def test_triad_counts_w52(report_for):
@@ -682,14 +711,36 @@ def test_line_witness_replays_from_any_pair_of_its_line(space_for, report_for):
 
 
 def test_full_report_builds_the_lines_once(monkeypatch):
-    # A, regular pairs, centric triads and D read one memoised line build per space
-    built = []
-    build = hyperbolic._build_lines
-    monkeypatch.setattr(hyperbolic, "_build_lines", lambda space: built.append(space.name)
-                        or build(space))
-    for name in ["W(3,2)", "Q(4,3)", "H(4,4)"]:
-        props.full_report(build_space(name))
-    assert built == ["W(3,2)", "Q(4,3)", "H(4,4)"]
+    # A, regular pairs, centric triads and D extend one memoised line prefix
+    # per space only as far as they scan, and B' and C drain it on
+    # form-backed spaces: each pair's double perp is built at most once, and
+    # the early-failing combinatorial spaces never reach their last pairs
+    # (P(W(3,5)) and dual(H(4,4)) read lines of their base while built)
+    monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 512)
+    read, dperps = [], hyperbolic.packed_double_perps
+    monkeypatch.setattr(hyperbolic, "packed_double_perps", lambda space, pairs: (
+        read.append((space, pairs.copy())) or dperps(space, pairs)))
+    for name, drained in [("dual(H(4,4))", False), ("P(W(3,5))", False), ("Q(4,3)", True)]:
+        space = build_space(name)
+        del read[:]
+        props.full_report(space)
+        assert all(s is space for s, _ in read), name
+        pairs, total = np.concatenate([p for _, p in read]), len(space.noncollinear_pairs())
+        codes = pairs[:, 0] * space.n_points + pairs[:, 1]
+        assert len(np.unique(codes)) == len(codes), name
+        assert (len(codes) == total) == drained and len(codes) <= total, name
+
+
+def test_pair_scans_read_past_the_first_chunk(space_for, monkeypatch):
+    # dual(P(W(3,5)))'s first pair lies on a holding line: in chunks of one
+    # pair, A and regular pairs find their first failing line in a later
+    # chunk, as the default chunks find it in their first
+    space = space_for("dual(P(W(3,5)))")
+    want = [check_A(space).to_dict(), check_regular_pairs(space).to_dict()]
+    space = build_space("dual(P(W(3,5)))")
+    monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 1)
+    assert [check_A(space).to_dict(), check_regular_pairs(space).to_dict()] == want
+    assert want[0]["verdict"] == FAILS and space._hyperbolic_lines.read > 1
 
 
 @pytest.mark.heavy
