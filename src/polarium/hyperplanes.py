@@ -61,7 +61,8 @@ def deepest_points(space: PolarSpace, masks) -> np.ndarray:
     """For each row h of `masks`, the point p with p^perp = h, or -1 if there
     is none: the packed perp of each point of h against h's packed row."""
     ks, ps = masks.nonzero()
-    same = (space.packed_perps()[1][ps] == np.packbits(masks, axis=1)[ks]).all(axis=1)
+    rows, packed = space.packed_perps()[1], np.packbits(masks, axis=1)
+    same = (rows.take(ps, axis=0) == packed.take(ks, axis=0)).all(axis=1)
     ks, ps = ks[same], ps[same]
     out = np.full(len(masks), -1)
     out[ks] = ps

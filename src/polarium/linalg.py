@@ -206,16 +206,24 @@ def point_index(field: Field, dim: int) -> np.ndarray:
     return index
 
 
+@cache
+def _line_table(field: Field) -> np.ndarray:
+    """Read-only, memoised per field: row x*q + y holds y and x + lam*y, lam in GF(q)."""
+    x, y = np.divmod(np.arange(field.q ** 2)[:, None], field.q)
+    table = np.hstack([y, field.add_table[x, field.mul_table[np.arange(field.q), y]]])
+    table.flags.writeable = False
+    return table
+
+
 def line_points(field: Field, u, v) -> np.ndarray:
     """Sorted `proj_rows` rows of the q + 1 points v and u + lam*v, lam in
     GF(q), of each projective line <u_i, v_i>, for (m, d) arrays of
-    independent vectors, by add/mul table gathers and `point_index`: an
-    (m, q + 1) array."""
-    u, v, q = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp), field.q
-    lam_v = field.mul_table[np.arange(q)[:, None], v[:, None]]  # (m, q, d)
-    codes = point_codes(q, field.add_table[u[:, None], lam_v])
-    codes = np.concatenate([point_codes(q, v)[:, None], codes], axis=1)
-    return np.sort(point_index(field, u.shape[-1])[codes], axis=1)
+    independent vectors, by `point_index`: an (m, q + 1) array.  Their codes
+    are summed digit by digit from the rows u_k*q + v_k of `_line_table`."""
+    q, codes, table = field.q, 0, _line_table(field)
+    for digits in (np.asarray(u, dtype=np.intp) * q + np.asarray(v, dtype=np.intp)).T:
+        codes = codes * q + table.take(digits, axis=0)
+    return np.sort(point_index(field, np.shape(u)[-1]).take(codes), axis=1)
 
 
 def dual_hyperplanes(field: Field, dim: int) -> list:

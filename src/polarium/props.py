@@ -242,13 +242,14 @@ def _regular_pairs_kernel(space: PolarSpace):
 
     def kernel(lines):
         pairs = lines.pairs
-        ks, valid = padded_columns(spt[pairs[:, 0]] & spt[pairs[:, 1]])  # S_k inside l^perp
+        ks, valid = padded_columns(np.logical_and(*spt.take(pairs.T, axis=0)))  # S_k inside l^perp
         order = np.arange(ks.shape[1])
         upper = (order[:, None] < order) & valid[:, None, :]  # x < y, both real
-        meet = sp[ks].astype(np.float32) @ sg[ks].astype(np.float32).transpose(0, 2, 1)
+        meet = (sp.take(ks, axis=0).astype(np.float32)
+                @ sg.take(ks, axis=0).astype(np.float32).transpose(0, 2, 1))
         opp = upper & (meet == 0)
         size = (lines.members < n).sum(axis=1)
-        bad = opp & (g[ks] > size[:, None])[:, :, None]
+        bad = opp & (g.take(ks) > size[:, None])[:, :, None]
 
         def failures(k):
             upto = np.cumsum(opp[k]).reshape(opp[k].shape)
@@ -273,7 +274,7 @@ def _opposite_generators(space: PolarSpace, points: int) -> np.ndarray:
     gmt, out = np.ascontiguousarray(gm.T), [np.zeros(0, dtype=np.intp)]
     for s in chunks(points, k_max * max(n, k_max)):
         ks, valid = padded_columns(gmt[s])  # the generators through each point
-        rows = gm[ks].astype(np.float32)
+        rows = gm.take(ks, axis=0).astype(np.float32)
         out.append((np.triu(rows @ rows.transpose(0, 2, 1) == 1, 1) & valid[:, None, :])
                    .sum(axis=(1, 2)))
     return np.concatenate(out)
@@ -293,24 +294,23 @@ def check_regular_pairs(space: PolarSpace) -> Verdict:
 
 def _triads_kernel(space: PolarSpace):
     """Block: a hyperbolic line l, with its pair (a, b).  Checked: every
-    c > b.  Failing: the c with no sub-generator in {a,b,c}^perp, i.e. no
-    S_k^perp holding a, b and c: the c outside the OR of the bit-packed rows
-    S_k^perp of the sub-generators inside l^perp."""
+    c > b.  Failing: the c with no sub-generator in {a,b,c}^perp: the c > b
+    (packed row above[b]) outside the OR of the packed rows S_k^perp of the
+    S_k inside l^perp, padded with a zero row; unpacked only when failing."""
     sp = space.subgenerators()[1]
-    n = space.n_points
-    spt, bits = np.ascontiguousarray(sp.T), np.packbits(sp, axis=1)
+    n, above = space.n_points, np.packbits(~np.tri(space.n_points, dtype=bool), axis=1)
+    spt, bits = np.ascontiguousarray(sp.T), np.pad(np.packbits(sp, axis=1), ((0, 1), (0, 0)))
 
     def kernel(lines):
         pairs = lines.pairs
         b = pairs[:, 1]
-        ks, valid = padded_columns(spt[pairs[:, 0]] & spt[b])  # S_k inside l^perp
-        held = np.bitwise_or.reduce(bits[ks] * valid[:, :, None], axis=1)
-        centric = np.unpackbits(held, axis=1, count=n).view(bool)
-        acentric = ~centric & (np.arange(n) > b[:, None])
+        ks, valid = padded_columns(np.logical_and(*spt.take(pairs.T, axis=0)))  # S_k inside l^perp
+        held = np.bitwise_or.reduce(bits.take(np.where(valid, ks, len(sp)), axis=0), axis=1)
+        acentric = ~held & above.take(b, axis=0)
 
         def failures(k):
             return ((c - b[k], _pair_witness(space, *pairs[k], c=_label(space, int(c))))
-                    for c in np.flatnonzero(acentric[k]))
+                    for c in np.flatnonzero(np.unpackbits(acentric[k], count=n)))
         return n - b - 1, acentric.any(axis=1), failures
     return kernel
 

@@ -14,14 +14,14 @@ summing the gathered rows of each line's members.  `PolarSpace.perps` ANDs
 packed rows into X^perp for point sets X: the pair traces, double perps and
 sub-generator perps.  Generators are membership rows that come from
 sub-generators, since a generator is its own perp; the largest singular
-subspace inside a subspace is its largest meet with a generator.
+subspace inside a subspace is its largest meet with a generator.  Kernels
+gather rows by `take(idx, axis=0)`, 1.2-10x faster than `arr[idx]` in numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -54,6 +54,13 @@ def chunks(total: int, width: int):
     return (slice(lo, min(lo + step, total)) for lo in range(0, total, step))
 
 
+@cache
+def _pair_index(k: int) -> tuple:
+    a, b = np.triu_indices(k, 1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
 def pair_codes(n: int, members, rows: bool = False):
     """The codes a * n + b of the pairs a < b in each row of `members`, point
     indices in ascending order padded with n, and with rows=True also the
@@ -62,8 +69,7 @@ def pair_codes(n: int, members, rows: bool = False):
     sizes = (members < n).sum(axis=1)
     codes, at = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.intp)]
     for k in np.flatnonzero(np.bincount(sizes)).tolist():
-        pairs = np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp)
-        a, b = pairs.reshape(-1, 2).T
+        a, b = _pair_index(k)
         group = np.flatnonzero(sizes == k)
         m = members[group]
         codes.append((m[:, a] * n + m[:, b]).ravel())
@@ -89,7 +95,7 @@ def member_counts(rows, members):
     table = np.zeros((n + 1, width + 1), dtype=np.min_scalar_type(members.shape[1]))
     table[:n, :width], table[:n, width] = rows, 1
     for s in chunks(len(members), width + 1):
-        yield s, table[members[s]].sum(axis=1, dtype=table.dtype)
+        yield s, table.take(members[s], axis=0).sum(axis=1, dtype=table.dtype)
 
 
 def member_rows(lines, n: int) -> np.ndarray:
@@ -296,7 +302,7 @@ class PolarSpace:
         bits = self.packed_perps()[1]
         out = np.full((len(members), bits.shape[1]), 255, dtype=np.uint8)
         for col in np.asarray(members).T:
-            out &= bits[col]
+            out &= bits.take(col, axis=0)
         return out
 
     def perp_mask(self, idxs) -> np.ndarray:
@@ -409,7 +415,7 @@ class PolarSpace:
             g, left = gens[s], ~gens[s]
             rows = np.flatnonzero(left.any(axis=1))
             while len(rows):
-                h = g[rows] & self.coll[np.argmax(left[rows], axis=1)]
+                h = g[rows] & self.coll.take(np.argmax(left[rows], axis=1), axis=0)
                 out.append(h)
                 left[rows] &= ~self._perps(h)
                 rows = rows[left[rows].any(axis=1)]
@@ -491,7 +497,7 @@ def _generators_through(coll, sg, sp) -> np.ndarray:
         out.append(sg[s][~left.any(axis=1)])
         rows = np.flatnonzero(left.any(axis=1))
         while len(rows):
-            gen = perp[rows] & coll[np.argmax(left[rows], axis=1)]
+            gen = perp[rows] & coll.take(np.argmax(left[rows], axis=1), axis=0)
             out.append(gen)
             left[rows] &= ~gen
             rows = rows[left[rows].any(axis=1)]

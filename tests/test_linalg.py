@@ -97,7 +97,8 @@ def test_proj_points_order_and_bounds():
 
 def test_line_points_match_span():
     rng, scales = random.Random(11), random.Random(12)
-    for field, d in [(GF2, 4), (GF3, 3), (GF4, 3), (GF5, 3), (Field(3, 2), 3)]:
+    for field, d in [(GF2, 4), (GF3, 3), (GF4, 3), (GF5, 3), (Field(3, 2), 3),
+                     (Field(2, 3), 3), (Field(2, 4), 3)]:
         pts = proj_points(field, d)
         codes = linalg.point_codes(field.q, pts).tolist()
         assert codes == sorted(set(codes))  # code order is lexicographic order
@@ -111,6 +112,33 @@ def test_line_points_match_span():
         u, v = (field.mul_table[[[scales.randrange(1, field.q)] for _ in side], side]
                 for side in map(np.array, zip(*pairs)))
         assert np.array_equal(linalg.line_points(field, u, v), got)
+
+
+def _line_points_oracle(field, u, v):
+    """Oracle for linalg.line_points: the codes of v and of u + lam*v from
+    the 2-D add and mul table gathers over all (m, q, d) coordinates."""
+    u, v, q = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp), field.q
+    lam_v = field.mul_table[np.arange(q)[:, None], v[:, None]]  # (m, q, d)
+    codes = linalg.point_codes(q, field.add_table[u[:, None], lam_v])
+    codes = np.concatenate([linalg.point_codes(q, v)[:, None], codes], axis=1)
+    return np.sort(linalg.point_index(field, u.shape[-1])[codes], axis=1)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (2, 4)])
+def test_line_points_match_the_table_gathers(p, k):
+    # random independent pairs in dimensions 3-6, as far as point_index's
+    # candidate bound reaches (GF(16) stops at dimension 4)
+    field, rng = Field(p, k), np.random.default_rng(100 * p + k)
+    for d in range(3, 7):
+        if field.q ** d > linalg.DEFAULT_MAX_CANDIDATES:
+            continue
+        u, v = rng.integers(0, field.q, size=(2, 300, d))
+        nu, nv = linalg.normalize_rows(field, u), linalg.normalize_rows(field, v)
+        independent = u.any(axis=1) & v.any(axis=1) & (nu != nv).any(axis=1)
+        u, v = u[independent], v[independent]
+        assert len(u) >= 150
+        assert np.array_equal(linalg.line_points(field, u, v), _line_points_oracle(field, u, v))
 
 
 def test_point_index_maps_every_multiple():

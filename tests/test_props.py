@@ -122,6 +122,8 @@ def test_tampered_witness_rejected(space_for, report_for, prop):
     ("dual(W(3,2))", "Q(4,2)"), ("dual(W(3,3))", "Q(4,3)"),
     ("dual(H(3,4))", "Q-(5,2)"), ("W(5,2)", "Q(6,2)"),
     ("W(3,4)", "Q(4,4)"), ("dual(W(3,5))", "Q(4,5)"),
+    ("W(3,8)", "Q(4,8)"), ("W(7,2)", "Q(8,2)"),
+    pytest.param("W(5,4)", "Q(6,4)", marks=pytest.mark.heavy),
 ])
 def test_isomorphic_spaces_agree(report_for, left, right):
     lv, rv = report_for(left).verdicts, report_for(right).verdicts
@@ -572,6 +574,49 @@ def _triads_oracle_case(space):
     line_counts, line_fails = _every_block(props._triads_kernel(space), lines)
     assert (line_counts == counts[own]).all() and (line_fails == fails[own]).all()
     assert check_centric_triads(space).to_dict() == want
+
+
+def _unpacked_triads_kernel(space):
+    """Oracle for props._triads_kernel: the OR of the packed S_k^perp rows,
+    gathered by fancy indexing and masked by `valid`, unpacked whole, with
+    the acentric points c > b as a boolean (m, n) array."""
+    sp, n = space.subgenerators()[1], space.n_points
+    spt, bits = np.ascontiguousarray(sp.T), np.packbits(sp, axis=1)
+
+    def kernel(lines):
+        pairs = lines.pairs
+        b = pairs[:, 1]
+        ks, valid = space_module.padded_columns(spt[pairs[:, 0]] & spt[b])
+        held = np.bitwise_or.reduce(bits[ks] * valid[:, :, None], axis=1)
+        centric = np.unpackbits(held, axis=1, count=n).view(bool)
+        acentric = ~centric & (np.arange(n) > b[:, None])
+
+        def failures(k):
+            return ((c - b[k], props._pair_witness(space, *pairs[k],
+                                                   c=props._label(space, int(c))))
+                    for c in np.flatnonzero(acentric[k]))
+        return n - b - 1, acentric.any(axis=1), failures
+    return kernel
+
+
+@pytest.mark.parametrize("name", dict.fromkeys([*CATALOG, *STRETCH]))
+def test_triads_kernel_matches_the_unpacked_kernel(space_for, name):
+    # on every line, and on every pair a < b (whose traces hold different
+    # numbers of sub-generators where the space has lines longer than its
+    # hyperbolic lines, so a batch reads the padding): equal counts, equal
+    # fails and an equal first failure, on every failing line and on the
+    # first failing pair of each batch of 64 pairs
+    space = space_for(name)
+    pairs = np.argwhere(np.triu(~np.eye(space.n_points, dtype=bool), 1))
+    packed, unpacked = props._triads_kernel(space), _unpacked_triads_kernel(space)
+    for blocks, limit in ((hyperbolic.all_hyperbolic_lines(space), None),
+                          (hyperbolic.HyperbolicLines(space, pairs, pairs), 1)):
+        for lo in range(0, len(blocks), 64):
+            (counts, fails, failures), (want_counts, want_fails, want_failures) = (
+                kernel(blocks[lo:lo + 64]) for kernel in (packed, unpacked))
+            assert np.array_equal(counts, want_counts) and np.array_equal(fails, want_fails)
+            for k in np.flatnonzero(fails)[:limit]:
+                assert next(failures(k)) == next(want_failures(k))
 
 
 def _trace_counts(space):

@@ -512,7 +512,8 @@ def test_generators_deterministic(space_for):
     assert np.array_equal(w.generators(), space_for("W(3,3)").generators())
 
 
-@pytest.mark.parametrize("name", ["W(3,2)", "Q-(5,2)", "H(3,4)", "W(5,2)", "grid(4)", "P(W(3,5))"])
+@pytest.mark.parametrize("name", ["W(3,2)", "Q-(5,2)", "H(3,4)", "W(5,2)", "grid(4)", "P(W(3,5))",
+                                  "dual(H(4,4))", "Q+(5,3)"])
 def test_perps_match_dense_and(space_for, name):
     s = space_for(name)
     n = s.n_points
