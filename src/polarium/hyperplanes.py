@@ -4,11 +4,11 @@ A hyperplane is a proper subspace meeting each line in one point or all of
 it, as the summed gathered rows of the line's members show.  The arising
 hyperplanes of an embedding, the preimages of projective hyperplanes, are
 the rows of one `ArisingHyperplanes`, one per canonical dual vector, read
-off by `linalg.gf_matmul` per batch and counted from dual lines.
-The predicates are functions of a space and mask rows: the deepest point p
-with p^perp = h (h is singular when it has one), the rank (largest
-singular subspace inside) and the classification; rank-1 hyperplanes of
-rank-2 spaces are ovoids.
+off by `linalg.gf_matmul` per batch, counted from dual lines and ranked by
+one greedy clique each (`PolarSpace.max_singular_rank`).  The predicates
+are functions of a space and mask rows: the deepest point p with
+p^perp = h (h is singular when it has one) and the classification;
+rank-1 hyperplanes of rank-2 spaces are ovoids.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from polarium import hyperbolic, linalg
 from polarium.embed import Embedding
-from polarium.space import PolarSpace, SpaceError, chunks, member_counts
+from polarium.space import PolarSpace, SpaceError, chunks, greedy_cliques, member_counts
 
 SINGULAR = "singular"
 OVOID = "ovoid"
@@ -26,21 +26,19 @@ OTHER = "other"
 
 class ArisingHyperplanes:
     """The hyperplanes arising from one embedding, as rows: functionals[k]
-    induces the read-only membership row masks[k], and counts[k] is how many
-    non-collinear pairs have their trace inside it."""
+    induces the read-only membership row masks[k] of rank ranks[k], and
+    counts[k] is how many non-collinear pairs have their trace inside it."""
 
-    __slots__ = ("functionals", "masks", "counts")
+    __slots__ = ("functionals", "masks", "counts", "ranks")
 
-    def __init__(self, functionals, masks, counts):
-        self.functionals = functionals
-        self.masks = masks
-        self.counts = counts
+    def __init__(self, functionals, masks, counts, ranks):
+        self.functionals, self.masks, self.counts, self.ranks = functionals, masks, counts, ranks
 
     def __len__(self):
         return len(self.masks)
 
     def __getitem__(self, s: slice) -> "ArisingHyperplanes":
-        return ArisingHyperplanes(self.functionals[s], self.masks[s], self.counts[s])
+        return ArisingHyperplanes(*(getattr(self, a)[s] for a in self.__slots__))
 
 
 def contained_pairs(space: PolarSpace, mask):
@@ -73,19 +71,12 @@ def deepest_points(space: PolarSpace, masks) -> np.ndarray:
     return out
 
 
-def rank(space: PolarSpace, mask) -> int:
-    """n if a generator lies inside, else n - 1: every generator meets a
-    hyperplane in itself or in a hyperplane of itself."""
-    outside = space.generators() & ~mask
-    return space.rank - bool(outside.any(axis=1).all())
-
-
 def classify(space: PolarSpace, mask) -> str:
     """SINGULAR with a deepest point, OVOID at rank 1 in a rank-2 space,
     else OTHER."""
     if deepest_points(space, mask[None])[0] >= 0:
         return SINGULAR
-    if space.rank == 2 and rank(space, mask) == 1:
+    if space.rank == 2 and space.max_singular_rank(mask) == 1:
         return OVOID
     return OTHER
 
@@ -116,18 +107,20 @@ def arising_hyperplanes(e: Embedding) -> ArisingHyperplanes:
     """One hyperplane per canonical dual vector of the target space, built
     once per embedding and memoised on it, read-only: the sections in chunks
     of functionals, one check of the hyperplane axiom over them all, then
-    the counts of `_dual_line_counts`.  Distinct functionals induce distinct
-    hyperplanes when the image spans the target, as a hyperplane spans its
-    functional's kernel; when it does not, some nonzero functional vanishes
-    on every point, and `_verify_axiom` rejects that section."""
+    the counts of `_dual_line_counts` and all greedy ranks.  Distinct
+    functionals induce distinct hyperplanes when the image spans the target,
+    as a hyperplane spans its functional's kernel; when it does not, some
+    nonzero functional vanishes on every point, and `_verify_axiom` rejects
+    that section."""
     if e._arising is None:
         duals = linalg.proj_rows(e.field, e.dim)
         masks = np.concatenate([linalg.gf_matmul(e.field, duals[s], e.image_rows) == 0
                                 for s in chunks(len(duals), e.source.n_points)])
         _verify_axiom(e.source, masks)
         counts = _dual_line_counts(e, duals)
-        masks.flags.writeable = counts.flags.writeable = False
-        e._arising = ArisingHyperplanes(duals, masks, counts)
+        ranks = e.source._rank(greedy_cliques(e.source.coll, masks).sum(axis=1))
+        masks.flags.writeable = counts.flags.writeable = ranks.flags.writeable = False
+        e._arising = ArisingHyperplanes(duals, masks, counts, ranks)
     return e._arising
 
 
@@ -170,4 +163,5 @@ def hyperplane_from_functional(e: Embedding, phi) -> ArisingHyperplanes:
     masks = linalg.gf_matmul(e.field, phis, e.image_rows) == 0
     _verify_axiom(e.source, masks)
     count = sum(1 for _ in contained_pairs(e.source, masks[0]))
-    return ArisingHyperplanes(phis, masks, np.array([count]))
+    return ArisingHyperplanes(phis, masks, np.array([count]),
+                              np.array([e.source.max_singular_rank(masks[0])]))

@@ -2,8 +2,8 @@
 
 Each property is one kernel over a batch of blocks: hyperbolic lines for A,
 regular pairs, centric triads and D, arising hyperplanes for B' and C, and
-the whole space for the symplectic test.  A kernel gives, by chunked float32
-BLAS products or bit-packed gathers, each block's instance count and whether
+the whole space for the symplectic test.  A kernel gives (by float32 BLAS
+products for A and regular pairs) each block's instance count and whether
 it fails, and `failures(k)`, which reads the same intermediates to yield the
 failing instances of block k as (checked up to it, serialized witness).
 A, regular pairs and centric triads range over pairs (a, b), of which no
@@ -20,8 +20,8 @@ A counts sum g(S) over the traces and regular pairs opp(a); their line
 kernels run on the failing line and in replay.  B' and C read the
 contained-trace counts of `hyperplanes.ArisingHyperplanes`, filled once per
 embedding from the dual lines of all hyperbolic lines (which drains the
-line prefix); a failing hyperplane's pairs are read from their bit-packed
-traces one chunk at a time, up to the first one asked for.
+line prefix), B' also their greedy ranks; a failing hyperplane's pairs are
+read from their bit-packed traces one chunk at a time, up to the first.
 Each checker scans the blocks in canonical order and stops at the first
 failing block, so failing verdicts carry the smallest witness.  Replay runs
 the same kernel on a batch holding only the witness's block and accepts any
@@ -140,13 +140,12 @@ def _generator_counts(space: PolarSpace) -> np.ndarray:
     return g
 
 
-def _lines_with(space: PolarSpace, lines, g, size):
+def _lines_with(spt, lines, g, size):
     """The lines l, in order, whose trace holds an S with g(S) > size[l], from
-    SP's columns at the pairs of the lines with max g > size[l]."""
-    sp = space.subgenerators()[1]
+    the rows of SP^T (`spt`) at the pairs of the lines with max g > size[l]."""
     for s in batches(np.flatnonzero(g.max() > size), len(g)):
-        a, b = lines.pairs[s].T
-        yield from s[(sp[:, a] & sp[:, b] & (g[:, None] > size[s])).any(axis=0)]
+        a, b = spt.take(lines.pairs[s].T, axis=0)
+        yield from s[(a & b & (g > size[s, None])).any(axis=1)]
 
 
 def _pair_scan(space: PolarSpace, count, line_kernel) -> Verdict:
@@ -161,14 +160,15 @@ def _pair_scan(space: PolarSpace, count, line_kernel) -> Verdict:
     lines = hyperbolic.LinePrefix(space)
     if space._failing_pair is None:
         g, n = _generator_counts(space), space.n_points
+        spt = np.ascontiguousarray(space.subgenerators()[1].T)
         found = (len(space.noncollinear_pairs()), -1)
         for lo, part in lines.parts():
             size = (part.members < n).sum(axis=1)
-            for k in _lines_with(space, part, -g, -size):
+            for k in _lines_with(spt, part, -g, -size):
                 a, b = part.pairs[k].tolist()
                 raise SpaceError(f"{space.name}: a sub-generator in {{{a},{b}}}^perp lies on "
                                  "fewer generators than its hyperbolic line has points")
-            k = next(_lines_with(space, part, g, size), -1)
+            k = next(_lines_with(spt, part, g, size), -1)
             if k >= 0:
                 found = (lines.own_pair(lo + k), lo + k)
                 break
@@ -342,10 +342,10 @@ def check_centric_triads(space: PolarSpace) -> Verdict:
 def _arising_kernel(space: PolarSpace, marked, **extra):
     """Block: an arising hyperplane h, a row of `hyperplanes.ArisingHyperplanes`.
     Checked: the non-collinear pairs whose trace h contains, hs.counts.
-    Failing: all of them when marked(masks) marks h, none otherwise; they
-    are read chunk by chunk as they are asked for."""
+    Failing: all of them when marked(hs) marks h, none otherwise; they are
+    read chunk by chunk as they are asked for."""
     def kernel(hs):
-        counts, mark = hs.counts, marked(hs.masks)
+        counts, mark = hs.counts, marked(hs)
 
         def failures(k):
             functional = hs.functionals[k].tolist()
@@ -358,16 +358,14 @@ def _arising_kernel(space: PolarSpace, marked, **extra):
 
 def _B_prime_kernel(space: PolarSpace):
     """Failing: an arising hyperplane containing a trace but no generator."""
-    gf = space.generators().astype(np.float32)
-    return _arising_kernel(space, lambda masks: (
-        gf @ (~masks).T.astype(np.float32) > 0).all(axis=0))
+    return _arising_kernel(space, lambda hs: hs.ranks < space.rank)
 
 
 def check_B_prime(space: PolarSpace, e: embed.Embedding) -> Verdict:
     """Every arising hyperplane containing the trace of a non-collinear pair
-    must contain a generator (equivalently have rank n)."""
-    width = max(space.n_points, len(space.generators()))
-    return _scan(batches(hyperplanes.arising_hyperplanes(e), width), _B_prime_kernel(space))
+    must contain a generator, that is, have rank n (`ArisingHyperplanes.ranks`)."""
+    return _scan(batches(hyperplanes.arising_hyperplanes(e), space.n_points),
+                 _B_prime_kernel(space))
 
 
 def _C_kernel(space: PolarSpace):
@@ -375,7 +373,7 @@ def _C_kernel(space: PolarSpace):
     point.  A deepest point p has h = p^perp, and p lies on {a,b}^perpperp
     exactly when {a,b}^perp is inside p^perp = h, so every contained pair
     fails when h has no deepest point and none fails otherwise."""
-    return _arising_kernel(space, lambda masks: hyperplanes.deepest_points(space, masks) < 0,
+    return _arising_kernel(space, lambda hs: hyperplanes.deepest_points(space, hs.masks) < 0,
                            deepest_point=None)
 
 
@@ -390,12 +388,13 @@ def check_C(space: PolarSpace, e: embed.Embedding) -> Verdict:
 
 def _D_kernel(space: PolarSpace):
     """Block: a hyperbolic line.  Checked: every point x.  Failing: the x whose
-    singular hyperplane x^perp misses the line."""
-    n = space.n_points
-    collf = space.coll.astype(np.float32)
+    singular hyperplane x^perp misses the line, outside the OR of its members'
+    packed perps (padded with its first member, as OR is idempotent)."""
+    n, bits = space.n_points, space.packed_perps()[1]
 
     def kernel(lines):
-        missed = lines.rows().astype(np.float32) @ collf == 0
+        held = bits.take(np.where(lines.members < n, lines.members, lines.members[:, :1]), axis=0)
+        missed = np.unpackbits(~np.bitwise_or.reduce(held, axis=1), axis=1, count=n)
 
         def failures(k):
             line = lines.members[k]

@@ -12,7 +12,7 @@ from polarium.forms import ALTERNATING, HERMITIAN, QUADRATIC, Form, hyperbolic_q
 from polarium.hyperbolic import all_hyperbolic_lines
 from polarium.hyperplanes import (OVOID, SINGULAR, _verify_axiom,
                                   arising_hyperplanes, classify, contained_pairs,
-                                  deepest_points, hyperplane_from_functional, rank)
+                                  deepest_points, hyperplane_from_functional)
 from polarium.props import is_symplectic
 from polarium.space import SpaceError
 from test_space import STRETCH, adjacency, check_member_counts, max_clique_rank, spy_chunks
@@ -32,7 +32,7 @@ def test_point_perp_hyperplane_sizes(space_for):
     h = qm.coll[4]
     _verify_axiom(qm, h[None])
     assert h.sum() == 11  # 1 + s(t+1) = 1 + 2*5
-    assert rank(qm, h) == qm.rank
+    assert qm.max_singular_rank(h) == qm.rank
 
 
 def test_hyperplane_axiom_enforced(space_for):
@@ -185,14 +185,17 @@ def test_batched_sections_match_reference(space_for, name, kind):
 
 @pytest.mark.parametrize("name", ["W(3,2)", "Q(4,2)", "Q(4,3)", "Q-(5,2)", "H(3,4)", "W(5,2)"])
 def test_rank_matches_clique_search(space_for, name):
-    # n or n - 1 from the generators, against the Bron-Kerbosch search
+    # n or n - 1 from one greedy clique, alone and batched over the arising
+    # hyperplanes, against the Bron-Kerbosch search
     space = space_for(name)
     adj = adjacency(space)
     for e in (embed.natural_embedding(space), embed.minimal_embedding(space)):
         hs = arising_hyperplanes(e)
-        for phi, h in zip(hs.functionals.tolist(), hs.masks):
+        assert not hs.ranks.flags.writeable
+        for phi, h, got in zip(hs.functionals.tolist(), hs.masks, hs.ranks.tolist()):
             want = max_clique_rank(space, h, adj)
-            assert rank(space, h) == space.max_singular_rank(h) == want, (e.kind, phi)
+            assert space.max_singular_rank(h) == got == want, (e.kind, phi)
+            assert hyperplane_from_functional(e, phi).ranks.tolist() == [want]
 
 
 def test_grid_transversal_is_ovoid(space_for):
@@ -207,7 +210,7 @@ def test_grid_transversal_is_ovoid(space_for):
     h = np.zeros(grid.n_points, dtype=bool)
     h[pts] = True
     _verify_axiom(grid, h[None])
-    assert classify(grid, h) == OVOID and rank(grid, h) == 1
+    assert classify(grid, h) == OVOID and grid.max_singular_rank(h) == 1
 
 
 def test_deepest_point(space_for):

@@ -341,6 +341,65 @@ def test_replay_counts_once_and_reads_pairs_up_to_the_witness(monkeypatch, name,
     assert len(read) == count + at // step + 1 and read[-1].start <= at < read[-1].stop
 
 
+def test_B_prime_reads_no_generators(monkeypatch):
+    # B' marks a hyperplane by the rank of its greedy clique: neither the
+    # scan nor the replay of a witness enumerates the generators
+    space = build_space("Q+(5,3)")
+    witness = check_B_prime(space, embed.natural_embedding(space)).witness
+    calls, generators = [], space_module.PolarSpace.generators
+    monkeypatch.setattr(space_module.PolarSpace, "generators",
+                        lambda self: calls.append(self.name) or generators(self))
+    fresh = build_space("Q+(5,3)")
+    assert validate_witness(fresh, "B_prime", witness)
+    assert check_B_prime(fresh, embed.natural_embedding(fresh)).witness == witness
+    assert not calls
+
+
+# B' and D read no float product: the products they replaced, over the
+# generators for B' and over coll for D, kept as the oracles
+
+def _B_prime_and_D_oracle_case(space):
+    """ranks < n marks the arising hyperplanes, of the natural and the
+    minimal embedding, that hold no generator, as the product of the
+    generators with their complements does, and B' fails those that hold a
+    trace.  D's kernel fails the hyperbolic lines whose membership row
+    times coll has a zero, at the points x of those zeros (whose x^perp
+    misses the line), compared on the first and last failing line of each
+    chunk of 1024 lines: a line of dual(H(4,4)) fails at 220 of its 297
+    points."""
+    if space.is_form_backed:
+        gf = space.generators().astype(np.float32)
+        for e in (embed.natural_embedding(space), embed.minimal_embedding(space)):
+            hs = hyperplanes.arising_hyperplanes(e)
+            want = np.concatenate([(gf @ (~hs.masks[s]).T.astype(np.float32) > 0).all(axis=0)
+                                   for s in space_module.chunks(len(hs), len(gf))])
+            assert np.array_equal(hs.ranks < space.rank, want), e.kind
+            fails = props._B_prime_kernel(space)(hs)[1]
+            assert np.array_equal(fails, want & (hs.counts > 0)), e.kind
+    lines, kernel = hyperbolic.all_hyperbolic_lines(space), props._D_kernel(space)
+    collf = space.coll.astype(np.float32)
+    for lo in range(0, len(lines), 1024):
+        _, fails, failures = kernel(lines[lo:lo + 1024])
+        missed = lines[lo:lo + 1024].rows().astype(np.float32) @ collf == 0
+        assert np.array_equal(fails, missed.any(axis=1))
+        failing = np.flatnonzero(fails)
+        for k in {*failing[:1], *failing[-1:]}:
+            assert [w["point"] for _, w in failures(k)] == props._labels(
+                space, np.flatnonzero(missed[k]))
+
+
+# dual(P(W(3,5))) mixes lines of 2, 3 and 5 points, so D's batches pad
+@pytest.mark.parametrize("name", dict.fromkeys([*CATALOG, *STRETCH, "dual(P(W(3,5)))"]))
+def test_B_prime_and_D_match_the_products(space_for, name):
+    _B_prime_and_D_oracle_case(space_for(name))
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("name", ["W(5,3)", "W(7,2)", "Q+(7,2)", "Q-(7,2)", "W(5,4)", "Q(6,4)"])
+def test_B_prime_and_D_match_the_products_heavy(name):
+    _B_prime_and_D_oracle_case(build_space(name))
+
+
 # rank 4 and rank 3 past the catalog: sub-generators are planes in Q+(7,2)
 RANK4 = {
     "Q+(7,2)": dict(A=(HOLDS, 259200), regular_pairs=(HOLDS, 518400),

@@ -208,6 +208,29 @@ def test_both_leaving_paths_occur():
     assert {path for _, path in _leaving_paths()} == {"loop", "cover"}
 
 
+def _greedy_loop(coll, mask):
+    """The one-row loop that greedy_cliques batches, kept as its oracle: the
+    smallest point left joins the clique, and the points off its perp leave."""
+    clique, left = np.zeros(len(coll), dtype=bool), mask.copy()
+    while left.any():
+        x = np.argmax(left)
+        clique[x] = True
+        left &= coll[x] & ~clique
+    return clique
+
+
+@pytest.mark.parametrize("name", ["W(3,2)", "Q(4,3)", "H(3,4)", "grid(4)", "P(W(3,5))", "Q+(5,3)"])
+def test_greedy_cliques_match_the_loop(space_for, name):
+    # rows: the whole space, no point, every point perp and random point sets
+    s = space_for(name)
+    n = s.n_points
+    masks = np.vstack([np.ones((1, n), dtype=bool), np.zeros((1, n), dtype=bool), s.coll,
+                       np.random.default_rng(3).random((20, n)) < 0.5])
+    want = np.stack([_greedy_loop(s.coll, mask) for mask in masks])
+    assert np.array_equal(space_module.greedy_cliques(s.coll, masks), want)
+    assert space_module.greedy_cliques(s.coll, masks[:0]).shape == (0, n)
+
+
 def test_form_backed_consistency_checks(monkeypatch):
     # a maximal clique whose size is not that of a rank-n subspace
     space = build_space("W(3,2)")
@@ -215,14 +238,15 @@ def test_form_backed_consistency_checks(monkeypatch):
     with pytest.raises(SpaceError, match="generator of 3 points"):
         space.generators()
     # the rank comes from the greedy generator's size: 2 points is no rank
-    greedy = space_module._greedy_generator
+    greedy = space_module.greedy_cliques
 
-    def two_points(coll):
-        gen = greedy(coll)
-        gen[np.flatnonzero(gen)[2:]] = False
+    def two_points(coll, masks):
+        gen = greedy(coll, masks)
+        for row in gen:
+            row[np.flatnonzero(row)[2:]] = False
         return gen
 
-    monkeypatch.setattr(space_module, "_greedy_generator", two_points)
+    monkeypatch.setattr(space_module, "greedy_cliques", two_points)
     with pytest.raises(SpaceError, match="W.3,2.: generator of 2 points"):
         build_space("W(3,2)")
 
