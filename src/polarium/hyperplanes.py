@@ -118,7 +118,7 @@ def arising_hyperplanes(e: Embedding) -> ArisingHyperplanes:
                                 for s in chunks(len(duals), e.source.n_points)])
         _verify_axiom(e.source, masks)
         counts = _dual_line_counts(e, duals)
-        ranks = e.source._rank(greedy_cliques(e.source.coll, masks).sum(axis=1))
+        ranks = e.source._rank(greedy_cliques(e.source.coll, masks))
         masks.flags.writeable = counts.flags.writeable = ranks.flags.writeable = False
         e._arising = ArisingHyperplanes(duals, masks, counts, ranks)
     return e._arising

@@ -124,14 +124,12 @@ def _stack_depth(space: PolarSpace) -> int:
 
 def _generator_counts(space: PolarSpace) -> np.ndarray:
     """g(S), the number of generators through each sub-generator S.  They
-    cover S^perp and meet pairwise in S, so when every generator M has one
-    size, each adds |M| - |S| points: g(S) = (|S^perp| - |S|) / (|M| - |S|),
-    read from the row sums of SP."""
+    cover S^perp and meet pairwise in S, and every generator M has one size
+    (`PolarSpace.generators` checks it), so each adds |M| - |S| points:
+    g(S) = (|S^perp| - |S|) / (|M| - |S|), read from the row sums of SP."""
     sg, sp = space.subgenerators()
-    sizes, size = space.generators().sum(axis=1), int(sg[0].sum())
-    if (sizes != sizes[0]).any():
-        raise SpaceError(f"{space.name}: generators of {sizes.min()} and {sizes.max()} points")
-    step = int(sizes[0]) - size
+    size = int(sg[0].sum())
+    step = int(space.generators()[0].sum()) - size
     g, rest = np.divmod(sp.sum(axis=1) - size, step)
     if rest.any():
         k = int(np.argmax(rest))

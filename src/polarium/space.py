@@ -6,21 +6,21 @@ build each line once, from its reduced echelon pair, by field-table
 gathers; combinatorial spaces are given by point and line lists (grids,
 Payne derivations, duals, induced perp-spaces).  Both hold the lines as one
 member array, each line's points ascending and padded with n, and take the
-rank from one generator, a maximal clique of collinearity grown greedily.
+rank from incidence alone: the cuts by point perps that take one generator,
+a maximal clique of collinearity grown greedily, to the empty set.
 Collinearity is a dense symmetric boolean matrix (diagonal True, so perps
 are "collinear-or-equal" sets), bit-packed by row.  `validate` asserts it,
-the line cover and the one-or-all axiom on every build, exhaustively, by
-summing the gathered rows of each line's members.  `PolarSpace.perps` ANDs
-packed rows into X^perp for point sets X: the pair traces, double perps and
-sub-generator perps.  Generators are membership rows that come from
-sub-generators, since a generator is its own perp; the rank of a subspace
-is that of a maximal clique inside, grown greedily too.  Kernels
-gather rows by `take(idx, axis=0)`, 1.2-10x faster than `arr[idx]` in numpy.
+the line cover and the one-or-all axiom at every point on every build,
+exhaustively, by summing the gathered rows of each line's members.
+`PolarSpace.perps` ANDs packed rows into X^perp for point sets X: the pair
+traces, double perps and sub-generator perps.  Generators are membership
+rows that come from sub-generators, since a generator is its own perp; the
+rank of a subspace is that of a maximal clique inside, grown greedily too.
+Kernels gather rows by `take(idx, axis=0)`, 1.2-10x faster than `arr[idx]`.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cache, cached_property
 
 import numpy as np
@@ -150,9 +150,7 @@ class PolarSpace:
         if validate:
             self.validate()
         if rank is None:  # the greedy generator's, after validate's own messages
-            gen = greedy_cliques(coll, np.ones((1, n), dtype=bool))
-            self.rank = int(self._rank(gen.sum()))
-            self._check_generators(gen)
+            self._check_generators(greedy_cliques(coll, np.ones((1, n), dtype=bool)))
 
     # -- constructors --------------------------------------------------------
 
@@ -234,12 +232,8 @@ class PolarSpace:
             a, b = np.argwhere((coll != coll.T) | np.diag(~coll.diagonal()))[0]
             raise SpaceError(f"{self.name}: collinearity of points {a},{b} is not "
                              "symmetric with a true diagonal")
-        sizes = set(np.count_nonzero(members < n, axis=1).tolist())
-        if sizes:
-            if self.is_form_backed and sizes != {self.field.q + 1}:
-                raise SpaceError(f"{self.name}: line sizes {sizes} != q+1")
-            if min(sizes) < 3 and not self.grid_family:
-                raise SpaceError(f"{self.name}: thin line in a thick-lined space")
+        if (np.count_nonzero(members < n, axis=1) < 3).any() and not self.grid_family:
+            raise SpaceError(f"{self.name}: thin line in a thick-lined space")
         # at most one line through two points: no pair code twice; the
         # smallest repeated code is the first such pair in row-major order.
         # A form-backed space's lines cover each collinear pair exactly once:
@@ -252,13 +246,14 @@ class PolarSpace:
         if len(twice):
             a, b = divmod(int(twice[0]), n)
             raise SpaceError(f"{self.name}: two lines through points {a},{b}")
-        # one-or-all axiom, exhaustive: counts[k, p] = |p^perp cap line k|,
-        # by member gathers, cleared on the line's own points (the padding n
-        # clears the size column, never bad), in full chunks, since a valid
-        # space runs every line
+        # one-or-all axiom at every point, exhaustive: counts[k, p] =
+        # |p^perp cap line k|, by member gathers, is the line's size, or 1 at
+        # a point off the line (the padding n marks the size column, never
+        # bad), in full chunks, since a valid space runs every line
         for s, counts in member_counts(coll, members):
-            bad = (counts != 1) & (counts != counts[:, -1:])
-            np.put_along_axis(bad, members[s], False, axis=1)
+            on = np.zeros(counts.shape, dtype=bool)
+            np.put_along_axis(on, members[s], True, axis=1)
+            bad = (counts != counts[:, -1:]) & ((counts != 1) | on)
             if bad.any():
                 k, p = np.unravel_index(np.argmax(bad), bad.shape)
                 raise SpaceError(f"{self.name}: point {self.points[p]} sees "
@@ -343,23 +338,18 @@ class PolarSpace:
         return self._generators
 
     def _check_generators(self, rows):
-        """Every generator row is a singular subspace of rank self.rank:
-        (q^r - 1)/(q - 1) points when form-backed, a point or a line when
-        combinatorial."""
-        sizes = rows.sum(axis=1)
-        if self.is_form_backed:
-            size = (self.field.q ** self.rank - 1) // (self.field.q - 1)
-            wrong = np.flatnonzero(sizes != size)
-            if len(wrong):
-                raise SpaceError(f"{self.name}: generator of {sizes[wrong[0]]} "
-                                 f"points, expected rank {self.rank} with {size}")
-        else:
-            big, lines = np.flatnonzero(sizes > 1), set(_row_keys(self.lines_matrix).tolist())
-            for k, key in zip(big.tolist(), _row_keys(rows[big]).tolist()):
-                if key not in lines:
-                    g = tuple(np.flatnonzero(rows[k]).tolist())
-                    raise SpaceError(f"{self.name}: generator {g} through a "
-                                     "point is neither a point nor a line")
+        """One rule for both backings: the generator rows have one size, and
+        the first is its own perp (a maximal clique) of rank self.rank, which
+        it sets when None."""
+        sizes, points = rows.sum(axis=1), np.flatnonzero(rows[0])
+        if (sizes != sizes[0]).any():
+            raise SpaceError(f"{self.name}: generators of {sizes.min()} and {sizes.max()} points")
+        rank = int(self._rank(rows[:1])[0])
+        self.rank = rank if self.rank is None else self.rank
+        if rank != self.rank or not np.array_equal(self.coll.take(points, axis=0).all(axis=0),
+                                                   rows[0]):
+            raise SpaceError(f"{self.name}: generator of {len(points)} points is not a maximal "
+                             f"singular subspace of rank {self.rank}")
 
     def subgenerators(self):
         """(SG, SP): every rank-(n-1) singular subspace S_k, sorted by point
@@ -428,20 +418,28 @@ class PolarSpace:
         return np.unpackbits(self.perps(np.where(valid, ks, self.n_points)),
                              axis=1, count=self.n_points).view(bool)
 
-    def _rank(self, sizes) -> np.ndarray:
-        """The ranks of singular subspaces of `sizes` points: (q^r - 1)/(q - 1)
-        points when form-backed, a point or a line when combinatorial."""
-        if self.is_form_backed:
-            q = self.field.q
-            return np.rint(np.log(np.multiply(sizes, q - 1) + 1) / math.log(q)).astype(np.intp)
-        return np.minimum(sizes, 2)
+    def _rank(self, rows) -> np.ndarray:
+        """The ranks of the singular subspaces given as membership rows: how
+        many cuts by point perps take each to the empty set.  By the
+        one-or-all axiom x^perp meets one in a hyperplane when x is not
+        collinear with its first point, so a cut is one row gather."""
+        left, ranks = rows.copy(), np.zeros(len(rows), dtype=np.intp)
+        while (on := left.any(axis=1)).any():
+            first = left.argmax(axis=1)
+            far = self.coll.take(first, axis=0).argmin(axis=1)  # first not collinear with it
+            if (deep := on & self.coll[first, far]).any():  # a cut would take nothing away
+                raise SpaceError(f"{self.name}: degenerate, {self.points[first[deep][0]]} is "
+                                 "collinear with every point")
+            left &= self.coll.take(far, axis=0)
+            ranks += on
+        return ranks
 
     def max_singular_rank(self, mask) -> int:
         """Largest rank of a singular subspace inside a subspace point-mask H:
-        its greedy clique's, as pairwise collinear points of H span a singular
-        subspace inside H, and all maximal ones of H, a possibly degenerate
-        polar space, contain its radical and have one rank."""
-        return int(self._rank(greedy_cliques(self.coll, mask[None]).sum()))
+        its greedy clique's, cut by `_rank`, as pairwise collinear points of H
+        span a singular subspace inside H, and all maximal ones of H, a
+        possibly degenerate polar space, contain its radical and have one rank."""
+        return int(self._rank(greedy_cliques(self.coll, mask[None]))[0])
 
     # -- derived incidence queries ---------------------------------------------
 

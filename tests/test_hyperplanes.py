@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import sys
 
@@ -196,6 +197,24 @@ def test_rank_matches_clique_search(space_for, name):
             want = max_clique_rank(space, h, adj)
             assert space.max_singular_rank(h) == got == want, (e.kind, phi)
             assert hyperplane_from_functional(e, phi).ranks.tolist() == [want]
+
+
+@pytest.mark.parametrize("name", [*FORM_BACKED, *STRETCH])
+def test_rank_matches_the_point_count(space_for, name):
+    # the cuts by point perps against a form-backed space's closed form, a
+    # rank-r singular subspace having (q^r - 1)/(q - 1) points: on every
+    # generator, the greedy generator, and the greedy clique of every
+    # arising hyperplane of the natural and minimal embeddings
+    space = space_for(name)
+    q = space.field.q
+    greedy = space_module.greedy_cliques
+    rows = [space.generators(), greedy(space.coll, np.ones((1, space.n_points), dtype=bool))]
+    rows += [greedy(space.coll, arising_hyperplanes(e).masks)
+             for e in (embed.natural_embedding(space), embed.minimal_embedding(space))]
+    for r in rows:
+        want = np.rint(np.log(r.sum(axis=1) * (q - 1) + 1) / math.log(q)).astype(np.intp)
+        assert np.array_equal(space._rank(r), want)
+    assert (space._rank(rows[0]) == space.rank).all()
 
 
 def test_grid_transversal_is_ovoid(space_for):

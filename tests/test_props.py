@@ -138,30 +138,38 @@ def test_isomorphic_spaces_agree(report_for, left, right):
     assert compared >= 4  # A, regular pairs, triads and D are never skipped
 
 
-@pytest.mark.parametrize("name", [name for name in dict.fromkeys([*CATALOG, *STRETCH])
-                                  if name not in ("W(5,2)", "Q(6,2)", "Q+(5,3)")])
-def test_relabelled_rebuild_agrees(space_for, report_for, name):
+def _check_relabelled_rebuild(space, want):
     # A, regular pairs, centric triads and D are incidence properties: the
     # space rebuilt by PolarSpace.combinatorial from its lines, with its
-    # points shuffled, must give the same verdicts, and the same
-    # checked_count wherever one holds.  The rebuild has no form, so B' and
-    # C are skipped and its scans build the lines only as far as they read,
-    # where a form-backed original's are drained for B' and C
-    space = space_for(name)
-    assert space.rank == 2
+    # points shuffled, must have the same rank and give the same verdicts,
+    # and the same checked_count wherever one holds.  The rebuild has no
+    # form, so B' and C are skipped and its scans build the lines only as
+    # far as they read, where a form-backed original's are drained for B'
+    # and C
     new = np.random.default_rng(2024).permutation(space.n_points)  # point i becomes new[i]
     labels = [None] * space.n_points
     for i, label in enumerate(space.points):
         labels[new[i]] = label
     shuffled = space_module.PolarSpace.combinatorial(
-        f"shuffled {name}", labels, [new[list(line)].tolist() for line in space.lines])
-    assert shuffled.rank == 2
-    got, want = props.full_report(shuffled).verdicts, report_for(name).verdicts
+        f"shuffled {space.name}", labels, [new[list(line)].tolist() for line in space.lines])
+    assert shuffled.rank == space.rank
+    got = props.full_report(shuffled).verdicts
     for prop in ("A", "regular_pairs", "B_triads", "D"):
         assert got[prop].status == want[prop].status, prop
         if want[prop].holds:
             assert got[prop].checked == want[prop].checked, prop
     assert got["B_prime"].status == got["C"].status == SKIPPED
+
+
+@pytest.mark.parametrize("name", dict.fromkeys([*CATALOG, *STRETCH]))
+def test_relabelled_rebuild_agrees(space_for, report_for, name):
+    _check_relabelled_rebuild(space_for(name), report_for(name).verdicts)
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("name", ["W(3,7)", "Q-(7,2)", "W(5,3)", "W(7,2)", "Q+(7,2)"])
+def test_relabelled_rebuild_agrees_heavy(space_for, report_for, name):
+    _check_relabelled_rebuild(space_for(name), report_for(name).verdicts)
 
 
 def test_triad_counts_w52(report_for):
@@ -797,6 +805,25 @@ def test_pair_scans_with_varying_g():
     assert check_A(space).to_dict() == {"verdict": HOLDS, "checked_count": 24}
     assert check_regular_pairs(space).to_dict() == {"verdict": HOLDS, "checked_count": 6}
     _whole_space_case(space)
+
+
+def test_thin_rank3_octahedron():
+    # the octahedron: 6 points, (i, i + 3) the opposite pairs and every
+    # other pair a 2-point line.  Its rank comes from incidence alone, with
+    # no field order: the 8 faces are its generators and the 12 edges its
+    # sub-generators
+    lines = [(a, b) for a, b in itertools.combinations(range(6), 2) if b != a + 3]
+    space = space_module.PolarSpace.combinatorial("octahedron", range(6), lines,
+                                                  grid_family=True)
+    assert (space.rank, len(space.generators()), len(space.subgenerators()[0])) == (3, 8, 12)
+    _whole_space_case(space)
+    _triads_oracle_case(space)
+    verdicts = props.full_report(space).verdicts
+    assert {prop: verdicts[prop].to_dict() for prop in ("A", "regular_pairs", "B_triads", "D")} == {
+        "A": {"verdict": HOLDS, "checked_count": 24},
+        "regular_pairs": {"verdict": HOLDS, "checked_count": 6},
+        "B_triads": {"verdict": HOLDS, "checked_count": 20},
+        "D": {"verdict": HOLDS, "checked_count": 18}}
 
 
 def test_line_witness_replays_from_any_pair_of_its_line(space_for, report_for):

@@ -232,12 +232,13 @@ def test_greedy_cliques_match_the_loop(space_for, name):
 
 
 def test_form_backed_consistency_checks(monkeypatch):
-    # a maximal clique whose size is not that of a rank-n subspace
+    # a maximal clique whose rank, 2, is not the space's
     space = build_space("W(3,2)")
     space.rank = 3
     with pytest.raises(SpaceError, match="generator of 3 points"):
         space.generators()
-    # the rank comes from the greedy generator's size: 2 points is no rank
+    # the rank comes from the greedy generator: cut to 2 points, it is not
+    # its own perp
     greedy = space_module.greedy_cliques
 
     def two_points(coll, masks):
@@ -249,6 +250,21 @@ def test_form_backed_consistency_checks(monkeypatch):
     monkeypatch.setattr(space_module, "greedy_cliques", two_points)
     with pytest.raises(SpaceError, match="W.3,2.: generator of 2 points"):
         build_space("W(3,2)")
+
+
+def test_rank_of_a_degenerate_space_ends():
+    # a cone, unvalidated: point 0 is collinear with every point, so no cut
+    # by a point perp takes it away, and the rank names it, not loops
+    coll = np.ones((5, 5), dtype=bool)
+    coll[np.ix_([1, 2], [3, 4])] = coll[np.ix_([3, 4], [1, 2])] = False
+    with pytest.raises(SpaceError, match=r"^cone: degenerate, 0 is collinear with every point$"):
+        PolarSpace("cone", list(range(5)), [(0, 1, 2), (0, 3, 4)], coll, None, validate=False)
+    # a space tampered after its build: the same, at any row
+    w = build_space("W(3,2)")
+    w.coll[5] = w.coll[:, 5] = True
+    with pytest.raises(SpaceError, match=rf"^W.3,2.: degenerate, {re.escape(str(w.points[5]))} "
+                                         "is collinear with every point$"):
+        w.max_singular_rank(np.arange(w.n_points) == 5)
 
 
 def test_collinearity_matrix_symmetric(space_for):
@@ -369,14 +385,18 @@ def test_one_or_all_counts_past_255_points_a_line(seen, message):
 
 def test_one_or_all_reads_points_off_each_line():
     # (0, 1, 2) is no clique: 0 and 2 see only 2 of its points.  The
-    # one-or-all check reads each line at the points off it, so it passes
-    # here and the greedy generator (0, 1) names the fault
+    # one-or-all check reads each line at every point, on it or off it, and
+    # a point on a line must see all of it, so validate names the fault
     lines = [(0, 1, 2), (3, 4, 5)]
     coll = np.eye(6, dtype=bool)
     for a, b in [(0, 1), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)]:
         coll[a, b] = coll[b, a] = True
-    with pytest.raises(SpaceError, match=r"^graph: generator \(0, 1\) through a point is "
-                                         r"neither a point nor a line$"):
+    with pytest.raises(SpaceError, match=r"^graph: point 0 sees 2 points of line \(0, 1, 2\)$"):
+        PolarSpace("graph", list(range(6)), lines, coll, None)
+    # with no pair of (0, 1, 2) collinear, each of its points sees one point
+    # of it, as a point off a line may, and is still named
+    coll[[0, 1, 1, 2], [1, 0, 2, 1]] = False
+    with pytest.raises(SpaceError, match=r"^graph: point 0 sees 1 points of line \(0, 1, 2\)$"):
         PolarSpace("graph", list(range(6)), lines, coll, None)
 
 
@@ -525,10 +545,10 @@ def test_combinatorial_rank_inference():
     assert gq.rank == 2 and point_tuples(gq.generators()) == sorted(w.lines)
     bare = PolarSpace.combinatorial("bare", ["x", "y", "z"], [])
     assert bare.rank == 1 and point_tuples(bare.generators()) == [(0,), (1,), (2,)]
-    # W(5,2) has planes: the perp of a line is no line, so rank 2 is refused
+    # W(5,2) has planes: its rank, 3, is read from incidence alone
     w52 = build_space("W(5,2)")
-    with pytest.raises(SpaceError, match="neither a point nor a line"):
-        PolarSpace.combinatorial("planes", w52.points, w52.lines)
+    planes = PolarSpace.combinatorial("planes", w52.points, w52.lines)
+    assert planes.rank == 3 and np.array_equal(planes.generators(), w52.generators())
 
 
 def test_generators_deterministic(space_for):
