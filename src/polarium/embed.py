@@ -192,7 +192,7 @@ def check_emb_identities(e: Embedding, a: int, b: int) -> dict:
 
     # N, N': the first opposite pair of sub-generators inside {a,b}^perp
     sg, sp = space.subgenerators()
-    ks = np.flatnonzero(sp[:, a] & sp[:, b])
+    ks = space.trace_subgenerators(np.array([[a, b]]))[0][0]  # one row: no padding
     opposite = np.argwhere(np.triu(
         sp[ks].astype(np.float32) @ sg[ks].T.astype(np.float32) == 0, 1))
     if not len(opposite):

@@ -138,12 +138,12 @@ def _generator_counts(space: PolarSpace) -> np.ndarray:
     return g
 
 
-def _lines_with(spt, lines, g, size):
+def _lines_with(space, lines, g, size):
     """The lines l, in order, whose trace holds an S with g(S) > size[l], from
-    the rows of SP^T (`spt`) at the pairs of the lines with max g > size[l]."""
-    for s in batches(np.flatnonzero(g.max() > size), len(g)):
-        a, b = spt.take(lines.pairs[s].T, axis=0)
-        yield from s[(a & b & (g > size[s, None])).any(axis=1)]
+    `PolarSpace.trace_subgenerators` at the pairs of the lines with max g > size[l]."""
+    for s in batches(np.flatnonzero(g.max() > size), space._trace_index.shape[1]):
+        ks = space.trace_subgenerators(lines.pairs[s])[0]
+        yield from s[(g.take(ks) > size[s, None]).any(axis=1)]
 
 
 def _pair_scan(space: PolarSpace, count, line_kernel) -> Verdict:
@@ -153,20 +153,19 @@ def _pair_scan(space: PolarSpace, count, line_kernel) -> Verdict:
     lines read); A and regular pairs (N^perp cap N'^perp has g(N) points for
     N' opposite N) fail at S exactly when g(S) > |l|.  All pairs of a line
     share its trace, so both fail first at the own pair p of the first
-    failing line, found once per space; count(p) counts the pairs before p,
-    line_kernel(space) the rest."""
+    failing line, found once per space from `PolarSpace.trace_subgenerators`;
+    count(p) counts the pairs before p, line_kernel(space) the rest."""
     lines = hyperbolic.LinePrefix(space)
     if space._failing_pair is None:
         g, n = _generator_counts(space), space.n_points
-        spt = np.ascontiguousarray(space.subgenerators()[1].T)
         found = (len(space.noncollinear_pairs()), -1)
         for lo, part in lines.parts():
             size = (part.members < n).sum(axis=1)
-            for k in _lines_with(spt, part, -g, -size):
+            for k in _lines_with(space, part, -g, -size):
                 a, b = part.pairs[k].tolist()
                 raise SpaceError(f"{space.name}: a sub-generator in {{{a},{b}}}^perp lies on "
                                  "fewer generators than its hyperbolic line has points")
-            k = next(_lines_with(spt, part, g, size), -1)
+            k = next(_lines_with(space, part, g, size), -1)
             if k >= 0:
                 found = (lines.own_pair(lo + k), lo + k)
                 break
@@ -207,14 +206,13 @@ def _A_count(space: PolarSpace, p: int) -> int:
     """sum g(S) over the S inside the traces of the first p non-collinear
     pairs.  Over all pairs, sum_S g(S) C(g(S), 2) (|M| - |S|)^2, as the
     non-collinear pairs inside S^perp are the pairs of points off S in
-    different generators through S; else SP^T diag(g) SP on rows a <= a_p."""
-    pairs, g, (sg, sp) = space.noncollinear_pairs(), _generator_counts(space), space.subgenerators()
+    different generators through S; else by `trace_subgenerators`, in int64."""
+    pairs, g = space.noncollinear_pairs(), _generator_counts(space)
     if p == len(pairs):
-        m = int(space.generators()[0].sum() - sg[0].sum())
+        m = int(space.generators()[0].sum() - space.subgenerators()[0][0].sum())
         return int((g * (g * (g - 1) // 2)).sum()) * m * m
-    G = sum((sp[s, :pairs[p, 0] + 1].T * g[s]).astype(np.float32) @ sp[s].astype(np.float32)
-            for s in chunks(len(sp), space.n_points))  # integer sums, exact below 2^24
-    return int(G[tuple(pairs[:p].T)].astype(np.int64).sum())
+    traces = (space.trace_subgenerators(pairs[s]) for s in chunks(p, space._trace_index.shape[1]))
+    return sum(int(g.take(ks)[valid].sum()) for ks, valid in traces)
 
 
 def check_A(space: PolarSpace) -> Verdict:
@@ -234,15 +232,12 @@ def _regular_pairs_kernel(space: PolarSpace):
     N^perp cap N'^perp != l.  As N and N' lie in l^perp, l lies in
     N^perp cap N'^perp, which has g(N) points (each generator through N
     meets N'^perp in one), so it fails exactly when g(N) > |l|."""
-    sg, sp = space.subgenerators()
-    g, spt = _generator_counts(space), np.ascontiguousarray(sp.T)
-    n = space.n_points
+    (sg, sp), g, n = space.subgenerators(), _generator_counts(space), space.n_points
 
     def kernel(lines):
         pairs = lines.pairs
-        ks, valid = padded_columns(np.logical_and(*spt.take(pairs.T, axis=0)))  # S_k inside l^perp
-        order = np.arange(ks.shape[1])
-        upper = (order[:, None] < order) & valid[:, None, :]  # x < y, both real
+        ks, valid = space.trace_subgenerators(pairs)  # S_k inside l^perp
+        upper = np.triu(valid[:, :, None] & valid[:, None, :], 1)  # x < y, both real
         meet = (sp.take(ks, axis=0).astype(np.float32)
                 @ sg.take(ks, axis=0).astype(np.float32).transpose(0, 2, 1))
         opp = upper & (meet == 0)
@@ -294,16 +289,15 @@ def _triads_kernel(space: PolarSpace):
     """Block: a hyperbolic line l, with its pair (a, b).  Checked: every
     c > b.  Failing: the c with no sub-generator in {a,b,c}^perp: the c > b
     (packed row above[b]) outside the OR of the packed rows S_k^perp of the
-    S_k inside l^perp, padded with a zero row; unpacked only when failing."""
-    sp = space.subgenerators()[1]
+    S_k inside l^perp, repeated as padding; unpacked only when failing."""
     n, above = space.n_points, np.packbits(~np.tri(space.n_points, dtype=bool), axis=1)
-    spt, bits = np.ascontiguousarray(sp.T), np.pad(np.packbits(sp, axis=1), ((0, 1), (0, 0)))
+    bits = np.packbits(space.subgenerators()[1], axis=1)
 
     def kernel(lines):
         pairs = lines.pairs
         b = pairs[:, 1]
-        ks, valid = padded_columns(np.logical_and(*spt.take(pairs.T, axis=0)))  # S_k inside l^perp
-        held = np.bitwise_or.reduce(bits.take(np.where(valid, ks, len(sp)), axis=0), axis=1)
+        ks = space.trace_subgenerators(pairs)[0]  # S_k inside l^perp
+        held = np.bitwise_or.reduce(bits.take(ks, axis=0), axis=1)
         acentric = ~held & above.take(b, axis=0)
 
         def failures(k):
@@ -319,9 +313,8 @@ def check_centric_triads(space: PolarSpace) -> Verdict:
     line ab meets c^perp in a sub-generator at least, so the blocks are the
     lines: a pair (a', b') of line l fails at the c > b' where l's own pair
     fails."""
-    n = space.n_points
-    packed = (n + 7) // 8  # bytes per bit-packed S_k^perp row
-    width = max(len(space.subgenerators()[1]), n, _stack_depth(space) * packed)
+    n, packed = space.n_points, (space.n_points + 7) // 8  # bytes per packed S_k^perp row
+    width = max(space._trace_index.shape[1], n, _stack_depth(space) * packed)
     lines = hyperbolic.LinePrefix(space)
 
     def checked(counts):

@@ -144,7 +144,7 @@ class PolarSpace:
         self._subgenerators = None
         self._packed_perps = None
         self._noncollinear_pairs = None
-        self._hyperbolic_lines = None  # memo of hyperbolic.all_hyperbolic_lines
+        self._hyperbolic_lines = None  # the hyperbolic._Prefix that LinePrefix reads
         self._failing_pair = None  # memo of props._pair_scan
         self._flip = None
         if validate:
@@ -378,6 +378,23 @@ class PolarSpace:
                 raise SpaceError(f"{self.name}: sub-generators of unequal size")
             self._subgenerators = (sg, self._perps(sg))
         return self._subgenerators
+
+    @cached_property
+    def _trace_index(self) -> np.ndarray:
+        """Row a: the S with a in S^perp, ascending, padded by an S through a,
+        whose perp lies in a^perp (S^perpperp = S) and holds no b opposite a."""
+        ks, valid = padded_columns(self.subgenerators()[1].T)
+        index = np.where(valid, ks, self.subgenerators()[0].argmax(axis=0)[:, None])
+        index.flags.writeable = False
+        return index
+
+    def trace_subgenerators(self, pairs) -> tuple:
+        """(ks, valid) as from `padded_columns`, each row padded by its first:
+        the S inside {a,b}^perp of each non-collinear pair (a, b), ascending,
+        those of index row a whose perp holds b: deg(a), one per generator <S, a>."""
+        sp, rows = self.subgenerators()[1], self._trace_index.take(pairs[:, 0], axis=0)
+        at, valid = padded_columns(sp.ravel().take(rows * self.n_points + pairs[:, 1:]))
+        return np.take_along_axis(rows, np.where(valid, at, at[:, :1]), axis=1), valid
 
     def _flip_closure(self) -> tuple:
         """(generators, sub-generators) as membership rows sorted by point

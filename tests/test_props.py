@@ -791,16 +791,28 @@ def test_trace_counts_assert_what_they_rely_on(monkeypatch):
             check(build_space("W(3,2)"))
 
 
-def test_pair_scans_with_varying_g():
-    # the dual of the 3 x 2 grid: its points are the grid's 3 rows and 2
-    # columns, so its generators are 2-point lines, 2 of them through each
-    # row and 3 through each column.  Its hyperbolic lines are {0,1,2} and
-    # {3,4}: the pairs of {3,4} lie on a line of fewer than max g = 3
-    # points, yet their trace {0,1,2} has g = 2, so both hold.  A counts
-    # sum_S g(S) C(g(S), 2) = 3 * 2 + 2 * 9 = 24
-    space = space_module.PolarSpace.combinatorial(
-        "dual(grid(3x2))", range(5), [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)],
+def _dual_grid(m=3, k=2):
+    # the dual of the m x k grid: its points are the grid's m rows and k
+    # columns, so its generators are 2-point lines, k of them through each
+    # row and m through each column
+    return space_module.PolarSpace.combinatorial(
+        f"dual(grid({m}x{k}))", range(m + k), [(i, m + j) for i in range(m) for j in range(k)],
         grid_family=True)
+
+
+def _octahedron():
+    # 6 points, (i, i + 3) the opposite pairs and every other pair a 2-point line
+    lines = [(a, b) for a, b in itertools.combinations(range(6), 2) if b != a + 3]
+    return space_module.PolarSpace.combinatorial("octahedron", range(6), lines,
+                                                  grid_family=True)
+
+
+def test_pair_scans_with_varying_g():
+    # dual(grid(3x2))'s hyperbolic lines are {0,1,2} and {3,4}: the pairs of
+    # {3,4} lie on a line of fewer than max g = 3 points, yet their trace
+    # {0,1,2} has g = 2, so both hold.  A counts
+    # sum_S g(S) C(g(S), 2) = 3 * 2 + 2 * 9 = 24
+    space = _dual_grid()
     assert props._generator_counts(space).tolist() == [2, 2, 2, 3, 3]
     assert check_A(space).to_dict() == {"verdict": HOLDS, "checked_count": 24}
     assert check_regular_pairs(space).to_dict() == {"verdict": HOLDS, "checked_count": 6}
@@ -808,13 +820,9 @@ def test_pair_scans_with_varying_g():
 
 
 def test_thin_rank3_octahedron():
-    # the octahedron: 6 points, (i, i + 3) the opposite pairs and every
-    # other pair a 2-point line.  Its rank comes from incidence alone, with
-    # no field order: the 8 faces are its generators and the 12 edges its
-    # sub-generators
-    lines = [(a, b) for a, b in itertools.combinations(range(6), 2) if b != a + 3]
-    space = space_module.PolarSpace.combinatorial("octahedron", range(6), lines,
-                                                  grid_family=True)
+    # the octahedron's rank comes from incidence alone, with no field order:
+    # the 8 faces are its generators and the 12 edges its sub-generators
+    space = _octahedron()
     assert (space.rank, len(space.generators()), len(space.subgenerators()[0])) == (3, 8, 12)
     _whole_space_case(space)
     _triads_oracle_case(space)
@@ -824,6 +832,58 @@ def test_thin_rank3_octahedron():
         "regular_pairs": {"verdict": HOLDS, "checked_count": 6},
         "B_triads": {"verdict": HOLDS, "checked_count": 20},
         "D": {"verdict": HOLDS, "checked_count": 18}}
+
+
+def _trace_subgenerators_case(space):
+    # oracle: np.flatnonzero(sp[:, a] & sp[:, b]), the S with a and b in
+    # S^perp, one row per pair in row-major order against the real entries
+    # of trace_subgenerators, for the pairs (a, b) and (b, a); each row holds
+    # deg(a) of them, one per generator through a (S -> <S, a>), and its
+    # padding repeats its first.  The per-point index behind them is built
+    # once and read-only; its short rows are read in dual(grid(3x2)), where
+    # a padding S not through a would hold b in its perp for some (b, a)
+    sp, deg = space.subgenerators()[1], space.generators().sum(axis=0)
+    index = space._trace_index
+    for pairs in (space.noncollinear_pairs(), space.noncollinear_pairs()[:, ::-1]):
+        for lo in range(0, len(pairs), 256):
+            block = pairs[lo:lo + 256]
+            ks, valid = space.trace_subgenerators(block)
+            at, want = np.nonzero(sp[:, block[:, 0]].T & sp[:, block[:, 1]].T)
+            assert np.array_equal(np.nonzero(valid)[0], at) and np.array_equal(ks[valid], want)
+            assert np.array_equal(valid.sum(axis=1), deg[block[:, 0]])
+            assert np.array_equal(ks, np.where(valid, ks, ks[:, :1]))
+    assert space._trace_index is index and not index.flags.writeable
+
+
+_SMALL = {"dual(grid(3x2))": _dual_grid, "dual(grid(3x4))": lambda: _dual_grid(3, 4),
+          "octahedron": _octahedron}
+
+
+@pytest.mark.parametrize("name", [*CATALOG, *STRETCH, *_SMALL])
+def test_trace_subgenerators_match_the_column_oracle(space_for, name):
+    _trace_subgenerators_case(_SMALL[name]() if name in _SMALL else space_for(name))
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("name", ["W(7,2)", "Q+(7,2)", "Q-(7,2)"])
+def test_trace_subgenerators_match_the_column_oracle_heavy(name):
+    _trace_subgenerators_case(build_space(name))
+
+
+@pytest.mark.parametrize("batch", ["default", "small"])
+@pytest.mark.parametrize("name", ["W(3,3)", "W(5,2)", "dual(grid(3x2))", "dual(grid(3x4))"])
+def test_A_count_sums_g_over_the_first_pairs(space_for, monkeypatch, name, batch):
+    # the branch a failing A scan takes at its first failing pair p: sum g(S)
+    # over the traces of the pairs before p, the oracle's G summed over them.
+    # In dual(grid(3x4)) the pairs of rows hold 4 S and those of columns 3,
+    # so a chunk past the middle pads its rows
+    space = _SMALL[name]() if name in _SMALL else space_for(name)
+    if batch == "small":
+        monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 64)
+    pairs = space.noncollinear_pairs()
+    G = _trace_counts(space)[1][tuple(pairs.T)]
+    for p in (1, len(pairs) // 2, len(pairs) - 1):
+        assert props._A_count(space, p) == G[:p].sum(), p
 
 
 def test_line_witness_replays_from_any_pair_of_its_line(space_for, report_for):
@@ -905,22 +965,26 @@ def test_pair_scans_frontier_heavy(name, A, regular_pairs):
 def _regular_pairs_width_case(space, monkeypatch):
     # oracle: the most sub-generators inside one {a,b}^perp over the
     # non-collinear pairs, by the n x S x n product; it sizes the padded
-    # stacks of regular pairs and of the centric triads
+    # stacks of opp(a), regular pairs and the centric triads.  The triads'
+    # batches also count the trace index row: the most S^perp holding one point
     spf = space.subgenerators()[1].astype(np.float32)
-    k_max = int((spf.T @ spf)[~space.coll].max())
+    k_max, row = int((spf.T @ spf)[~space.coll].max()), int(spf.sum(axis=0).max())
     assert int(space.generators().sum(axis=0).max()) == k_max
     widths, stacks = [], []
     batches, chunks, columns = props.batches, props.chunks, props.padded_columns
+    traces = space_module.PolarSpace.trace_subgenerators
     monkeypatch.setattr(props, "batches", lambda blocks, width: (
         widths.append(width) or batches(blocks, width)))
     monkeypatch.setattr(props, "chunks", lambda total, width: (
         widths.append(width) or chunks(total, width)))
     monkeypatch.setattr(props, "padded_columns", lambda inside: (
         stacks.append(columns(inside)[0].shape[1]) or columns(inside)))
+    monkeypatch.setattr(space_module.PolarSpace, "trace_subgenerators", lambda self, pairs: (
+        stacks.append((out := traces(self, pairs))[0].shape[1]) or out))
     n = space.n_points
     props._opposite_generators(space, n)  # opp(a) of every point, as a holding scan reads it
     check_centric_triads(space)
-    assert widths == [k_max * max(n, k_max), max(len(spf), n, k_max * ((n + 7) // 8))]
+    assert widths == [k_max * max(n, k_max), max(row, n, k_max * ((n + 7) // 8))]
     assert set(stacks) == {k_max}
     # the regular-pairs line kernel runs on one line, on the failing line of
     # the scan and in replay: its stack holds the k_max sub-generators of l^perp
