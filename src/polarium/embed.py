@@ -132,9 +132,11 @@ def _quotient(e: Embedding, x: Subspace, is_minimal: bool) -> Embedding:
                      is_minimal=is_minimal)
 
 
-def minimal_embedding(space: PolarSpace) -> Embedding:
-    """Quotient of the natural embedding by the full radical of the
-    polarization (the nucleus, in the characteristic-2 quadric case)."""
+def minimal_embedding(space: PolarSpace, nat: Embedding | None = None) -> Embedding:
+    """Quotient of the natural embedding, `nat` when already built, by the full
+    radical of the polarization (the nucleus, in the characteristic-2 quadric case)."""
+    if nat is not None:
+        return nat if nat.is_minimal else _quotient(nat, nat.bilinear.radical(), True)
     bilinear, quadratic = _natural_forms(space)
     rad = bilinear.radical()
     nat = Embedding(space, space.vectors, bilinear, quadratic, is_minimal=rad.rank == 0)

@@ -404,11 +404,12 @@ def check_D(space: PolarSpace) -> Verdict:
 # ---------------------------------------------------------------------------
 # symplectic verdict
 
-def _symplectic_kernel(space: PolarSpace):
+def _symplectic_kernel(space: PolarSpace, nat=None):
     """Block: the whole space, one instance.  Failing: a minimal embedding
-    that is not 2n-dimensional or not onto the target point set."""
+    (of the natural one `nat`, when given) that is not 2n-dimensional or
+    not onto the target point set."""
     def kernel(_):
-        e = embed.minimal_embedding(space)
+        e = embed.minimal_embedding(space, nat)
         q = space.field.q
         target = (q ** e.dim - 1) // (q - 1)
         image = len(e.image_points())
@@ -419,12 +420,13 @@ def _symplectic_kernel(space: PolarSpace):
     return kernel
 
 
-def is_symplectic(space: PolarSpace) -> Verdict:
+def is_symplectic(space: PolarSpace, nat: embed.Embedding | None = None) -> Verdict:
     """Compute the minimal embedding: the space is symplectic iff the
-    embedding is 2n-dimensional and onto the whole target point set."""
+    embedding is 2n-dimensional and onto the whole target point set; from
+    `nat`, a natural embedding already built, when given (full_report)."""
     if not space.is_form_backed:
         return Verdict(SKIPPED, reason="no embedding (combinatorial space)")
-    return _scan([[space]], _symplectic_kernel(space))
+    return _scan([[space]], _symplectic_kernel(space, nat))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +463,8 @@ def _assert_equiv(name, space, left, right, record):
 
 def full_report(space: PolarSpace) -> PropertyReport:
     """Run every checker, timing each call, and assert the biconditionals
-    between the properties."""
+    between the properties.  B', C and the symplectic test share one
+    natural embedding."""
     verdicts = {}
 
     def run(prop, check, *args):
@@ -478,11 +481,11 @@ def full_report(space: PolarSpace) -> PropertyReport:
         run("B_prime", check_B_prime, nat)
         run("C", check_C, nat)
     else:
-        reason = "no embedding (combinatorial space)"
+        nat, reason = None, "no embedding (combinatorial space)"
         verdicts["B_prime"] = Verdict(SKIPPED, reason=reason)
         verdicts["C"] = Verdict(SKIPPED, reason=reason)
     run("D", check_D)
-    run("symplectic", is_symplectic)
+    run("symplectic", is_symplectic, nat)
 
     equivalences = []
     _assert_equiv("A<=>regular_pairs", space, verdicts["A"],

@@ -13,8 +13,10 @@ are "collinear-or-equal" sets), bit-packed by row.  `validate` asserts it,
 the line cover and the one-or-all axiom at every point on every build,
 exhaustively, by summing the gathered rows of each line's members.
 `PolarSpace.perps` ANDs packed rows into X^perp for point sets X: the pair
-traces, double perps and sub-generator perps.  Generators are membership
-rows that come from sub-generators, since a generator is its own perp; the
+traces, double perps and sub-generator perps.  At rank 2 the generators,
+sub-generators, their perps and the trace index are read as the space holds
+them: the lines, the points, coll and its packed perps; from rank 3 on,
+generators come from sub-generators, since a generator is its own perp.  The
 rank of a subspace is that of a maximal clique inside, grown greedily too.
 Kernels gather rows by `take(idx, axis=0)`, 1.2-10x faster than `arr[idx]`.
 """
@@ -318,17 +320,19 @@ class PolarSpace:
         """All maximal singular subspaces as membership rows, sorted by point
         tuple, built once (read-only).
 
-        A generator is its own perp, so the generators through a
-        sub-generator S are the sets S^perp cap x^perp over x in
-        S^perp outside S (S itself when S^perp = S).  Rank 1 takes S empty;
-        from rank 4 on, the flip closure that finds the sub-generators has
-        met every generator on its way.
+        At rank 2 they are the lines.  A generator is its own perp, so the
+        generators through a sub-generator S are the sets S^perp cap x^perp
+        over x in S^perp outside S (S itself when S^perp = S).  Rank 1 takes
+        S empty; from rank 4 on, the flip closure that finds the
+        sub-generators has met every generator on its way.
         """
         if self._generators is None:
             if self.rank < 2:
                 sg = np.zeros((1, self.n_points), dtype=bool)
                 rows = _sorted_rows(_generators_through(self.coll, sg, ~sg))
-            elif self.rank < 4:
+            elif self.rank == 2:
+                rows = _sorted_rows(self.lines_matrix)
+            elif self.rank == 3:
                 rows = _sorted_rows(_generators_through(self.coll, *self.subgenerators()))
             else:
                 rows = self._flip_closure()[0]
@@ -352,37 +356,40 @@ class PolarSpace:
                              f"singular subspace of rank {self.rank}")
 
     def subgenerators(self):
-        """(SG, SP): every rank-(n-1) singular subspace S_k, sorted by point
-        tuple, as a membership row SG[k] and a perp row SP[k] = S_k^perp.
+        """(SG, SP), read-only: every rank-(n-1) singular subspace S_k, sorted
+        by point tuple, as a membership row SG[k] and a perp row SP[k] = S_k^perp.
 
         A set X lies in some S_k^perp exactly when S_k is in X^perp, so this
         one matrix answers "does X^perp contain a sub-generator?" at every
-        rank.  Rank 2 uses the points, rank 3 the lines; from rank 4 on, the
-        sub-generators are closed under flips from one generator: the
-        hyperplanes of each generator found, and the generators through each
-        new one, until no new sub-generator appears.  Two generators are
-        joined by a path of generators meeting in sub-generators, so this
-        reaches them all.
+        rank.  Rank 2 uses the points, whose SP is a view of coll, rank 3
+        the lines; from rank 4 on, the sub-generators are closed under flips
+        from one generator: the hyperplanes of each generator found, and the
+        generators through each new one, until no new sub-generator appears.
+        Two generators are joined by a path of generators meeting in
+        sub-generators, so this reaches them all.
         """
         if self._subgenerators is None:
             if self.rank < 2:
                 raise SpaceError(f"{self.name}: rank {self.rank} < 2 has no "
                                  "sub-generators")
             if self.rank == 2:
-                sg = np.eye(self.n_points, dtype=bool)
-            elif self.rank == 3:
-                sg = _sorted_rows(self.lines_matrix)
+                sg, sp = np.eye(self.n_points, dtype=bool), self.coll.view()
             else:
-                sg = self._flip_closure()[1]
-            if len(set(sg.sum(axis=1).tolist())) != 1:
-                raise SpaceError(f"{self.name}: sub-generators of unequal size")
-            self._subgenerators = (sg, self._perps(sg))
+                sg = _sorted_rows(self.lines_matrix) if self.rank == 3 else self._flip_closure()[1]
+                if len(set(sg.sum(axis=1).tolist())) != 1:
+                    raise SpaceError(f"{self.name}: sub-generators of unequal size")
+                sp = self._perps(sg)
+            sg.flags.writeable = sp.flags.writeable = False
+            self._subgenerators = (sg, sp)
         return self._subgenerators
 
     @cached_property
     def _trace_index(self) -> np.ndarray:
         """Row a: the S with a in S^perp, ascending, padded by an S through a,
-        whose perp lies in a^perp (S^perpperp = S) and holds no b opposite a."""
+        whose perp lies in a^perp (S^perpperp = S) and holds no b opposite a:
+        at rank 2 packed_perps' nbr, a^perp padded by a itself."""
+        if self.rank == 2:
+            return self.packed_perps()[0]
         ks, valid = padded_columns(self.subgenerators()[1].T)
         index = np.where(valid, ks, self.subgenerators()[0].argmax(axis=0)[:, None])
         index.flags.writeable = False

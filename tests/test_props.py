@@ -12,7 +12,7 @@ from polarium.cli import main
 from polarium.props import (FAILS, HOLDS, SKIPPED, check_A, check_B_prime,
                             check_C, check_D, check_centric_triads,
                             check_regular_pairs, is_symplectic, validate_witness)
-from test_space import STRETCH, max_clique_rank
+from test_space import FORM_BACKED, STRETCH, max_clique_rank
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -842,8 +842,12 @@ def _trace_subgenerators_case(space):
     # padding repeats its first.  The per-point index behind them is built
     # once and read-only; its short rows are read in dual(grid(3x2)), where
     # a padding S not through a would hold b in its perp for some (b, a)
-    sp, deg = space.subgenerators()[1], space.generators().sum(axis=0)
+    (sg, sp), deg = space.subgenerators(), space.generators().sum(axis=0)
     index = space._trace_index
+    # the build of later ranks, padded_columns(SP^T) padded by the first S
+    # through each point, which rank 2 reads as packed_perps' nbr
+    ks, valid = space_module.padded_columns(np.ascontiguousarray(sp.T))
+    assert np.array_equal(index, np.where(valid, ks, sg.argmax(axis=0)[:, None]))
     for pairs in (space.noncollinear_pairs(), space.noncollinear_pairs()[:, ::-1]):
         for lo in range(0, len(pairs), 256):
             block = pairs[lo:lo + 256]
@@ -868,6 +872,26 @@ def test_trace_subgenerators_match_the_column_oracle(space_for, name):
 @pytest.mark.parametrize("name", ["W(7,2)", "Q+(7,2)", "Q-(7,2)"])
 def test_trace_subgenerators_match_the_column_oracle_heavy(name):
     _trace_subgenerators_case(build_space(name))
+
+
+_RANK3 = ("W(5,2)", "Q(6,2)", "Q+(5,3)")
+
+
+@pytest.mark.parametrize("name", [*(n for n in [*CATALOG, *STRETCH] if n not in _RANK3),
+                                  "dual(grid(3x2))", "dual(grid(3x4))"])
+def test_rank2_reads_match_the_rebuilds(space_for, name):
+    # at rank 2 the generators are the lines, the sub-generators the points,
+    # SP is coll and the trace index is packed_perps' nbr: each equals what
+    # the general rank-2/3 path rebuilds from the points
+    space = _SMALL[name]() if name in _SMALL else space_for(name)
+    assert space.rank == 2
+    sg, sp = space.subgenerators()
+    eye = np.eye(space.n_points, dtype=bool)
+    perps = space._perps(eye)
+    want = space_module._sorted_rows(space_module._generators_through(space.coll, eye, perps))
+    assert np.array_equal(space.generators(), want)
+    assert np.array_equal(sg, eye) and np.array_equal(sp, perps) and not sp.flags.writeable
+    assert space._trace_index is space.packed_perps()[0]
 
 
 @pytest.mark.parametrize("batch", ["default", "small"])
@@ -920,6 +944,28 @@ def test_full_report_builds_the_lines_once(monkeypatch):
         codes = pairs[:, 0] * space.n_points + pairs[:, 1]
         assert len(np.unique(codes)) == len(codes), name
         assert (len(codes) == total) == drained and len(codes) <= total, name
+
+
+@pytest.mark.parametrize("name", FORM_BACKED)
+def test_full_report_builds_one_natural_embedding(monkeypatch, name):
+    # B', C and the symplectic test share the natural embedding full_report
+    # builds; the symplectic test quotients it by its radical, the nucleus
+    # of the characteristic-2 parabolic quadrics, and builds no second one
+    kinds, init = [], embed.Embedding.__init__
+    monkeypatch.setattr(embed.Embedding, "__init__", lambda self, *args, **kwargs: (
+        init(self, *args, **kwargs) or kinds.append(self.kind)))
+    props.full_report(build_space(name))
+    want = ["natural", "quotient"] if name in ("Q(4,2)", "Q(6,2)", "Q(4,4)") else ["natural"]
+    assert kinds == want
+
+
+@pytest.mark.parametrize("name", ["Q(4,2)", "Q(4,3)", "H(3,4)"])
+def test_symplectic_check_reads_a_handed_natural_embedding(space_for, name):
+    space = space_for(name)
+    nat = embed.natural_embedding(space)
+    assert is_symplectic(space, nat).to_dict() == is_symplectic(space).to_dict()
+    got, want = embed.minimal_embedding(space, nat), embed.minimal_embedding(space)
+    assert (got.dim, got.images, got.is_minimal) == (want.dim, want.images, True)
 
 
 def test_pair_scans_read_past_the_first_chunk(space_for, monkeypatch):

@@ -525,8 +525,8 @@ def _check_against_bron_kerbosch(space):
 
 @pytest.mark.parametrize("name", [*CATALOG, *STRETCH, "Q+(7,2)", "Q-(7,2)"])
 def test_generators_match_bron_kerbosch(space_for, name):
-    # the generators come from the sub-generators (at rank >= 4 by flips),
-    # never from a clique search
+    # the generators are the lines at rank 2 and come from the sub-generators
+    # from rank 3 on (at rank >= 4 by flips), never from a clique search
     _check_against_bron_kerbosch(space_for(name))
 
 
