@@ -193,13 +193,12 @@ def check_emb_identities(e: Embedding, a: int, b: int) -> dict:
     identity_line = preim == dperp
 
     # N, N': the first opposite pair of sub-generators inside {a,b}^perp
-    sg, sp = space.subgenerators()
-    ks = space.trace_subgenerators(np.array([[a, b]]))[0][0]  # one row: no padding
-    opposite = np.argwhere(np.triu(
-        sp[ks].astype(np.float32) @ sg[ks].T.astype(np.float32) == 0, 1))
+    ks, opp = space.opposite_subgenerators(np.array([[a, b]]))
+    opposite = np.argwhere(opp[0])
     if not len(opposite):
         raise ValueError("no opposite generator pair in the trace space")
-    kx, ky = ks[opposite[0]]
+    kx, ky = ks[0, opposite[0]]
+    sp = space.subgenerators()[1]
     joint = set(np.flatnonzero(sp[kx] & sp[ky]).tolist())
     is_2n = e.dim == 2 * space.rank
     identity_gen = (joint == dperp) == is_2n

@@ -17,19 +17,21 @@ that no line holds a collinear pair of its code range.  As c, d in
 {a,b}^perpperp puts {c,d}^perpperp inside it, any two points of a line then
 span that same line, for every pair read.  The scans of A, regular pairs,
 centric triads and D read the prefix (`LinePrefix`) and extend it only as
-far as they scan; `all_hyperbolic_lines` drains it into arrays: each
-line's pair, its members ascending, padded with n, and the line of every
-non-collinear pair.  Pairs past the last chunk a scan reads are neither
-double-perped nor checked, which happens only where every scan stops early;
-every space built from a spec is `validate`d, which checks the polar-space
-axioms exhaustively.  Adjoining all hyperbolic lines to the ordinary lines
-yields a linear space L(S): any two points lie on exactly one joining line
+far as they scan.  It holds its lines in one pair of arrays, each line's
+pair and its members ascending, padded with n, whose rows double as they
+fill; a slice is a read-only view of them, and `all_hyperbolic_lines`
+drains the prefix and trims them, with the line of every non-collinear
+pair.  Pairs past the last chunk a scan reads are neither double-perped
+nor checked, which happens only where every scan stops early; every space
+built from a spec is `validate`d, which checks the polar-space axioms
+exhaustively.  Adjoining all hyperbolic lines to the ordinary lines yields
+a linear space L(S): any two points lie on exactly one joining line
 (`linear_space` checks it).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import itertools
 
 import numpy as np
 
@@ -132,20 +134,22 @@ def hyperbolic_lines(space: PolarSpace, pairs) -> HyperbolicLines:
 
 class _Prefix:
     """The lines of a space built so far, memoised on it with no reference
-    back: `parts` holds (pairs, members) of the lines each chunk of pairs
-    kept, `starts` the index of each part's first line and then their total,
-    and of_pair the line of each pair read (-1 past them).  While chunks are
-    left, `cover[k]` counts the pair codes of the lines built so far inside
-    chunk k's code range, which starts at `bounds[k]`, and `table` maps the
-    pair codes of the lines of more than 2 points to their lines."""
+    back: rows of `pairs` and `members` (padded with n), whose capacity
+    doubles as they fill, `starts` the index of the first line each chunk
+    of pairs kept and then their total, and of_pair the line of each pair
+    read (-1 past them).  While chunks are left, `cover[k]` counts the pair
+    codes of the lines built so far inside chunk k's code range, which
+    starts at `bounds[k]`, and `table` maps the pair codes of the lines of
+    more than 2 points to their lines."""
 
-    __slots__ = ("chunks", "read", "bounds", "parts", "starts", "of_pair", "cover", "table",
-                 "below")
+    __slots__ = ("chunks", "read", "bounds", "pairs", "members", "starts", "of_pair", "cover",
+                 "table", "below")
 
     def __init__(self, space: PolarSpace):
         n, pairs = space.n_points, space.noncollinear_pairs()
         self.chunks = list(chunks(len(pairs), max(space.packed_perps()[0].shape[1], (n + 7) // 8)))
-        self.read, self.parts, self.starts = 0, [], [0]
+        self.read, self.starts = 0, [0]
+        self.pairs = self.members = np.empty((0, 2), dtype=np.intp)
         first = pairs[[s.start for s in self.chunks]].reshape(-1, 2).astype(np.int64)
         self.bounds = first[:, 0] * n + first[:, 1]
         self.of_pair = np.full(len(pairs), -1, dtype=np.intp)
@@ -153,16 +157,14 @@ class _Prefix:
         self.below = np.packbits(np.tri(n, k=-1, dtype=bool), axis=1)  # row b: the points < b
         self.table = None
         if not self.chunks:
-            self._complete(n)
+            self._complete()
 
-    def _complete(self, n: int):
-        """Drop the build's bookkeeping, then join the parts into one of
-        read-only arrays: the join's copy is the build's largest moment."""
+    def _complete(self):
+        """Drop the build's bookkeeping and trim the lines to read-only arrays."""
         self.chunks = self.bounds = self.cover = self.table = self.below = None
-        pairs, members = _joined(self.parts, n)
-        for a in (pairs, members, self.of_pair):
+        self.pairs, self.members = self.pairs[:self.starts[-1]], self.members[:self.starts[-1]]
+        for a in (self.pairs, self.members, self.of_pair):
             a.flags.writeable = False
-        self.parts, self.starts = [(pairs, members)], [0, len(pairs)]
 
     def extend(self, space: PolarSpace):
         """Build the lines of the next chunk of pairs: each double perp kept
@@ -198,43 +200,35 @@ class _Prefix:
         if self.table is not None:
             np.maximum(of_pair, self.table[pairs[:, 0] * n + pairs[:, 1]], out=of_pair)
         if self.cover[k] != len(pairs) or (of_pair < 0).any():
-            _, members = _joined([*self.parts, (lines.pairs, lines.members)], n)
-            counts = pair_counts(n, members)
+            counts = pair_counts(n, self.members[:lo]) + pair_counts(n, lines.members)
             wrong = np.triu(counts != ~space.coll, 1).ravel()
             wrong[self.bounds[k + 1] if k + 1 < len(self.bounds) else n * n:] = False
             i, j = divmod(int(np.argmax(wrong)), n)
             kind = "collinear" if space.coll[i, j] else "non-collinear"
             raise SpaceError(f"{space.name}: {kind} pair {i},{j} lies on {counts[i, j]} "
                              "hyperbolic lines")
-        self.read += 1
-        if len(first):
-            self.parts.append((lines.pairs, lines.members))
-            self.starts.append(lo + len(first))
+        self.read, hi, width = k + 1, lo + len(first), lines.members.shape[1]
+        if hi > len(self.pairs) or width > self.members.shape[1]:  # double the rows, widen
+            p = np.empty((max(hi, 2 * lo), 2), dtype=np.intp)
+            m = np.full((len(p), max(width, self.members.shape[1])), n, dtype=np.intp)
+            p[:lo], m[:lo, :self.members.shape[1]] = self.pairs[:lo], self.members[:lo]
+            self.pairs, self.members = p, m
+        if hi > lo:
+            self.pairs[lo:hi], self.members[lo:hi, :width] = lines.pairs, lines.members
+            self.starts.append(hi)
         if self.read == len(self.chunks):
-            self._complete(n)
+            self._complete()
 
     @property
     def complete(self) -> bool:
         return self.chunks is None
 
 
-def _joined(parts, n: int) -> tuple:
-    """(pairs, members) of consecutive parts as one, members padded with n."""
-    if len(parts) == 1:
-        return parts[0]
-    pairs = np.concatenate([np.empty((0, 2), dtype=np.intp), *(p for p, _ in parts)])
-    members = np.full((len(pairs), max([2, *(m.shape[1] for _, m in parts)])), n, dtype=np.intp)
-    at = 0
-    for _, m in parts:
-        members[at:at + len(m), :m.shape[1]] = m
-        at += len(m)
-    return pairs, members
-
-
 class LinePrefix:
     """The hyperbolic lines of a space, in member-tuple order, as a sequence
     built only as far as it is read: a slice builds the chunks of pairs
-    whose lines it reaches, and is empty past the last line."""
+    whose lines it reaches, is a read-only view of the built lines, and is
+    empty past the last line."""
 
     def __init__(self, space: PolarSpace):
         self.space = space
@@ -249,27 +243,19 @@ class LinePrefix:
 
     def __getitem__(self, key: slice) -> HyperbolicLines:
         self._reach(key.stop)
-        starts, lo = self.prefix.starts, key.start or 0
-        hi, i = min(key.stop, starts[-1]), max(bisect_right(starts, lo) - 1, 0)
-        parts = []
-        while i < len(self.prefix.parts) and starts[i] < hi:
-            pairs, members = self.prefix.parts[i]
-            cut = slice(max(lo - starts[i], 0), hi - starts[i])
-            parts.append((pairs[cut], members[cut]))
-            i += 1
-        return HyperbolicLines(self.space, *_joined(parts, self.space.n_points))
+        cut = slice(key.start, min(key.stop, self.prefix.starts[-1]))
+        pairs, members = self.prefix.pairs[cut], self.prefix.members[cut]
+        pairs.flags.writeable = members.flags.writeable = False
+        return HyperbolicLines(self.space, pairs, members)
 
     def parts(self):
         """(first line, lines) of each chunk's lines in order, built as read."""
-        lo = 0
-        while True:
-            self._reach(lo + 1)
-            starts = self.prefix.starts
-            if lo >= starts[-1]:
+        starts = self.prefix.starts  # grown in place as chunks are built
+        for k in itertools.count():
+            self._reach(starts[k] + 1)
+            if k + 1 == len(starts):
                 return
-            hi = starts[bisect_right(starts, lo)]
-            yield lo, self[lo:hi]
-            lo = hi
+            yield starts[k], self[starts[k]:starts[k + 1]]
 
     def own_pair(self, k: int) -> int:
         """The index in noncollinear_pairs() of line k's own pair, a built line."""
@@ -281,8 +267,7 @@ def all_hyperbolic_lines(space: PolarSpace) -> HyperbolicLines:
     prefix, drained, as read-only arrays."""
     lines = LinePrefix(space)
     lines._reach(np.inf)
-    (pairs, members), = lines.prefix.parts
-    return HyperbolicLines(space, pairs, members, lines.prefix.of_pair)
+    return HyperbolicLines(space, lines.prefix.pairs, lines.prefix.members, lines.prefix.of_pair)
 
 
 def linear_space(space: PolarSpace) -> list:

@@ -16,7 +16,8 @@ checked_count pair-major.  A and regular pairs fail at a pair exactly when
 a sub-generator S in its trace has g(S) > |l|: one first failing pair,
 found once per space from the prefix's chunks up to the first failing line
 (`--timings` bills it to A), with g(S) >= |l| asserted on every chunk read;
-A counts sum g(S) over the traces and regular pairs opp(a); their line
+A counts sum g(S) over the traces and regular pairs opp(a), the opposite
+pairs of sub-generators in the trace of a's first pair; their line
 kernels run on the failing line and in replay.  B' and C read the
 contained-trace counts of `hyperplanes.ArisingHyperplanes`, filled once per
 embedding from the dual lines of all hyperbolic lines (which drains the
@@ -41,7 +42,7 @@ from math import comb
 import numpy as np
 
 from polarium import embed, hyperbolic, hyperplanes, linalg
-from polarium.space import PolarSpace, SpaceError, batches, chunks, padded_columns
+from polarium.space import PolarSpace, SpaceError, batches, chunks
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -236,11 +237,7 @@ def _regular_pairs_kernel(space: PolarSpace):
 
     def kernel(lines):
         pairs = lines.pairs
-        ks, valid = space.trace_subgenerators(pairs)  # S_k inside l^perp
-        upper = np.triu(valid[:, :, None] & valid[:, None, :], 1)  # x < y, both real
-        meet = (sp.take(ks, axis=0).astype(np.float32)
-                @ sg.take(ks, axis=0).astype(np.float32).transpose(0, 2, 1))
-        opp = upper & (meet == 0)
+        ks, opp = space.opposite_subgenerators(pairs)  # S_k inside l^perp, opposite pairs
         size = (lines.members < n).sum(axis=1)
         bad = opp & (g.take(ks) > size[:, None])[:, :, None]
 
@@ -258,28 +255,24 @@ def _regular_pairs_kernel(space: PolarSpace):
     return kernel
 
 
-def _opposite_generators(space: PolarSpace, points: int) -> np.ndarray:
-    """opp(a) for the points a < `points`: the pairs of generators through a
-    that meet in a alone, by padded stack products over their rows, in
-    chunks of points.  S -> <S, a> maps the opposite pairs of sub-generators
-    inside l^perp onto them, for every line l through a."""
-    gm, n, k_max = space.generators(), space.n_points, _stack_depth(space)
-    gmt, out = np.ascontiguousarray(gm.T), [np.zeros(0, dtype=np.intp)]
-    for s in chunks(points, k_max * max(n, k_max)):
-        ks, valid = padded_columns(gmt[s])  # the generators through each point
-        rows = gm.take(ks, axis=0).astype(np.float32)
-        out.append((np.triu(rows @ rows.transpose(0, 2, 1) == 1, 1) & valid[:, None, :])
-                   .sum(axis=(1, 2)))
-    return np.concatenate(out)
+def _regular_pairs_count(space: PolarSpace, p: int) -> int:
+    """sum opp(a) over the first p non-collinear pairs (a, b): opp(a) is read
+    once per a, at its first pair, from `PolarSpace.opposite_subgenerators`,
+    in chunks of points (an a with no pair reads the next a's, times 0).
+    S -> <S, a> maps the opposite pairs of sub-generators inside {a,b}^perp
+    onto the pairs of generators through a that meet in a alone, for every b."""
+    pairs, k = space.noncollinear_pairs()[:p], _stack_depth(space)
+    times = np.bincount(pairs[:, 0])  # a's pairs among the first p
+    first = pairs.take(np.cumsum(times) - times, axis=0)
+    return sum(int(space.opposite_subgenerators(first[s])[1].sum(axis=(1, 2)) @ times[s])
+               for s in chunks(len(times), k * max(space.n_points, k)))
 
 
 def check_regular_pairs(space: PolarSpace) -> Verdict:
     """Every pair of opposite points a, b must be regular: N^perp cap N'^perp
     = {a,b}^perpperp for all opposite generators N, N' of the trace.  The
     pair has opp(a) such N, N'."""
-    a = space.noncollinear_pairs()[:, 0]
-    return _pair_scan(space, lambda p: int(_opposite_generators(space, a[p - 1] + 1 if p else 0)
-                                           [a[:p]].sum()), _regular_pairs_kernel)
+    return _pair_scan(space, lambda p: _regular_pairs_count(space, p), _regular_pairs_kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,15 @@ class PolarSpace:
         at, valid = padded_columns(sp.ravel().take(rows * self.n_points + pairs[:, 1:]))
         return np.take_along_axis(rows, np.where(valid, at, at[:, :1]), axis=1), valid
 
+    def opposite_subgenerators(self, pairs) -> tuple:
+        """(ks, opp): the S inside each trace as from `trace_subgenerators`,
+        and opp[i, x, y] for the real x < y with S_x^perp cap S_y empty, the
+        opposite pairs of sub-generators of the trace of pair i (the real
+        entries come first, so y real makes x < y real)."""
+        ks, valid = self.trace_subgenerators(pairs)
+        sg, sp = (rows.take(ks, axis=0).astype(np.float32) for rows in self.subgenerators())
+        return ks, np.triu((sp @ sg.transpose(0, 2, 1) == 0) & valid[:, None, :], 1)
+
     def _flip_closure(self) -> tuple:
         """(generators, sub-generators) as membership rows sorted by point
         tuple, from rank 4 on (see subgenerators), built once, starting from

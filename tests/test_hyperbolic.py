@@ -119,9 +119,10 @@ def _batched_lines_case(space):
 
 @pytest.mark.parametrize("name", dict.fromkeys([*CATALOG, *STRETCH]))
 def test_prefix_read_then_drained_matches_a_complete_build(space_for, monkeypatch, name):
-    # in chunks of a few pairs, a prefix read in pieces, across part
+    # in chunks of a few pairs, a prefix read in pieces, across chunk
     # boundaries and past its end, and then drained gives the lines of a
-    # complete build at the default size, and its pieces are slices of them
+    # complete build at the default size, and its pieces, read-only views
+    # handed out while the build went on, are slices of them
     complete = all_hyperbolic_lines(space_for(name))
     monkeypatch.setattr(space_module, "BATCH_ELEMENTS", 512)
     space = build_space(name)
@@ -139,10 +140,26 @@ def test_prefix_read_then_drained_matches_a_complete_build(space_for, monkeypatc
                       (lines.of_pair, complete.of_pair)]:
         assert np.array_equal(got, want) and not got.flags.writeable
     for lo, piece in [*pieces, (len(complete) - 1, past)]:
+        assert not piece.pairs.flags.writeable and not piece.members.flags.writeable
         width = piece.members.shape[1]
         assert np.array_equal(piece.pairs, lines.pairs[lo:lo + len(piece)])
         assert np.array_equal(piece.members, lines.members[lo:lo + len(piece), :width])
         assert (lines.members[lo:lo + len(piece), width:] == space.n_points).all()
+
+
+# the chunks of pairs the line prefix is built for, where the scans stop
+# before its end: the scans read it only up to their witness's chunk
+_BUILT = {"P(W(3,5))": 1, "dual(H(4,4))": 1}
+_BUILT_BY_A = {**_BUILT, "Q(4,5)": 1, "Q-(5,3)": 1, "H(4,4)": 1}
+
+
+@pytest.mark.parametrize("name", dict.fromkeys([*CATALOG, *STRETCH]))
+def test_prefix_is_built_only_as_far_as_the_scans_read(name):
+    for run, built in [(props.full_report, _BUILT), (props.check_A, _BUILT_BY_A)]:
+        space = build_space(name)
+        run(space)
+        prefix = space._hyperbolic_lines
+        assert ("complete" if prefix.complete else prefix.read) == built.get(name, "complete")
 
 
 def test_D_kernel_never_reads_padding(space_for, monkeypatch):

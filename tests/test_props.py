@@ -695,6 +695,15 @@ def _trace_counts(space):
     return K.astype(np.int64), G.astype(np.int64)
 
 
+def _opp_oracle(space):
+    """Oracle: opp(a) for every point a, the pairs of generators through a
+    that meet in a alone, from the Gram GM GM^T of the generator rows."""
+    gm = space.generators()
+    meet = gm.astype(np.float32) @ gm.T.astype(np.float32)  # |M cap M'|, exact below 2^24
+    return np.array([np.triu(meet[np.ix_(m, m)] == 1, 1).sum()
+                     for m in map(np.flatnonzero, gm.T)])
+
+
 def _whole_space_case(space):
     """The trace counts K and G against the per-line kernels and the
     checkers, on every non-collinear pair: G >= |l| K, a pair fails exactly
@@ -710,7 +719,7 @@ def _whole_space_case(space):
     size = (lines.members < n).sum(axis=1)[lines.of_pair]
     assert (G[a, b] >= size * K[a, b]).all()
     fails = G[a, b] > size * K[a, b]
-    opp = props._opposite_generators(space, n)
+    opp = _opp_oracle(space)
     out = []
     for make, counts, check in [(props._A_kernel, G[a, b], check_A),
                                 (props._regular_pairs_kernel, opp[a], check_regular_pairs)]:
@@ -814,6 +823,7 @@ def test_pair_scans_with_varying_g():
     # sum_S g(S) C(g(S), 2) = 3 * 2 + 2 * 9 = 24
     space = _dual_grid()
     assert props._generator_counts(space).tolist() == [2, 2, 2, 3, 3]
+    assert _opp_oracle(space).tolist() == [1, 1, 1, 3, 3]
     assert check_A(space).to_dict() == {"verdict": HOLDS, "checked_count": 24}
     assert check_regular_pairs(space).to_dict() == {"verdict": HOLDS, "checked_count": 6}
     _whole_space_case(space)
@@ -824,6 +834,7 @@ def test_thin_rank3_octahedron():
     # the 8 faces are its generators and the 12 edges its sub-generators
     space = _octahedron()
     assert (space.rank, len(space.generators()), len(space.subgenerators()[0])) == (3, 8, 12)
+    assert _opp_oracle(space).tolist() == [2] * 6  # the two pairs of opposite faces at a vertex
     _whole_space_case(space)
     _triads_oracle_case(space)
     verdicts = props.full_report(space).verdicts
@@ -861,6 +872,17 @@ def _trace_subgenerators_case(space):
 
 _SMALL = {"dual(grid(3x2))": _dual_grid, "dual(grid(3x4))": lambda: _dual_grid(3, 4),
           "octahedron": _octahedron}
+
+
+@pytest.mark.parametrize("name", [*CATALOG, *STRETCH, *_SMALL])
+def test_regular_pairs_count_sums_the_opp_oracle(space_for, name):
+    # the count of regular pairs up to pair p, the holding count at p = all,
+    # is sum opp(a) over the pairs (a, b) before p, with opp(a) read from
+    # the trace of a's first pair; the dual grids' deg(a) varies with a
+    space = _SMALL[name]() if name in _SMALL else space_for(name)
+    opp, a = _opp_oracle(space), space.noncollinear_pairs()[:, 0]
+    for p in sorted({0, 1, len(a) // 3, len(a) - 1, len(a)}):
+        assert props._regular_pairs_count(space, p) == opp[a[:p]].sum(), p
 
 
 @pytest.mark.parametrize("name", [*CATALOG, *STRETCH, *_SMALL])
@@ -1016,19 +1038,18 @@ def _regular_pairs_width_case(space, monkeypatch):
     spf = space.subgenerators()[1].astype(np.float32)
     k_max, row = int((spf.T @ spf)[~space.coll].max()), int(spf.sum(axis=0).max())
     assert int(space.generators().sum(axis=0).max()) == k_max
+    check_regular_pairs(space)  # its first failing pair, found once per space
     widths, stacks = [], []
-    batches, chunks, columns = props.batches, props.chunks, props.padded_columns
+    batches, chunks = props.batches, props.chunks
     traces = space_module.PolarSpace.trace_subgenerators
     monkeypatch.setattr(props, "batches", lambda blocks, width: (
         widths.append(width) or batches(blocks, width)))
     monkeypatch.setattr(props, "chunks", lambda total, width: (
         widths.append(width) or chunks(total, width)))
-    monkeypatch.setattr(props, "padded_columns", lambda inside: (
-        stacks.append(columns(inside)[0].shape[1]) or columns(inside)))
     monkeypatch.setattr(space_module.PolarSpace, "trace_subgenerators", lambda self, pairs: (
         stacks.append((out := traces(self, pairs))[0].shape[1]) or out))
     n = space.n_points
-    props._opposite_generators(space, n)  # opp(a) of every point, as a holding scan reads it
+    check_regular_pairs(space)  # the count up to that pair, and its failing line's kernel
     check_centric_triads(space)
     assert widths == [k_max * max(n, k_max), max(row, n, k_max * ((n + 7) // 8))]
     assert set(stacks) == {k_max}
